@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"dpmr/internal/consist"
 	"dpmr/internal/coord"
 	coordnet "dpmr/internal/coord/net"
 	"dpmr/internal/dpmr"
@@ -875,15 +876,16 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 // the degenerate single-VM group (no handovers — the walker baseline);
 // interleavedN adds N-VM cooperative scheduling with yields at every
 // load/store/atomic; the traced variant layers per-replica trace
-// recording on top, the full concurrent-campaign trial configuration.
-// The serial/interleaved trials-per-second ratio is the scheduling cost,
-// and interleaved/traced isolates the recorder's share.
+// recording on top, and the checked variant also runs consist.Check on
+// each trace: a whole concurrent-campaign trial. The serial/interleaved
+// trials-per-second ratio is the scheduling cost, interleaved/traced
+// isolates the recorder's share, and traced/checked the checker's.
 func BenchmarkScheduler(b *testing.B) {
 	w, err := workloads.ConcurrentByName("chash")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, threads int, traced bool) {
+	run := func(b *testing.B, threads int, traced, checked bool) {
 		m := w.Build(threads)
 		m.Freeze()
 		var switches uint64
@@ -900,12 +902,18 @@ func BenchmarkScheduler(b *testing.B) {
 			if c.Kind != interp.ExitNormal || c.Code != 0 {
 				b.Fatalf("chash (%d threads): %v code %d (%s)", threads, c.Kind, c.Code, c.Reason)
 			}
+			if checked {
+				if rep := consist.Check(res.Trace); !rep.Clean() {
+					b.Fatalf("chash (%d threads): consistency violations: %v", threads, rep.Violations)
+				}
+			}
 			switches = res.Switches
 		}
 		b.ReportMetric(float64(switches), "switches/run")
 		reportTrialsPerSec(b, 1)
 	}
-	b.Run("serial1", func(b *testing.B) { run(b, 1, false) })
-	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false) })
-	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true) })
+	b.Run("serial1", func(b *testing.B) { run(b, 1, false, false) })
+	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false, false) })
+	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true, false) })
+	b.Run("interleaved3checked", func(b *testing.B) { run(b, 3, true, true) })
 }

@@ -30,7 +30,7 @@ package consist
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"dpmr/internal/mem"
 )
@@ -85,12 +85,6 @@ func Check(t *mem.TraceRec) *Report {
 	return r
 }
 
-// taggedEvent carries an event's thread through the total-order merge.
-type taggedEvent struct {
-	mem.TraceEvent
-	thread int
-}
-
 // locKey identifies one checked location. Widths are part of the key:
 // the workloads' shared cells are accessed at one fixed width each, and
 // folding mixed-width aliasing into byte-granular tracking would buy
@@ -101,62 +95,90 @@ type locKey struct {
 	width uint8
 }
 
-// locState is a location's traced write history.
+// locState is a location's traced write history. A location gets a state
+// only at its first traced write.
 type locState struct {
-	cur     uint64 // most recent write's value
-	curSeq  uint64
-	written bool
-	older   map[uint64]struct{} // values of superseded writes
+	cur    uint64              // most recent write's value
+	curSeq uint64              // that write's sequence number
+	older  map[uint64]struct{} // values of superseded writes, made on first need
 }
 
-// CheckEvents verifies hand-assembled per-thread traces (the test
-// surface; Check wraps it for recorder output). Events are merged into
-// the global total order by sequence number; within-thread order must
-// already be program order.
-func CheckEvents(threads [][]mem.TraceEvent) *Report {
-	r := &Report{}
-	var all []taggedEvent
-	for tid, evs := range threads {
-		for _, e := range evs {
-			all = append(all, taggedEvent{TraceEvent: e, thread: tid})
+// checker is the replay state: every written location's state, in one
+// slice indexed through index.
+type checker struct {
+	r     *Report
+	index map[locKey]int32
+	locs  []locState
+}
+
+// step replays one event of thread tid in total order.
+func (c *checker) step(tid int, e *mem.TraceEvent) {
+	c.r.Events++
+	k := locKey{addr: e.Addr, width: e.Width}
+	i, ok := c.index[k]
+	switch {
+	case e.Op == mem.TraceStore && !ok:
+		c.index[k] = int32(len(c.locs))
+		c.locs = append(c.locs, locState{cur: e.Val, curSeq: e.Seq})
+	case e.Op == mem.TraceStore:
+		st := &c.locs[i]
+		if st.cur != e.Val {
+			if st.older == nil {
+				st.older = make(map[uint64]struct{})
+			}
+			st.older[st.cur] = struct{}{}
 		}
+		st.cur, st.curSeq = e.Val, e.Seq
+	// A load before its location's first traced write (!ok) is
+	// unconstrained: it reads the untraced initial image.
+	case e.Op == mem.TraceLoad && ok && e.Val != c.locs[i].cur:
+		st := &c.locs[i]
+		class := ClassThinAir
+		if _, stale := st.older[e.Val]; stale {
+			class = ClassStaleRead
+		}
+		c.r.Violations = append(c.r.Violations, Violation{
+			Class: class, Thread: tid, Seq: e.Seq,
+			Addr: e.Addr, Width: e.Width,
+			Got: e.Val, Want: st.cur, WriteSeq: st.curSeq,
+		})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	locs := make(map[locKey]*locState)
-	for _, e := range all {
-		r.Events++
-		k := locKey{addr: e.Addr, width: e.Width}
-		st := locs[k]
-		switch e.Op {
-		case mem.TraceStore:
-			if st == nil {
-				st = &locState{}
-				locs[k] = st
-			}
-			if st.written && st.cur != e.Val {
-				if st.older == nil {
-					st.older = make(map[uint64]struct{})
-				}
-				st.older[st.cur] = struct{}{}
-			}
-			st.cur, st.curSeq, st.written = e.Val, e.Seq, true
-		case mem.TraceLoad:
-			if st == nil || !st.written {
-				continue // unconstrained before the first traced write
-			}
-			if e.Val == st.cur {
+}
+
+// CheckEvents verifies per-thread traces (the test surface; Check wraps
+// it for recorder output). Precondition: each thread's events are in
+// program order with strictly ascending Seq, as mem.TraceRec records
+// them. The threads are merged into the global total order by Seq on the
+// fly, without copying or sorting: a group has only a few threads, so
+// picking the thread with the smallest next Seq is a short scan, and
+// that thread's events then replay as one run up to the next-smallest
+// head among the others.
+func CheckEvents(threads [][]mem.TraceEvent) *Report {
+	c := &checker{r: &Report{}, index: make(map[locKey]int32)}
+	pos := make([]int, len(threads))
+	for {
+		t, head, bound := -1, uint64(0), uint64(math.MaxUint64)
+		for i, evs := range threads {
+			if pos[i] == len(evs) {
 				continue
 			}
-			class := ClassThinAir
-			if _, ok := st.older[e.Val]; ok {
-				class = ClassStaleRead
+			switch s := evs[pos[i]].Seq; {
+			case t < 0:
+				t, head = i, s
+			case s < head:
+				t, head, bound = i, s, head
+			case s < bound:
+				bound = s
 			}
-			r.Violations = append(r.Violations, Violation{
-				Class: class, Thread: e.thread, Seq: e.Seq,
-				Addr: e.Addr, Width: e.Width,
-				Got: e.Val, Want: st.cur, WriteSeq: st.curSeq,
-			})
 		}
+		if t < 0 {
+			return c.r
+		}
+		evs, i := threads[t], pos[t]
+		c.step(t, &evs[i])
+		for i++; i < len(evs) && evs[i].Seq < bound; i++ {
+			c.step(t, &evs[i])
+		}
+		pos[t] = i
 	}
-	return r
 }

@@ -1,9 +1,15 @@
 package consist
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"dpmr/internal/interp"
 	"dpmr/internal/mem"
+	"dpmr/internal/sched"
+	"dpmr/internal/workloads"
 )
 
 func ld(seq, addr uint64, w uint8, val uint64) mem.TraceEvent {
@@ -126,4 +132,170 @@ func TestNilRecorderClean(t *testing.T) {
 	if r := Check(nil); !r.Clean() || r.Events != 0 {
 		t.Fatalf("nil recorder must verify clean, got %+v", r)
 	}
+}
+
+// refEvent carries an event's thread through the total-order merge.
+type refEvent struct {
+	mem.TraceEvent
+	thread int
+}
+
+// refLocState is a location's traced write history.
+type refLocState struct {
+	cur     uint64 // most recent write's value
+	curSeq  uint64
+	written bool
+	older   map[uint64]struct{} // values of superseded writes
+}
+
+// referenceCheck is the original sort-based checker, kept as the oracle
+// CheckEvents is cross-checked against: concatenate every thread's
+// events, sort by Seq, replay.
+func referenceCheck(threads [][]mem.TraceEvent) *Report {
+	r := &Report{}
+	var all []refEvent
+	for tid, evs := range threads {
+		for _, e := range evs {
+			all = append(all, refEvent{TraceEvent: e, thread: tid})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
+	locs := make(map[locKey]*refLocState)
+	for _, e := range all {
+		r.Events++
+		k := locKey{addr: e.Addr, width: e.Width}
+		st := locs[k]
+		switch e.Op {
+		case mem.TraceStore:
+			if st == nil {
+				st = &refLocState{}
+				locs[k] = st
+			}
+			if st.written && st.cur != e.Val {
+				if st.older == nil {
+					st.older = make(map[uint64]struct{})
+				}
+				st.older[st.cur] = struct{}{}
+			}
+			st.cur, st.curSeq, st.written = e.Val, e.Seq, true
+		case mem.TraceLoad:
+			if st == nil || !st.written {
+				continue // unconstrained before the first traced write
+			}
+			if e.Val == st.cur {
+				continue
+			}
+			class := ClassThinAir
+			if _, ok := st.older[e.Val]; ok {
+				class = ClassStaleRead
+			}
+			r.Violations = append(r.Violations, Violation{
+				Class: class, Thread: e.thread, Seq: e.Seq,
+				Addr: e.Addr, Width: e.Width,
+				Got: e.Val, Want: st.cur, WriteSeq: st.curSeq,
+			})
+		}
+	}
+	return r
+}
+
+// decodeTrace turns arbitrary bytes into a trace that meets CheckEvents'
+// precondition. data[0] picks 1-4 threads; then every two bytes are one
+// event: the first byte packs thread, op, width, one of four addresses
+// and a Seq gap of 1-2, the second is the value. Seqs ascend globally,
+// so each thread's are strictly ascending and no two threads share one.
+// Few addresses and values make stale and thin-air reads common.
+func decodeTrace(data []byte) [][]mem.TraceEvent {
+	if len(data) == 0 {
+		return nil
+	}
+	threads := make([][]mem.TraceEvent, 1+int(data[0]&3))
+	seq := uint64(data[0] >> 2)
+	for b := data[1:]; len(b) >= 2; b = b[2:] {
+		ctl := b[0]
+		e := mem.TraceEvent{
+			Seq:   seq,
+			Op:    mem.TraceLoad,
+			Addr:  0x1000 + 8*uint64(ctl>>3&3),
+			Width: 8,
+			Val:   uint64(b[1]),
+		}
+		if ctl&1 != 0 {
+			e.Op = mem.TraceStore
+		}
+		if ctl&2 != 0 {
+			e.Width = 4
+		}
+		tid := int(ctl>>5) % len(threads)
+		threads[tid] = append(threads[tid], e)
+		seq += 1 + uint64(ctl>>2&1)
+	}
+	return threads
+}
+
+// TestCheckEventsMatchesReference: on random small traces the merging
+// checker and the sort-based reference give identical reports.
+func TestCheckEventsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	classes := map[string]int{}
+	for iter := 0; iter < 3000; iter++ {
+		data := make([]byte, rng.Intn(120))
+		rng.Read(data)
+		for i := 2; i < len(data); i += 2 {
+			data[i] %= 4 // values 0-3: frequent repeats, so stale reads occur
+		}
+		threads := decodeTrace(data)
+		got, want := CheckEvents(threads), referenceCheck(threads)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: trace %v\nmerge:     %+v\nreference: %+v", iter, threads, got, want)
+		}
+		for _, v := range got.Violations {
+			classes[v.Class]++
+		}
+	}
+	if classes[ClassStaleRead] == 0 || classes[ClassThinAir] == 0 {
+		t.Fatalf("generator too tame, violations by class: %v", classes)
+	}
+}
+
+func FuzzCheckEvents(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0x01, 1, 0x21, 2, 0x40, 1, 0x60, 7})
+	f.Add([]byte{0x81, 0x09, 5, 0x08, 5, 0x29, 6, 0x28, 5, 0x28, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		threads := decodeTrace(data)
+		if got, want := CheckEvents(threads), referenceCheck(threads); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %v\nmerge:     %+v\nreference: %+v", threads, got, want)
+		}
+	})
+}
+
+// BenchmarkCheckEvents checks one recorded 4-thread cpipe trace per
+// iteration.
+func BenchmarkCheckEvents(b *testing.B) {
+	w, err := workloads.ConcurrentByName("cpipe")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := w.Build(4)
+	m.Freeze()
+	res := sched.Run(m, sched.Config{Threads: 4, Seed: 1, VM: interp.Config{Seed: 1}})
+	if c := res.Combined; c.Kind != interp.ExitNormal || c.Code != 0 {
+		b.Fatalf("cpipe: %v code %d (%s)", c.Kind, c.Code, c.Reason)
+	}
+	threads := make([][]mem.TraceEvent, res.Trace.Threads())
+	for i := range threads {
+		threads[i] = res.Trace.Thread(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r *Report
+	for i := 0; i < b.N; i++ {
+		r = CheckEvents(threads)
+	}
+	b.StopTimer()
+	if !r.Clean() || r.Events != res.Trace.Len() {
+		b.Fatalf("cpipe trace: %d violations, %d of %d events", len(r.Violations), r.Events, res.Trace.Len())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Events), "ns/event")
 }

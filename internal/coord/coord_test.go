@@ -55,24 +55,36 @@ func TestCoordinatorCollectsAllShards(t *testing.T) {
 func TestCoordinatorRetriesCrashedWorker(t *testing.T) {
 	var crashes int32 = 2 // the first two attempts overall die
 	var spawns int32
+	// A crashed slot respawns after posting its failure, and a run that
+	// has finished skips pending respawns. So successful attempts wait
+	// until both replacements exist: otherwise the healthy slot could
+	// finish the plan before the second crashed slot respawns.
+	respawned := make(chan struct{})
 	spawn := func(id int) (coord.Worker, error) {
-		atomic.AddInt32(&spawns, 1)
-		return coord.Func(func(_ context.Context, _ harness.Spec, s harness.ShardSpec) ([]byte, error) {
+		if atomic.AddInt32(&spawns, 1) == 4 {
+			close(respawned)
+		}
+		return coord.Func(func(ctx context.Context, _ harness.Spec, s harness.ShardSpec) ([]byte, error) {
 			if atomic.AddInt32(&crashes, -1) >= 0 {
 				return nil, errors.New("worker killed mid-shard (injected)")
 			}
-			return payload(s), nil
+			select {
+			case <-respawned:
+				return payload(s), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}), nil
 	}
-	// Quarantine off: both injected crashes may land on one slot, and a
-	// quarantined slot's respawn can lose the race against the healthy
-	// slot finishing the plan — this test counts respawns, so it wants
-	// the pre-breaker immediate-respawn behavior.
+	// Quarantine off: this test counts respawns, so it wants the
+	// pre-breaker immediate-respawn behavior.
 	co, err := coord.New(coord.Config{Shards: 6, Workers: 2, Quarantine: -1, Spawn: spawn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, err := co.Run(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	payloads, err := co.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, s
 			Threads:       threads,
 			Seed:          schedSeed,
 			TraceDisabled: true,
-			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig},
+			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, SpacePool: r.spaces()},
 		})
 		c := res.Combined
 		if c.Kind != interp.ExitNormal || c.Code != 0 {
@@ -187,6 +187,7 @@ func (r *Runner) runConcurrentOnce(w workloads.ConcurrentWorkload, v Variant, th
 			Mem:       r.MemConfig,
 			Seed:      int64(rn) + 1,
 			StepLimit: golden.Steps * r.TimeoutFactor * 5, // group steps sum over threads
+			SpacePool: r.spaces(),
 		},
 	})
 	o := r.classify(golden, res.Combined)

@@ -50,10 +50,11 @@ type Config struct {
 	// TraceDisabled skips trace recording entirely (benchmarks).
 	TraceDisabled bool
 	// VM is the per-thread VM configuration. Mem sizes the one shared
-	// space; Seed seeds thread 0, with worker seeds derived per thread;
-	// SpacePool, SharedSpace, SharedGlobals, Yield, and ThreadID are
-	// managed by the scheduler and must be unset. StepLimit bounds each
-	// thread separately.
+	// space; SpacePool, when set, supplies that space and receives it
+	// back after the run, and its config must match Mem. Seed seeds
+	// thread 0, with worker seeds derived per thread; SharedSpace,
+	// SharedGlobals, Yield, and ThreadID are managed by the scheduler and
+	// must be unset. StepLimit bounds each thread separately.
 	VM interp.Config
 }
 
@@ -121,8 +122,12 @@ func Run(m *ir.Module, cfg Config) *Result {
 	if n < 1 {
 		return fail("sched: Threads must be >= 1, got %d", n)
 	}
-	if cfg.VM.SharedSpace != nil || cfg.VM.SharedGlobals != nil || cfg.VM.SpacePool != nil || cfg.VM.Yield != nil {
+	if cfg.VM.SharedSpace != nil || cfg.VM.SharedGlobals != nil || cfg.VM.Yield != nil {
 		return fail("sched: Config.VM space and yield fields are scheduler-managed")
+	}
+	pool := cfg.VM.SpacePool
+	if pool != nil && pool.Config() != cfg.VM.Mem.WithDefaults() {
+		return fail("sched: Config.VM.SpacePool built for %+v, but Config.VM.Mem wants %+v", pool.Config(), cfg.VM.Mem.WithDefaults())
 	}
 	mainFn := m.Func("main")
 	if mainFn == nil {
@@ -138,7 +143,16 @@ func Run(m *ir.Module, cfg Config) *Result {
 		}
 	}
 
-	space := mem.NewSpace(cfg.VM.Mem)
+	// The shared space comes from the pool when there is one, and goes
+	// back (Put resets it) once every thread has exited and its
+	// statistics are read.
+	var space *mem.Space
+	if pool != nil {
+		space = pool.Get()
+		defer pool.Put(space)
+	} else {
+		space = mem.NewSpace(cfg.VM.Mem)
+	}
 	if err := space.PartitionStack(n); err != nil {
 		return fail("sched: %v", err)
 	}
@@ -155,6 +169,7 @@ func Run(m *ir.Module, cfg Config) *Result {
 		t := &thread{id: tid, resume: make(chan struct{}), parked: make(chan struct{})}
 		threads[tid] = t
 		vcfg := cfg.VM
+		vcfg.SpacePool = nil
 		vcfg.SharedSpace = space
 		vcfg.ThreadID = tid
 		vcfg.Yield = func() { t.yield(&aborted) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpmr/internal/consist"
@@ -11,6 +12,7 @@ import (
 	"dpmr/internal/failpt"
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
+	"dpmr/internal/mem"
 	"dpmr/internal/opt"
 	"dpmr/internal/workloads"
 )
@@ -149,6 +151,22 @@ func TestDPMRTransformedConcurrent(t *testing.T) {
 // TestAbortOnThreadFailure: a worker trap aborts the whole group and
 // classifies the combined result.
 func TestAbortOnThreadFailure(t *testing.T) {
+	m := crashWorkerModule()
+	res := Run(m, Config{Threads: 2, Seed: 9, VM: interp.Config{StepLimit: testStepLimit}})
+	if res.Combined.Kind != interp.ExitTrap {
+		t.Fatalf("want trap, got %v (%s)", res.Combined.Kind, res.Combined.Reason)
+	}
+	if res.FailedThread != 1 {
+		t.Fatalf("want failed thread 1, got %d", res.FailedThread)
+	}
+	if res.Threads[0] != nil {
+		t.Fatalf("main should have been unwound, got %+v", res.Threads[0])
+	}
+}
+
+// crashWorkerModule builds a group whose worker traps at once while main
+// spins on a global the worker never sets.
+func crashWorkerModule() *ir.Module {
 	m := ir.NewModule("crashworker")
 	b := ir.NewBuilder(m)
 	m.AddGlobal("sink", ir.I64)
@@ -166,17 +184,7 @@ func TestAbortOnThreadFailure(t *testing.T) {
 	}, func() {})
 	b.Ret(b.I64(0))
 	m.Freeze()
-
-	res := Run(m, Config{Threads: 2, Seed: 9, VM: interp.Config{StepLimit: testStepLimit}})
-	if res.Combined.Kind != interp.ExitTrap {
-		t.Fatalf("want trap, got %v (%s)", res.Combined.Kind, res.Combined.Reason)
-	}
-	if res.FailedThread != 1 {
-		t.Fatalf("want failed thread 1, got %d", res.FailedThread)
-	}
-	if res.Threads[0] != nil {
-		t.Fatalf("main should have been unwound, got %+v", res.Threads[0])
-	}
+	return m
 }
 
 // TestWalkerIsOracle: a concurrent run must refuse the compiled fast
@@ -252,5 +260,135 @@ func TestYieldStallFailpoint(t *testing.T) {
 	}
 	if rep := consist.Check(res.Trace); !rep.Clean() {
 		t.Fatalf("stall must not corrupt anything: %v", rep.Violations)
+	}
+}
+
+// checkSeqs asserts the recorder precondition consist.CheckEvents relies
+// on: each thread's Seqs strictly ascend, and together they cover
+// 0..Len()-1 exactly once.
+func checkSeqs(t *testing.T, tr *mem.TraceRec) {
+	t.Helper()
+	seen := make([]bool, tr.Len())
+	for tid := 0; tid < tr.Threads(); tid++ {
+		for i, e := range tr.Thread(tid) {
+			if i > 0 && e.Seq <= tr.Thread(tid)[i-1].Seq {
+				t.Fatalf("thread %d event %d: seq %d after %d", tid, i, e.Seq, tr.Thread(tid)[i-1].Seq)
+			}
+			if e.Seq >= tr.Len() || seen[e.Seq] {
+				t.Fatalf("thread %d event %d: seq %d outside 0..%d or repeated", tid, i, e.Seq, tr.Len()-1)
+			}
+			seen[e.Seq] = true
+		}
+	}
+	for seq, ok := range seen {
+		if !ok {
+			t.Fatalf("seq %d of 0..%d missing from every thread", seq, tr.Len()-1)
+		}
+	}
+}
+
+// TestTraceSeqsAscendingAndDense: recorded traces meet the checker's
+// precondition for every concurrent workload and schedule.
+func TestTraceSeqsAscendingAndDense(t *testing.T) {
+	for _, w := range workloads.Concurrent() {
+		for threads := 2; threads <= 4; threads++ {
+			m := w.Build(threads)
+			m.Freeze()
+			for _, seed := range []int64{1, 2, 77} {
+				t.Run(fmt.Sprintf("%s/%d/%d", w.Name, threads, seed), func(t *testing.T) {
+					checkSeqs(t, runClean(t, m, threads, seed).Trace)
+				})
+			}
+		}
+	}
+}
+
+// TestTraceSeqsDenseAfterDrops: events the mem/trace-drop failpoint
+// discards take no Seq, so the retained trace stays dense.
+func TestTraceSeqsDenseAfterDrops(t *testing.T) {
+	if err := failpt.Arm("mem/trace-drop=drop@3;mem/trace-drop=drop@40"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpt.Disarm)
+	m := workloads.Concurrent()[1].Build(3)
+	m.Freeze()
+	res := Run(m, Config{Threads: 3, Seed: 4, VM: interp.Config{StepLimit: testStepLimit, Seed: 7}})
+	if got := res.Trace.Dropped(); got != 2 {
+		t.Fatalf("dropped %d events, want 2", got)
+	}
+	checkSeqs(t, res.Trace)
+}
+
+// TestPooledRunMatchesFresh: groups drawing their shared space from one
+// pool, back to back, replay exactly like groups on fresh spaces — across
+// thread-count changes, an aborted group, a DPMR-transformed module, and
+// with tracing on and off.
+func TestPooledRunMatchesFresh(t *testing.T) {
+	build := func(name string, threads int) *ir.Module {
+		w, err := workloads.ConcurrentByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := w.Build(threads)
+		m.Freeze()
+		return m
+	}
+	xm, err := dpmr.Transform(workloads.Concurrent()[2].Build(3), dpmr.Config{Design: dpmr.MDS, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Run(xm)
+	xm.Freeze()
+	cases := []struct {
+		name    string
+		m       *ir.Module
+		threads int
+		traced  bool
+	}{
+		{"chash/4", build("chash", 4), 4, false},
+		{"cpipe/2", build("cpipe", 2), 2, false},
+		{"csteal/3", build("csteal", 3), 3, false},
+		{"abort", crashWorkerModule(), 2, false},
+		{"dpmr-mds", xm, 3, false},
+		{"traced", build("cpipe", 3), 3, true},
+	}
+	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
+	pool := mem.NewPool(memCfg)
+	for _, c := range cases {
+		cfg := Config{
+			Threads: c.threads, Seed: 5, TraceDisabled: !c.traced,
+			VM: interp.Config{StepLimit: testStepLimit, Seed: 7, Mem: memCfg},
+		}
+		fresh := Run(c.m, cfg)
+		cfg.VM.SpacePool = pool
+		pooled := Run(c.m, cfg)
+		for _, f := range []struct {
+			field       string
+			fresh, pool any
+		}{
+			{"Combined", fresh.Combined, pooled.Combined},
+			{"Threads", fresh.Threads, pooled.Threads},
+			{"FailedThread", fresh.FailedThread, pooled.FailedThread},
+			{"Trace", fresh.Trace, pooled.Trace},
+			{"Switches", fresh.Switches, pooled.Switches},
+		} {
+			if !reflect.DeepEqual(f.fresh, f.pool) {
+				t.Errorf("%s: pooled %s differs:\nfresh:  %+v\npooled: %+v", c.name, f.field, f.fresh, f.pool)
+			}
+		}
+	}
+}
+
+// TestPoolConfigMismatchRefused: a pool built for another geometry is
+// refused by name, as interp.NewVM refuses it.
+func TestPoolConfigMismatchRefused(t *testing.T) {
+	m := workloads.Concurrent()[0].Build(2)
+	m.Freeze()
+	res := Run(m, Config{Threads: 2, VM: interp.Config{
+		Mem:       mem.Config{HeapBytes: 4 << 20},
+		SpacePool: mem.NewPool(mem.Config{HeapBytes: 8 << 20}),
+	}})
+	if c := res.Combined; c.Kind != interp.ExitError || !strings.Contains(c.Reason, "Config.VM.SpacePool") {
+		t.Fatalf("want a named SpacePool refusal, got %v (%s)", c.Kind, c.Reason)
 	}
 }
