@@ -872,14 +872,16 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 }
 
 // BenchmarkScheduler measures the deterministic interleaving scheduler
-// (internal/sched): one scheduled chash group per iteration. serial1 is
-// the degenerate single-VM group (no handovers — the walker baseline);
-// interleavedN adds N-VM cooperative scheduling with yields at every
-// load/store/atomic; the traced variant layers per-replica trace
-// recording on top, and the checked variant also runs consist.Check on
-// each trace: a whole concurrent-campaign trial. The serial/interleaved
-// trials-per-second ratio is the scheduling cost, interleaved/traced
-// isolates the recorder's share, and traced/checked the checker's.
+// (internal/sched): one scheduled chash group per iteration, its shared
+// space drawn from one mem.Pool as the harness draws it. serial1 is the
+// degenerate single-VM group (every draw picks the yielding thread, so no
+// handovers — the walker baseline); interleavedN adds N-VM cooperative
+// scheduling with yields at every load/store/atomic; the traced variant
+// layers per-replica trace recording on top, and the checked variant also
+// runs consist.Check on each trace: a whole concurrent-campaign trial.
+// The serial/interleaved trials-per-second ratio is the scheduling cost,
+// interleaved/traced isolates the recorder's share, and traced/checked
+// the checker's. ns/switch divides the run's time by its scheduling draws.
 func BenchmarkScheduler(b *testing.B) {
 	w, err := workloads.ConcurrentByName("chash")
 	if err != nil {
@@ -888,6 +890,7 @@ func BenchmarkScheduler(b *testing.B) {
 	run := func(b *testing.B, threads int, traced, checked bool) {
 		m := w.Build(threads)
 		m.Freeze()
+		pool := mem.NewPool(benchMem)
 		var switches uint64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -896,7 +899,7 @@ func BenchmarkScheduler(b *testing.B) {
 				Threads:       threads,
 				Seed:          1,
 				TraceDisabled: !traced,
-				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem},
+				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem, SpacePool: pool},
 			})
 			c := res.Combined
 			if c.Kind != interp.ExitNormal || c.Code != 0 {
@@ -910,6 +913,7 @@ func BenchmarkScheduler(b *testing.B) {
 			switches = res.Switches
 		}
 		b.ReportMetric(float64(switches), "switches/run")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(switches), "ns/switch")
 		reportTrialsPerSec(b, 1)
 	}
 	b.Run("serial1", func(b *testing.B) { run(b, 1, false, false) })

@@ -72,7 +72,8 @@ func NewTraceRec(threads, limit int) *TraceRec {
 }
 
 // SetThread labels subsequent events with thread tid; the scheduler calls
-// this before every resume. Out-of-range tids are clamped to 0.
+// this at every draw, before the drawn thread runs on, even when the
+// yielding thread drew itself. Out-of-range tids are clamped to 0.
 func (t *TraceRec) SetThread(tid int) {
 	if tid < 0 || tid >= len(t.threads) {
 		tid = 0

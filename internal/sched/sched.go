@@ -5,21 +5,24 @@
 // runs main(), threads 1..N-1 run worker(tid). Execution is cooperative —
 // every VM yields at each load, store, atomic, and fence (Config.Yield in
 // interp) — and strictly serialized: exactly one VM executes at any
-// instant, with control handed over through unbuffered channels, so the
-// group contains no Go-level data races even though the simulated threads
-// race freely over shared simulated memory. At every yield the scheduler
-// draws the next runnable thread from a PRNG seeded with the schedule
-// seed, making the interleaving a pure function of (seed, program): the
-// same trial replays bit-identically at any host parallelism, which is
-// what extends the harness's byte-identity guarantees (shard/merge/
-// journal/coordinator) to the concurrent kind.
+// instant, so the group contains no Go-level data races even though the
+// simulated threads race freely over shared simulated memory. There is no
+// scheduler goroutine. At every yield the running thread itself draws the
+// next runnable thread from a PRNG seeded with the schedule seed: drawing
+// itself, it carries on with no goroutine switch; drawing another, it
+// hands control straight to that thread's goroutine and blocks until it
+// is drawn again. The interleaving is thus a pure function of (seed,
+// program): the same trial replays bit-identically at any host
+// parallelism, which is what extends the harness's byte-identity
+// guarantees (shard/merge/journal/coordinator) to the concurrent kind.
 //
 // The first thread to exit abnormally (trap, DPMR detection, timeout)
-// aborts the group: remaining threads are resumed once to unwind via a
-// sentinel panic and the failing thread's exit classifies the trial.
-// Because the walker is the oracle for concurrent execution (the Yield
-// hook routes every VM through the tree-walking loop), compiled-engine
-// divergence cannot leak into concurrent results.
+// aborts the group and its exit classifies the trial: Run resumes each
+// thread that had started and is still live, once, to unwind via a
+// sentinel panic. A thread never drawn is never started. Because the
+// walker is the oracle for concurrent execution (the Yield hook routes
+// every VM through the tree-walking loop), compiled-engine divergence
+// cannot leak into concurrent results.
 package sched
 
 import (
@@ -54,7 +57,8 @@ type Config struct {
 	// back after the run, and its config must match Mem. Seed seeds
 	// thread 0, with worker seeds derived per thread; SharedSpace,
 	// SharedGlobals, Yield, and ThreadID are managed by the scheduler and
-	// must be unset. StepLimit bounds each thread separately.
+	// must be unset (Yield is the scheduler's draw-and-handover hook).
+	// StepLimit bounds each thread separately.
 	VM interp.Config
 }
 
@@ -67,14 +71,16 @@ type Result struct {
 	// order; Mem is the shared space's statistics.
 	Combined *interp.Result
 	// Threads holds each thread's own result; aborted threads (unwound
-	// after another thread failed first) are nil.
+	// or never started after another thread failed first) are nil.
 	Threads []*interp.Result
 	// FailedThread is the thread whose exit classified an abnormal
 	// Combined (-1 when the group exited normally).
 	FailedThread int
 	// Trace is the shared-tier access trace (nil when disabled).
 	Trace *mem.TraceRec
-	// Switches counts scheduler handovers (context switches).
+	// Switches counts scheduling draws: the first, one at every yield
+	// (a thread may draw itself) and one after every exit the group
+	// survives, plus one per thread still live when the group aborts.
 	Switches uint64
 }
 
@@ -82,24 +88,116 @@ type Result struct {
 // the group has aborted.
 type abortUnwind struct{}
 
-// thread is one scheduled VM's control block.
+// thread is one scheduled VM's control block. Its goroutine is spawned
+// the first time the thread is drawn; from then on it blocks on resume
+// whenever it has handed control to another thread.
 type thread struct {
-	id     int
-	resume chan struct{}
-	parked chan struct{} // signaled at every yield and at exit
-	done   bool
-	res    *interp.Result
+	id      int
+	vm      *interp.VM
+	resume  chan struct{}
+	started bool
 }
 
-// yield hands control back to the scheduler; it returns when the
-// scheduler next picks this thread, or panics the abort sentinel if the
-// group failed in between.
-func (t *thread) yield(aborted *bool) {
-	t.parked <- struct{}{}
+// group is the state of one concurrent run. Exactly one goroutine touches
+// it at a time: the one holding control, which is a thread between two
+// handovers, or Run up to its first handover and after the group ends.
+// Every transfer of control is a go statement or a channel operation,
+// which orders the accesses.
+type group struct {
+	rng      *rand.Rand
+	live     []*thread // threads not yet exited, in thread order
+	cur      int       // index in live of the thread last drawn
+	space    *mem.Space
+	trace    *mem.TraceRec
+	workerFn *ir.Func
+	res      *Result
+	aborted  bool          // set by Run before it resumes threads to unwind
+	wake     chan struct{} // hands control back to Run
+}
+
+// pick draws the next thread among the live ones and switches the space
+// to it: the draw, the stack window, the trace label and the switch count,
+// in that order at every handover.
+func (g *group) pick() *thread {
+	g.cur = g.rng.Intn(len(g.live))
+	t := g.live[g.cur]
+	g.switchTo(t)
+	return t
+}
+
+func (g *group) switchTo(t *thread) {
+	g.space.SwitchStack(t.id)
+	if g.trace != nil {
+		g.trace.SetThread(t.id)
+	}
+	g.res.Switches++
+}
+
+// handover gives control to t, starting its goroutine on its first draw.
+// The caller must not touch g again until control comes back to it.
+func (g *group) handover(t *thread) {
+	if !t.started {
+		t.started = true
+		go g.run(t)
+		return
+	}
+	t.resume <- struct{}{}
+}
+
+// yield is t's Yield hook: t draws the next thread itself. Drawing itself
+// returns at once; otherwise t hands control over and blocks until it is
+// drawn again, or panics the abort sentinel if the group aborted
+// meanwhile.
+func (g *group) yield(t *thread) {
+	next := g.pick()
+	if next == t {
+		return
+	}
+	g.handover(next)
 	<-t.resume
-	if *aborted {
+	if g.aborted {
 		panic(abortUnwind{})
 	}
+}
+
+// run is t's goroutine: it runs t's VM to its exit, or acknowledges Run's
+// abort once the VM has unwound.
+func (g *group) run(t *thread) {
+	if r, unwound := g.exec(t); unwound {
+		g.wake <- struct{}{}
+	} else {
+		g.exit(t, r)
+	}
+}
+
+func (g *group) exec(t *thread) (r *interp.Result, unwound bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			if _, ok := p.(abortUnwind); !ok {
+				panic(p)
+			}
+			unwound = true
+		}
+	}()
+	if t.id == 0 {
+		return t.vm.Run(), false
+	}
+	return t.vm.RunEntry(g.workerFn, []uint64{uint64(t.id)}), false
+}
+
+// exit removes the exiting thread t from the live set and records its
+// result. The first abnormal exit, or the last exit, hands control back
+// to Run; any other exit draws the next thread.
+func (g *group) exit(t *thread, r *interp.Result) {
+	g.live = append(g.live[:g.cur], g.live[g.cur+1:]...)
+	g.res.Threads[t.id] = r
+	if r.Kind != interp.ExitNormal {
+		g.res.FailedThread = t.id
+	} else if len(g.live) > 0 {
+		g.handover(g.pick())
+		return
+	}
+	g.wake <- struct{}{}
 }
 
 // derivedSeed spreads the base VM seed across worker threads (splitmix
@@ -162,20 +260,26 @@ func Run(m *ir.Module, cfg Config) *Result {
 		space.SetTrace(trace)
 	}
 
-	aborted := false
-	threads := make([]*thread, n)
-	vms := make([]*interp.VM, n)
+	g := &group{
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		live:     make([]*thread, n),
+		space:    space,
+		trace:    trace,
+		workerFn: workerFn,
+		res:      &Result{Threads: make([]*interp.Result, n), FailedThread: -1, Trace: trace},
+		wake:     make(chan struct{}),
+	}
 	for tid := 0; tid < n; tid++ {
-		t := &thread{id: tid, resume: make(chan struct{}), parked: make(chan struct{})}
-		threads[tid] = t
+		t := &thread{id: tid, resume: make(chan struct{})}
+		g.live[tid] = t
 		vcfg := cfg.VM
 		vcfg.SpacePool = nil
 		vcfg.SharedSpace = space
 		vcfg.ThreadID = tid
-		vcfg.Yield = func() { t.yield(&aborted) }
+		vcfg.Yield = func() { g.yield(t) }
 		if tid > 0 {
 			vcfg.Seed = derivedSeed(cfg.VM.Seed, tid)
-			vcfg.SharedGlobals = vms[0].GlobalTable()
+			vcfg.SharedGlobals = g.live[0].vm.GlobalTable()
 		}
 		// Globals must land in thread 0's part of the setup, so build VMs
 		// in thread order with window 0 current (allocas during argv
@@ -185,71 +289,25 @@ func Run(m *ir.Module, cfg Config) *Result {
 		if err != nil {
 			return fail("sched: thread %d: %v", tid, err)
 		}
-		vms[tid] = vm
+		t.vm = vm
 	}
 
-	// One goroutine per thread, each parked until its first resume. The
-	// unbuffered handover (parked/resume) means the scheduler and all
-	// threads form a single logical thread of control.
-	for tid := range threads {
-		t := threads[tid]
-		vm := vms[tid]
-		go func() {
-			<-t.resume
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortUnwind); !ok {
-						panic(r)
-					}
-					t.res = nil // unwound after the group aborted
-				}
-				t.done = true
-				t.parked <- struct{}{}
-			}()
-			if t.id == 0 {
-				t.res = vm.Run()
-			} else {
-				t.res = vm.RunEntry(workerFn, []uint64{uint64(t.id)})
-			}
-		}()
-	}
-
-	// The interleaving loop: repeatedly pick a live thread, hand it the
-	// space (stack window + trace labeling), run it to its next yield.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	live := make([]*thread, n)
-	copy(live, threads)
-	res := &Result{Threads: make([]*interp.Result, n), FailedThread: -1, Trace: trace}
-	runOne := func(t *thread) {
-		space.SwitchStack(t.id)
-		if trace != nil {
-			trace.SetThread(t.id)
-		}
-		t.resume <- struct{}{}
-		<-t.parked
-		res.Switches++
-	}
-	for len(live) > 0 {
-		i := rng.Intn(len(live))
-		t := live[i]
-		runOne(t)
-		if !t.done {
-			continue
-		}
-		live = append(live[:i], live[i+1:]...)
-		res.Threads[t.id] = t.res
-		if t.res != nil && t.res.Kind != interp.ExitNormal && !aborted {
-			// First abnormal exit: classify the group and unwind the rest.
-			aborted = true
-			res.FailedThread = t.id
-			for len(live) > 0 {
-				u := live[0]
-				live = live[1:]
-				runOne(u) // resumes into the abort sentinel
-				res.Threads[u.id] = u.res
-			}
+	// Hand control to the first thread drawn and wait for the group to
+	// end. If it ended on an abnormal exit, every thread still live is
+	// switched to once, as a draw would, and the started ones are resumed
+	// to unwind through the abort sentinel. A thread never drawn was
+	// never started and leaves a nil result.
+	g.handover(g.pick())
+	<-g.wake
+	g.aborted = true
+	for _, t := range g.live {
+		g.switchTo(t)
+		if t.started {
+			t.resume <- struct{}{}
+			<-g.wake
 		}
 	}
+	res := g.res
 
 	// Combine per-thread results into the group classification.
 	comb := &interp.Result{Kind: interp.ExitNormal}

@@ -3,12 +3,16 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dpmr/internal/consist"
 	"dpmr/internal/dpmr"
+	"dpmr/internal/extlib"
 	"dpmr/internal/failpt"
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
@@ -390,5 +394,149 @@ func TestPoolConfigMismatchRefused(t *testing.T) {
 	}})
 	if c := res.Combined; c.Kind != interp.ExitError || !strings.Contains(c.Reason, "Config.VM.SpacePool") {
 		t.Fatalf("want a named SpacePool refusal, got %v (%s)", c.Kind, c.Reason)
+	}
+}
+
+// diffResults names the first Result field where got and want differ
+// ("" when they are DeepEqual).
+func diffResults(got, want *Result) string {
+	for _, f := range []struct {
+		field     string
+		got, want any
+	}{
+		{"Combined", got.Combined, want.Combined},
+		{"Threads", got.Threads, want.Threads},
+		{"FailedThread", got.FailedThread, want.FailedThread},
+		{"Trace", got.Trace, want.Trace},
+		{"Switches", got.Switches, want.Switches},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			return fmt.Sprintf("%s differs:\ngot:  %+v\nwant: %+v", f.field, f.got, f.want)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		return "results differ outside the compared fields"
+	}
+	return ""
+}
+
+// TestRunMatchesReference: the direct handover replays the scheduler it
+// replaced, referenceRun, exactly — the whole Result, Combined.Mem, trace
+// and switch count included — over every concurrent workload, thread
+// count and DPMR design, with and without a step limit that aborts groups
+// on timeout, and over worker crashes that abort before every thread has
+// been drawn.
+func TestRunMatchesReference(t *testing.T) {
+	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
+	pool := mem.NewPool(memCfg)
+	kinds := map[interp.ExitKind]int{}
+	check := func(t *testing.T, m *ir.Module, cfg Config) {
+		t.Helper()
+		cfg.VM.Mem = memCfg
+		cfg.VM.SpacePool = pool
+		want := referenceRun(m, cfg)
+		got := Run(m, cfg)
+		if d := diffResults(got, want); d != "" {
+			t.Fatalf("threads=%d seed=%d steplimit=%d: %s", cfg.Threads, cfg.Seed, cfg.VM.StepLimit, d)
+		}
+		kinds[got.Combined.Kind]++
+	}
+
+	designs := []struct {
+		name      string
+		transform bool
+		design    dpmr.Design
+	}{{"plain", false, 0}, {"sds", true, dpmr.SDS}, {"mds", true, dpmr.MDS}}
+	for _, w := range workloads.Concurrent() {
+		for threads := 1; threads <= 4; threads++ {
+			for _, d := range designs {
+				t.Run(fmt.Sprintf("%s/%d/%s", w.Name, threads, d.name), func(t *testing.T) {
+					m := w.Build(threads)
+					externs := extlib.Base()
+					if d.transform {
+						xm, err := dpmr.Transform(m, dpmr.Config{Design: d.design, Seed: 11})
+						if err != nil {
+							t.Fatal(err)
+						}
+						opt.Run(xm)
+						m, externs = xm, extlib.Wrapped(d.design)
+					}
+					m.Freeze()
+					for seed := int64(1); seed <= 6; seed++ {
+						for _, limit := range []uint64{0, 3000} {
+							check(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{
+								Externs: externs, Seed: seed + 100, StepLimit: limit,
+							}})
+						}
+					}
+				})
+			}
+		}
+	}
+	m := crashWorkerModule()
+	for threads := 2; threads <= 4; threads++ {
+		t.Run(fmt.Sprintf("crashworker/%d", threads), func(t *testing.T) {
+			for seed := int64(0); seed < 50; seed++ {
+				check(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit}})
+			}
+		})
+	}
+	// The grid must reach clean exits, timeout aborts and crash aborts.
+	for _, k := range []interp.ExitKind{interp.ExitNormal, interp.ExitTimeout, interp.ExitTrap} {
+		if kinds[k] == 0 {
+			t.Errorf("no group ended %v: kinds seen %v", k, kinds)
+		}
+	}
+}
+
+// TestAbortLeaksNoGoroutines: an aborted group leaves no goroutine
+// behind. Threads that had started unwind before Run returns, and threads
+// never drawn before the abort are never started, so their result is nil.
+func TestAbortLeaksNoGoroutines(t *testing.T) {
+	const threads = 4
+	m := crashWorkerModule()
+	before := runtime.NumGoroutine()
+	neverDrawn := 0
+	for seed := int64(0); seed < 50; seed++ {
+		res := Run(m, Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit}})
+		if res.Combined.Kind != interp.ExitTrap || res.FailedThread < 1 {
+			t.Fatalf("seed %d: want a worker trap, got %v in thread %d (%s)", seed, res.Combined.Kind, res.FailedThread, res.Combined.Reason)
+		}
+		// Replay the draws: main yields at every spin iteration and each
+		// worker yields once before its trapping store, so the group
+		// aborts when a worker is drawn a second time. The three threads
+		// left live are then switched to once each.
+		rng := rand.New(rand.NewSource(seed))
+		drawn := make([]bool, threads)
+		draws := uint64(0)
+		for {
+			draws++
+			i := rng.Intn(threads)
+			if i > 0 && drawn[i] {
+				break
+			}
+			drawn[i] = true
+		}
+		if want := draws + threads - 1; res.Switches != want {
+			t.Fatalf("seed %d: %d switches, replayed draws give %d", seed, res.Switches, want)
+		}
+		for tid, r := range res.Threads {
+			if tid != res.FailedThread && r != nil {
+				t.Fatalf("seed %d: aborted thread %d has a result: %+v", seed, tid, r)
+			}
+			if !drawn[tid] {
+				neverDrawn++
+			}
+		}
+	}
+	if neverDrawn == 0 {
+		t.Fatal("every thread was drawn before every abort: the never-started case went untested")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines grew from %d to %d over 50 aborted groups", before, n)
 	}
 }
