@@ -873,12 +873,14 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 
 // BenchmarkScheduler measures the deterministic interleaving scheduler
 // (internal/sched): one scheduled chash group per iteration, its shared
-// space drawn from one mem.Pool as the harness draws it. serial1 is the
-// degenerate single-VM group (every draw picks the yielding thread, so no
-// handovers — the walker baseline); interleavedN adds N-VM cooperative
-// scheduling with yields at every load/store/atomic; the traced variant
-// layers per-replica trace recording on top, and the checked variant also
-// runs consist.Check on each trace: a whole concurrent-campaign trial.
+// space and trace recorder drawn from one mem.Pool as the harness draws
+// them. serial1 is the degenerate single-VM group (every draw picks the
+// yielding thread, so no handovers — the walker baseline); interleavedN
+// adds N-VM cooperative scheduling with yields at every load/store/atomic;
+// the traced variant layers per-replica trace recording on top, and the
+// checked variant also runs consist.Check on each trace: a whole
+// concurrent-campaign trial. Traced rows hand each recorder back with
+// PutTrace, as the harness does, so a warm run reuses its buffers.
 // The serial/interleaved trials-per-second ratio is the scheduling cost,
 // interleaved/traced isolates the recorder's share, and traced/checked
 // the checker's. ns/switch divides the run's time by its scheduling draws.
@@ -910,6 +912,7 @@ func BenchmarkScheduler(b *testing.B) {
 					b.Fatalf("chash (%d threads): consistency violations: %v", threads, rep.Violations)
 				}
 			}
+			pool.PutTrace(res.Trace)
 			switches = res.Switches
 		}
 		b.ReportMetric(float64(switches), "switches/run")

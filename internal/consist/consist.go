@@ -26,11 +26,19 @@
 // clean (no violations) or yields a non-empty violation list. Truncation
 // and failpoint drops are surfaced as report metadata, never as a third
 // verdict.
+//
+// Replay keeps only each written location's most recent write, in one
+// open-addressed table that checks reuse, so a clean check allocates
+// nothing but its Report. A violation's class is read back from the
+// trace itself: a read that differs from its location's most recent
+// write is stale exactly when an earlier store put the value it read
+// there, so no history of superseded values is kept.
 package consist
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dpmr/internal/mem"
 )
@@ -75,15 +83,34 @@ func Check(t *mem.TraceRec) *Report {
 	if t == nil {
 		return &Report{}
 	}
-	threads := make([][]mem.TraceEvent, t.Threads())
-	for i := range threads {
-		threads[i] = t.Thread(i)
+	c := checkers.Get().(*checker)
+	bufs := c.bufs[:0]
+	for i := 0; i < t.Threads(); i++ {
+		bufs = append(bufs, t.Thread(i))
 	}
-	r := CheckEvents(threads)
+	r := c.check(bufs)
+	clear(bufs) // the pooled checker must not pin the trace
+	c.bufs = bufs
+	checkers.Put(c)
 	r.Truncated = t.Truncated()
 	r.Dropped = t.Dropped()
 	return r
 }
+
+// CheckEvents verifies per-thread traces (the test surface; Check wraps
+// it for recorder output). Precondition: each thread's events are in
+// program order with strictly ascending Seq, as mem.TraceRec records
+// them, and every event's width is below 16 and its address below 2^60,
+// as every mem.Space access's is.
+func CheckEvents(threads [][]mem.TraceEvent) *Report {
+	c := checkers.Get().(*checker)
+	r := c.check(threads)
+	checkers.Put(c)
+	return r
+}
+
+// checkers holds idle checkers, so that their tables outlive one check.
+var checkers = sync.Pool{New: func() any { return new(checker) }}
 
 // locKey identifies one checked location. Widths are part of the key:
 // the workloads' shared cells are accessed at one fixed width each, and
@@ -95,67 +122,139 @@ type locKey struct {
 	width uint8
 }
 
-// locState is a location's traced write history. A location gets a state
-// only at its first traced write.
+// packed folds k into the one word the table is keyed by. The fold is
+// one-to-one under CheckEvents' precondition, and never 0 for the
+// nonzero widths a recorder writes, so 0 marks a free slot.
+func (k locKey) packed() uint64 { return k.addr<<4 | uint64(k.width) }
+
+// locState is one slot of the checker's location table: a written
+// location's packed key and its most recent write. A location gets a
+// slot only at its first traced write.
 type locState struct {
-	cur    uint64              // most recent write's value
-	curSeq uint64              // that write's sequence number
-	older  map[uint64]struct{} // values of superseded writes, made on first need
+	key    uint64 // locKey.packed; 0 while the slot is free
+	cur    uint64 // most recent write's value
+	curSeq uint64 // that write's sequence number
 }
 
-// checker is the replay state: every written location's state, in one
-// slice indexed through index.
+// storeVal is one (location, value) pair some traced store wrote.
+type storeVal struct {
+	key uint64 // locKey.packed
+	val uint64
+}
+
+// A checker's table starts at 1<<minSlotsLog slots.
+const minSlotsLog = 6
+
+// checker is the replay state of one check, kept for the next one.
 type checker struct {
-	r     *Report
-	index map[locKey]int32
-	locs  []locState
+	slots []locState // power-of-two length, linear probing
+	used  int        // occupied slots; the table doubles past half load
+	shift uint       // 64 - log2(len(slots)), for multiplicative hashing
+	pos   []int      // per-thread replay cursors
+	// first maps each stored (location, value) to its earliest store's
+	// Seq. One pass fills it on a check's first violation (firstOK).
+	first   map[storeVal]uint64
+	firstOK bool
+	bufs    [][]mem.TraceEvent // Check's list of the recorder's buffers
+}
+
+// slot returns the index of key's slot, or of the free slot where key
+// would go.
+func (c *checker) slot(key uint64) int {
+	mask := len(c.slots) - 1
+	i := int((key * 0x9E3779B97F4A7C15) >> c.shift)
+	for c.slots[i].key != key && c.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the table and reinserts every occupied slot.
+func (c *checker) grow() {
+	old := c.slots
+	c.slots = make([]locState, 2*len(old))
+	c.shift--
+	for _, s := range old {
+		if s.key != 0 {
+			c.slots[c.slot(s.key)] = s
+		}
+	}
 }
 
 // step replays one event of thread tid in total order.
-func (c *checker) step(tid int, e *mem.TraceEvent) {
-	c.r.Events++
-	k := locKey{addr: e.Addr, width: e.Width}
-	i, ok := c.index[k]
+func (c *checker) step(r *Report, threads [][]mem.TraceEvent, tid int, e *mem.TraceEvent) {
+	key := locKey{addr: e.Addr, width: e.Width}.packed()
+	s := &c.slots[c.slot(key)]
 	switch {
-	case e.Op == mem.TraceStore && !ok:
-		c.index[k] = int32(len(c.locs))
-		c.locs = append(c.locs, locState{cur: e.Val, curSeq: e.Seq})
 	case e.Op == mem.TraceStore:
-		st := &c.locs[i]
-		if st.cur != e.Val {
-			if st.older == nil {
-				st.older = make(map[uint64]struct{})
+		s.cur, s.curSeq = e.Val, e.Seq
+		if s.key == 0 {
+			s.key = key
+			if c.used++; 2*c.used > len(c.slots) {
+				c.grow()
 			}
-			st.older[st.cur] = struct{}{}
 		}
-		st.cur, st.curSeq = e.Val, e.Seq
-	// A load before its location's first traced write (!ok) is
+	// A load before its location's first traced write (a free slot) is
 	// unconstrained: it reads the untraced initial image.
-	case e.Op == mem.TraceLoad && ok && e.Val != c.locs[i].cur:
-		st := &c.locs[i]
-		class := ClassThinAir
-		if _, stale := st.older[e.Val]; stale {
-			class = ClassStaleRead
-		}
-		c.r.Violations = append(c.r.Violations, Violation{
-			Class: class, Thread: tid, Seq: e.Seq,
+	case s.key != 0 && e.Val != s.cur:
+		r.Violations = append(r.Violations, Violation{
+			Class: c.class(threads, key, e), Thread: tid, Seq: e.Seq,
 			Addr: e.Addr, Width: e.Width,
-			Got: e.Val, Want: st.cur, WriteSeq: st.curSeq,
+			Got: e.Val, Want: s.cur, WriteSeq: s.curSeq,
 		})
 	}
 }
 
-// CheckEvents verifies per-thread traces (the test surface; Check wraps
-// it for recorder output). Precondition: each thread's events are in
-// program order with strictly ascending Seq, as mem.TraceRec records
-// them. The threads are merged into the global total order by Seq on the
-// fly, without copying or sorting: a group has only a few threads, so
-// picking the thread with the smallest next Seq is a short scan, and
-// that thread's events then replay as one run up to the next-smallest
-// head among the others.
-func CheckEvents(threads [][]mem.TraceEvent) *Report {
-	c := &checker{r: &Report{}, index: make(map[locKey]int32)}
-	pos := make([]int, len(threads))
+// class names the violation of load e from location key: a stale read
+// when a store earlier in the total order put e.Val there, thin-air when
+// none did. The lookup behind it is built on the check's first
+// violation, by one pass over every store, so classifying costs O(events)
+// however many loads violate.
+func (c *checker) class(threads [][]mem.TraceEvent, key uint64, e *mem.TraceEvent) string {
+	if !c.firstOK {
+		c.firstOK = true
+		if c.first == nil {
+			c.first = make(map[storeVal]uint64)
+		}
+		clear(c.first)
+		for _, evs := range threads {
+			for i := range evs {
+				st := &evs[i]
+				if st.Op != mem.TraceStore {
+					continue
+				}
+				sv := storeVal{key: locKey{addr: st.Addr, width: st.Width}.packed(), val: st.Val}
+				if seq, ok := c.first[sv]; !ok || st.Seq < seq {
+					c.first[sv] = st.Seq
+				}
+			}
+		}
+	}
+	if seq, ok := c.first[storeVal{key: key, val: e.Val}]; ok && seq < e.Seq {
+		return ClassStaleRead
+	}
+	return ClassThinAir
+}
+
+// check replays threads in the global total order. The threads are
+// merged by Seq on the fly, without copying or sorting: a group has only
+// a few threads, so picking the thread with the smallest next Seq is a
+// short scan, and that thread's events then replay as one run up to the
+// next-smallest head among the others.
+func (c *checker) check(threads [][]mem.TraceEvent) *Report {
+	r := &Report{}
+	if c.slots == nil {
+		c.slots = make([]locState, 1<<minSlotsLog)
+		c.shift = 64 - minSlotsLog
+	} else if c.used > 0 {
+		clear(c.slots)
+	}
+	c.used, c.firstOK = 0, false
+	c.pos = append(c.pos[:0], make([]int, len(threads))...)
+	pos := c.pos
+	for _, evs := range threads {
+		r.Events += uint64(len(evs))
+	}
 	for {
 		t, head, bound := -1, uint64(0), uint64(math.MaxUint64)
 		for i, evs := range threads {
@@ -172,12 +271,12 @@ func CheckEvents(threads [][]mem.TraceEvent) *Report {
 			}
 		}
 		if t < 0 {
-			return c.r
+			return r
 		}
 		evs, i := threads[t], pos[t]
-		c.step(t, &evs[i])
+		c.step(r, threads, t, &evs[i])
 		for i++; i < len(evs) && evs[i].Seq < bound; i++ {
-			c.step(t, &evs[i])
+			c.step(r, threads, t, &evs[i])
 		}
 		pos[t] = i
 	}

@@ -258,6 +258,77 @@ func TestCheckEventsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWarmCheckerMatchesFresh: a checker whose table and lookup another
+// trace filled reports on the next trace exactly what a new checker
+// does, so no state leaks from one check into the next.
+func TestWarmCheckerMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	trace := func() [][]mem.TraceEvent {
+		data := make([]byte, rng.Intn(400))
+		rng.Read(data)
+		for i := 2; i < len(data); i += 2 {
+			data[i] %= 4
+		}
+		return decodeTrace(data)
+	}
+	warm := new(checker)
+	for iter := 0; iter < 2000; iter++ {
+		a, b := trace(), trace()
+		warm.check(a)
+		if got, want := warm.check(b), new(checker).check(b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: after trace %v, trace %v\nwarm:  %+v\nfresh: %+v", iter, a, b, got, want)
+		}
+	}
+	// Locations enough to grow the table several times must leave no
+	// stale slots behind either.
+	big := violationTrace(1 << 12)
+	warm.check(big)
+	for iter := 0; iter < 50; iter++ {
+		b := trace()
+		if got, want := warm.check(b), referenceCheck(b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after a grown table, trace %v\nwarm:      %+v\nreference: %+v", b, got, want)
+		}
+	}
+}
+
+// violationTrace builds a 4-thread trace of n events over 512 locations
+// in which most loads violate: stores write values 0-15, loads return
+// values 0-31, so a load matches its location's latest write about one
+// time in 32, and returns a value no store ever wrote about half the
+// time.
+func violationTrace(n int) [][]mem.TraceEvent {
+	rng := rand.New(rand.NewSource(3))
+	threads := make([][]mem.TraceEvent, 4)
+	for seq := 0; seq < n; seq++ {
+		tid := rng.Intn(len(threads))
+		addr := 0x10000 + 8*uint64(rng.Intn(512))
+		if rng.Intn(4) == 0 {
+			threads[tid] = append(threads[tid], st(uint64(seq), addr, 8, uint64(rng.Intn(16))))
+		} else {
+			threads[tid] = append(threads[tid], ld(uint64(seq), addr, 8, uint64(rng.Intn(32))))
+		}
+	}
+	return threads
+}
+
+// TestViolationHeavyMatchesReference: on a trace where most loads
+// violate, both classes included, the checker matches the reference.
+func TestViolationHeavyMatchesReference(t *testing.T) {
+	threads := violationTrace(1 << 17)
+	got, want := CheckEvents(threads), referenceCheck(threads)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("checker and reference differ on the violation-heavy trace (%d vs %d violations)",
+			len(got.Violations), len(want.Violations))
+	}
+	classes := map[string]int{}
+	for _, v := range got.Violations {
+		classes[v.Class]++
+	}
+	if 2*len(got.Violations) < int(got.Events) || classes[ClassStaleRead] == 0 || classes[ClassThinAir] == 0 {
+		t.Fatalf("trace too tame: %d events, violations by class %v", got.Events, classes)
+	}
+}
+
 func FuzzCheckEvents(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0x01, 1, 0x21, 2, 0x40, 1, 0x60, 7})
@@ -296,6 +367,24 @@ func BenchmarkCheckEvents(b *testing.B) {
 	b.StopTimer()
 	if !r.Clean() || r.Events != res.Trace.Len() {
 		b.Fatalf("cpipe trace: %d violations, %d of %d events", len(r.Violations), r.Events, res.Trace.Len())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Events), "ns/event")
+}
+
+// BenchmarkCheckViolations checks the violation-heavy trace of
+// TestViolationHeavyMatchesReference per iteration, pricing violation
+// classification.
+func BenchmarkCheckViolations(b *testing.B) {
+	threads := violationTrace(1 << 17)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r *Report
+	for i := 0; i < b.N; i++ {
+		r = CheckEvents(threads)
+	}
+	b.StopTimer()
+	if r.Clean() {
+		b.Fatal("violation-heavy trace verified clean")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Events), "ns/event")
 }

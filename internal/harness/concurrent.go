@@ -33,6 +33,7 @@ import (
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
 	"dpmr/internal/journal"
+	"dpmr/internal/mem"
 	"dpmr/internal/sched"
 	"dpmr/internal/workloads"
 )
@@ -126,20 +127,26 @@ func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, thr
 	return m, err
 }
 
-// concurrentGolden runs (and caches) the fault-free stdapp group of w
-// under the base schedule seed. The memo key includes the thread count
-// and schedule seed, and the cache is the Runner's golden map, so a
-// memory-geometry change invalidates concurrent goldens exactly like
-// sequential ones (applySpec drops the map).
-func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, schedSeed int64) (*interp.Result, error) {
+// concurrentGolden returns the memo entry of w's fault-free stdapp group
+// under the base schedule seed; runConcurrentGolden fills it. The memo
+// key includes the thread count and schedule seed, and the memo is the
+// Runner's golden map, so a memory-geometry change invalidates concurrent
+// goldens exactly like sequential ones (applySpec drops the map).
+func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, schedSeed int64) *goldenInfo {
 	key := "concurrent:" + w.Name + ":t" + strconv.Itoa(threads) + ":s" + strconv.FormatInt(schedSeed, 10)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	g, ok := r.golden[key]
 	if !ok {
 		g = &goldenInfo{}
 		r.golden[key] = g
 	}
-	r.mu.Unlock()
+	return g
+}
+
+// runConcurrentGolden runs w's golden group into g, its memo entry, on
+// the first call and returns the memoized outcome on every call.
+func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorkload, threads int, schedSeed int64, pool *mem.Pool) (*interp.Result, error) {
 	g.once.Do(func() {
 		m, err := r.concurrentModule(w, Stdapp(), threads)
 		if err != nil {
@@ -150,7 +157,7 @@ func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, s
 			Threads:       threads,
 			Seed:          schedSeed,
 			TraceDisabled: true,
-			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, SpacePool: r.spaces()},
+			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, SpacePool: pool},
 		})
 		c := res.Combined
 		if c.Kind != interp.ExitNormal || c.Code != 0 {
@@ -164,46 +171,58 @@ func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, s
 }
 
 // runConcurrentOnce executes one concurrent trial: the workload's group
-// under schedule SchedSeed+rn, classified against the golden group plus
-// the consistency checker's verdict over the recorded trace.
-func (r *Runner) runConcurrentOnce(w workloads.ConcurrentWorkload, v Variant, threads int, schedSeed int64, rn int) (Outcome, error) {
-	golden, err := r.concurrentGolden(w, threads, schedSeed)
+// under schedule SchedSeed+rn, classified against the golden group (g,
+// its memo entry) plus the consistency checker's verdict over the
+// recorded trace. The shared space and the trace recorder come from
+// pool, and both go back to it.
+func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int, schedSeed int64, pool *mem.Pool) (Outcome, error) {
+	golden, err := r.runConcurrentGolden(g, t.w, threads, schedSeed, pool)
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := r.concurrentModule(w, v, threads)
+	m, err := r.concurrentModule(t.w, t.v, threads)
 	if err != nil {
 		return Outcome{}, err
 	}
 	externs := extlib.Base()
-	if v.DPMR {
-		externs = extlib.Wrapped(v.Design)
+	if t.v.DPMR {
+		externs = extlib.Wrapped(t.v.Design)
 	}
 	res := sched.Run(m, sched.Config{
 		Threads: threads,
-		Seed:    schedSeed + int64(rn),
+		Seed:    schedSeed + int64(t.rn),
 		VM: interp.Config{
 			Externs:   externs,
 			Mem:       r.MemConfig,
-			Seed:      int64(rn) + 1,
+			Seed:      int64(t.rn) + 1,
 			StepLimit: golden.Steps * r.TimeoutFactor * 5, // group steps sum over threads
-			SpacePool: r.spaces(),
+			SpacePool: pool,
 		},
 	})
 	o := r.classify(golden, res.Combined)
 	o.ConsistViol = !consist.Check(res.Trace).Clean()
+	pool.PutTrace(res.Trace)
 	return o, nil
 }
 
 // execConcurrentTrials runs plan.trials[lo:hi] on the worker pool and
 // returns their classifications, with the same completed-prefix
-// cancellation contract as execTrials.
+// cancellation contract as execTrials. The space pool and each
+// workload's golden memo entry are resolved once, up front, so trials
+// take no Runner lock.
 func (r *Runner) execConcurrentTrials(ctx context.Context, plan *concurrentPlan, lo, hi int) ([]TrialOutcome, error) {
+	pool := r.spaces()
+	goldens := make(map[string]*goldenInfo, len(plan.workloads))
+	for _, t := range plan.trials[lo:hi] {
+		if goldens[t.w.Name] == nil {
+			goldens[t.w.Name] = r.concurrentGolden(t.w, plan.threads, plan.schedSeed)
+		}
+	}
 	outcomes := make([]TrialOutcome, hi-lo)
 	errs := make([]error, hi-lo)
 	done := r.fanOut(ctx, hi-lo, func(i int) {
 		t := plan.trials[lo+i]
-		o, err := r.runConcurrentOnce(t.w, t.v, plan.threads, plan.schedSeed, t.rn)
+		o, err := r.runConcurrentOnce(t, goldens[t.w.Name], plan.threads, plan.schedSeed, pool)
 		if err != nil {
 			errs[i] = err
 			return

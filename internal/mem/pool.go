@@ -13,10 +13,14 @@ import "sync"
 // Space.Reset), so pooling is invisible in every recorded result. Pool is
 // safe for concurrent use; at most one goroutine may use a given Space at
 // a time, as always.
+//
+// The pool also recycles the trace recorders traced runs on its spaces
+// fill (GetTrace/PutTrace). Recorders do not depend on the pool's Config.
 type Pool struct {
-	cfg  Config
-	mu   sync.Mutex
-	free []*Space
+	cfg    Config
+	mu     sync.Mutex
+	free   []*Space
+	traces []*TraceRec
 }
 
 // NewPool returns an empty pool producing Spaces of cfg.
@@ -51,5 +55,35 @@ func (p *Pool) Put(s *Space) {
 	s.Reset()
 	p.mu.Lock()
 	p.free = append(p.free, s)
+	p.mu.Unlock()
+}
+
+// GetTrace returns a recorder in the state NewTraceRec(threads, limit)
+// gives: a recycled one, its buffers emptied but keeping their capacity,
+// when available, otherwise a new one.
+func (p *Pool) GetTrace(threads, limit int) *TraceRec {
+	p.mu.Lock()
+	n := len(p.traces)
+	if n == 0 {
+		p.mu.Unlock()
+		return NewTraceRec(threads, limit)
+	}
+	t := p.traces[n-1]
+	p.traces[n-1] = nil
+	p.traces = p.traces[:n-1]
+	p.mu.Unlock()
+	t.reset(threads, limit)
+	return t
+}
+
+// PutTrace makes t available to future GetTrace calls. The caller must
+// not use t afterwards, nor any slice its Thread method returned.
+// PutTrace(nil) is a no-op.
+func (p *Pool) PutTrace(t *TraceRec) {
+	if t == nil {
+		return
+	}
+	p.mu.Lock()
+	p.traces = append(p.traces, t)
 	p.mu.Unlock()
 }

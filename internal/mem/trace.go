@@ -14,6 +14,11 @@
 // mem/trace-drop failpoint silently discards events, simulating recorder
 // data loss for torture drills (a dropped store typically surfaces
 // downstream as a thin-air read verdict).
+//
+// A campaign records one trace per trial, so a Pool also recycles
+// recorders (GetTrace/PutTrace): a recycled recorder starts from
+// NewTraceRec's state but keeps its buffers' capacity, so a warm trial
+// appends without growing them.
 package mem
 
 import "dpmr/internal/failpt"
@@ -49,7 +54,9 @@ type TraceEvent struct {
 
 // TraceRec records per-thread, bounded access traces. It is not safe for
 // concurrent use; the interleaving scheduler's one-runner-at-a-time
-// discipline is what makes the unsynchronized global sequence sound.
+// discipline is what makes the unsynchronized global sequence sound. A
+// recorder handed back to a Pool (PutTrace) is reused by a later run, so
+// its owner must be done with it and with every slice Thread returned.
 type TraceRec struct {
 	threads   [][]TraceEvent
 	limit     int // per-thread event cap
@@ -62,13 +69,29 @@ type TraceRec struct {
 // NewTraceRec sizes a recorder for the given thread count, bounding each
 // thread's buffer at limit events (<= 0 selects a default).
 func NewTraceRec(threads, limit int) *TraceRec {
+	t := &TraceRec{}
+	t.reset(threads, limit)
+	return t
+}
+
+// reset returns t to the state NewTraceRec(threads, limit) gives, except
+// that every buffer t already holds is cut to length 0 and keeps its
+// capacity, including those beyond the new thread count.
+func (t *TraceRec) reset(threads, limit int) {
 	if threads < 1 {
 		threads = 1
 	}
 	if limit <= 0 {
 		limit = 1 << 16
 	}
-	return &TraceRec{threads: make([][]TraceEvent, threads), limit: limit}
+	if n := cap(t.threads); n < threads {
+		t.threads = append(t.threads[:n], make([][]TraceEvent, threads-n)...)
+	}
+	t.threads = t.threads[:threads]
+	for i, buf := range t.threads {
+		t.threads[i] = buf[:0]
+	}
+	t.limit, t.seq, t.thread, t.truncated, t.dropped = limit, 0, 0, false, 0
 }
 
 // SetThread labels subsequent events with thread tid; the scheduler calls

@@ -54,7 +54,9 @@ type Config struct {
 	TraceDisabled bool
 	// VM is the per-thread VM configuration. Mem sizes the one shared
 	// space; SpacePool, when set, supplies that space and receives it
-	// back after the run, and its config must match Mem. Seed seeds
+	// back after the run, and its config must match Mem. It also supplies
+	// the trace recorder, which the run lends to its caller as
+	// Result.Trace. Seed seeds
 	// thread 0, with worker seeds derived per thread; SharedSpace,
 	// SharedGlobals, Yield, and ThreadID are managed by the scheduler and
 	// must be unset (Yield is the scheduler's draw-and-handover hook).
@@ -76,7 +78,10 @@ type Result struct {
 	// FailedThread is the thread whose exit classified an abnormal
 	// Combined (-1 when the group exited normally).
 	FailedThread int
-	// Trace is the shared-tier access trace (nil when disabled).
+	// Trace is the shared-tier access trace (nil when disabled). When
+	// the run drew it from Config.VM.SpacePool, it is on loan: the caller
+	// may hand it back with PutTrace once done with it, and must not
+	// touch it afterwards.
 	Trace *mem.TraceRec
 	// Switches counts scheduling draws: the first, one at every yield
 	// (a thread may draw itself) and one after every exit the group
@@ -243,7 +248,8 @@ func Run(m *ir.Module, cfg Config) *Result {
 
 	// The shared space comes from the pool when there is one, and goes
 	// back (Put resets it) once every thread has exited and its
-	// statistics are read.
+	// statistics are read. The recorder comes from the same pool; it
+	// outlives the run as Result.Trace, so only the caller can return it.
 	var space *mem.Space
 	if pool != nil {
 		space = pool.Get()
@@ -256,7 +262,11 @@ func Run(m *ir.Module, cfg Config) *Result {
 	}
 	var trace *mem.TraceRec
 	if !cfg.TraceDisabled {
-		trace = mem.NewTraceRec(n, cfg.TraceLimit)
+		if pool != nil {
+			trace = pool.GetTrace(n, cfg.TraceLimit)
+		} else {
+			trace = mem.NewTraceRec(n, cfg.TraceLimit)
+		}
 		space.SetTrace(trace)
 	}
 

@@ -383,6 +383,70 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRecycledTraceMatchesFresh: runs that draw their recorder from one
+// pool, each handing it back before the next, record exactly what runs on
+// fresh recorders record — across growing and shrinking thread counts,
+// the default and a truncating trace limit, and failpoint-dropped events.
+func TestRecycledTraceMatchesFresh(t *testing.T) {
+	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
+	pool := mem.NewPool(memCfg)
+	steps := []struct {
+		workload string
+		threads  int
+		limit    int
+		drops    string // mem/trace-drop schedule armed for both runs ("" = none)
+	}{
+		{"chash", 4, 0, ""},
+		{"cpipe", 1, 0, "mem/trace-drop=drop@5"},
+		{"csteal", 3, 64, ""},
+		{"chash", 2, 64, "mem/trace-drop=drop@2;mem/trace-drop=drop@30+"},
+		{"cpipe", 4, 0, "mem/trace-drop=drop@17"},
+		{"csteal", 1, 64, ""},
+		{"chash", 3, 0, ""},
+		{"cpipe", 2, 0, ""},
+	}
+	run := func(m *ir.Module, threads, limit int, drops string, p *mem.Pool) *Result {
+		t.Helper()
+		if drops != "" {
+			if err := failpt.Arm(drops); err != nil {
+				t.Fatal(err)
+			}
+			defer failpt.Disarm()
+		}
+		return Run(m, Config{
+			Threads: threads, Seed: 9, TraceLimit: limit,
+			VM: interp.Config{StepLimit: testStepLimit, Seed: 7, Mem: memCfg, SpacePool: p},
+		})
+	}
+	sawTruncated, sawDropped := false, false
+	for i, st := range steps {
+		w, err := workloads.ConcurrentByName(st.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := w.Build(st.threads)
+		m.Freeze()
+		want := run(m, st.threads, st.limit, st.drops, nil)
+		got := run(m, st.threads, st.limit, st.drops, pool)
+		if d := diffResults(got, want); d != "" {
+			t.Fatalf("step %d (%s/%d, limit %d, drops %q): %s", i, st.workload, st.threads, st.limit, st.drops, d)
+		}
+		sawTruncated = sawTruncated || got.Trace.Truncated()
+		sawDropped = sawDropped || got.Trace.Dropped() > 0
+		pool.PutTrace(got.Trace)
+	}
+	if !sawTruncated || !sawDropped {
+		t.Fatalf("sequence never truncated (%v) or never dropped (%v) a trace", sawTruncated, sawDropped)
+	}
+	// The sequence handed one recorder back and forth: a further run
+	// reuses it rather than building another.
+	tr := pool.GetTrace(2, 0)
+	if tr.Threads() != 2 || tr.Len() != 0 || cap(tr.Thread(0)) == 0 {
+		t.Fatalf("GetTrace after the sequence: %d threads, %d events, cap %d; want a reset recycled recorder",
+			tr.Threads(), tr.Len(), cap(tr.Thread(0)))
+	}
+}
+
 // TestPoolConfigMismatchRefused: a pool built for another geometry is
 // refused by name, as interp.NewVM refuses it.
 func TestPoolConfigMismatchRefused(t *testing.T) {
