@@ -884,14 +884,23 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 // The serial/interleaved trials-per-second ratio is the scheduling cost,
 // interleaved/traced isolates the recorder's share, and traced/checked
 // the checker's. ns/switch divides the run's time by its scheduling draws.
+// The rows above tree-walk; the compiled rows run the same groups on a
+// yielding program (interp.CompileYielding), as the harness runs them by
+// default, so compiled/plain is the engine's speedup under the scheduler.
 func BenchmarkScheduler(b *testing.B) {
 	w, err := workloads.ConcurrentByName("chash")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, threads int, traced, checked bool) {
+	run := func(b *testing.B, threads int, traced, checked, compiled bool) {
 		m := w.Build(threads)
 		m.Freeze()
+		var prog *interp.Program
+		if compiled {
+			if prog, err = interp.CompileYielding(m); err != nil {
+				b.Fatal(err)
+			}
+		}
 		pool := mem.NewPool(benchMem)
 		var switches uint64
 		b.ReportAllocs()
@@ -901,7 +910,7 @@ func BenchmarkScheduler(b *testing.B) {
 				Threads:       threads,
 				Seed:          1,
 				TraceDisabled: !traced,
-				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem, SpacePool: pool},
+				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem, Prog: prog, SpacePool: pool},
 			})
 			c := res.Combined
 			if c.Kind != interp.ExitNormal || c.Code != 0 {
@@ -919,8 +928,10 @@ func BenchmarkScheduler(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(switches), "ns/switch")
 		reportTrialsPerSec(b, 1)
 	}
-	b.Run("serial1", func(b *testing.B) { run(b, 1, false, false) })
-	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false, false) })
-	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true, false) })
-	b.Run("interleaved3checked", func(b *testing.B) { run(b, 3, true, true) })
+	b.Run("serial1", func(b *testing.B) { run(b, 1, false, false, false) })
+	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false, false, false) })
+	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true, false, false) })
+	b.Run("interleaved3checked", func(b *testing.B) { run(b, 3, true, true, false) })
+	b.Run("serial1compiled", func(b *testing.B) { run(b, 1, false, false, true) })
+	b.Run("interleaved3checkedcompiled", func(b *testing.B) { run(b, 3, true, true, true) })
 }

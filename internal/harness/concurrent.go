@@ -10,12 +10,14 @@ package harness
 // unchanged: shards emit ordinary PartialResults and MergeConcurrent
 // reassembles a result byte-identical to an unsharded run.
 //
-// Concurrent trials always execute on the tree-walking reference
-// interpreter: the scheduler's yield hook routes every VM through the
-// walker loop, which keeps the walker the oracle for interleaved
-// execution and makes compiled-engine divergence structurally unable to
-// leak into concurrent results — so concurrent modules are cached
-// without a compiled program.
+// Concurrent trials execute compiled code, as campaign trials do: each
+// concurrent module is cached with a yielding program
+// (interp.CompileYielding), whose loads, stores, atomics and fences
+// call the scheduler's yield hook where the tree-walker calls it. With
+// Runner.Compile off (WithReference, CLI -compile=false), or when
+// compilation fails, the groups tree-walk instead. Reports are
+// byte-identical either way; the walker stays the oracle through tests
+// that hold compiled groups to walker groups result for result.
 
 import (
 	"context"
@@ -101,13 +103,13 @@ func planConcurrent(spec Spec) (*concurrentPlan, error) {
 }
 
 // concurrentModule returns the cached executable module of (workload,
-// variant) built for the given thread count. The thread count is folded
-// into the cache key because Build(threads) bakes the worker count into
-// the module. No compiled program is produced: the scheduler's yield
-// hook runs every concurrent VM on the reference walker.
-func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, threads int) (*ir.Module, error) {
+// variant) built for the given thread count, and its yielding program
+// (nil with Compile off or on a compile failure, when the groups
+// tree-walk). The thread count is folded into the cache key because
+// Build(threads) bakes the worker count into the module.
+func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, threads int) (*ir.Module, *interp.Program, error) {
 	key := moduleKey{workload: w.Name + "#t" + strconv.Itoa(threads), variant: v.Label()}
-	m, _, err := r.cache.get(key, func() (*ir.Module, *interp.Program, error) {
+	return r.cache.get(key, func() (*ir.Module, *interp.Program, error) {
 		m := w.Build(threads)
 		if v.DPMR {
 			xm, err := dpmr.Transform(m, dpmr.Config{
@@ -122,9 +124,8 @@ func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, thr
 			m = xm
 		}
 		m.Freeze()
-		return m, nil, nil
+		return m, r.compileModule(m, interp.CompileYielding), nil
 	})
-	return m, err
 }
 
 // concurrentGolden returns the memo entry of w's fault-free stdapp group
@@ -148,7 +149,7 @@ func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, s
 // the first call and returns the memoized outcome on every call.
 func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorkload, threads int, schedSeed int64, pool *mem.Pool) (*interp.Result, error) {
 	g.once.Do(func() {
-		m, err := r.concurrentModule(w, Stdapp(), threads)
+		m, prog, err := r.concurrentModule(w, Stdapp(), threads)
 		if err != nil {
 			g.err = err
 			return
@@ -157,7 +158,7 @@ func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorklo
 			Threads:       threads,
 			Seed:          schedSeed,
 			TraceDisabled: true,
-			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, SpacePool: pool},
+			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, Prog: prog, SpacePool: pool},
 		})
 		c := res.Combined
 		if c.Kind != interp.ExitNormal || c.Code != 0 {
@@ -180,7 +181,7 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := r.concurrentModule(t.w, t.v, threads)
+	m, prog, err := r.concurrentModule(t.w, t.v, threads)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -196,6 +197,7 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 			Mem:       r.MemConfig,
 			Seed:      int64(t.rn) + 1,
 			StepLimit: golden.Steps * r.TimeoutFactor * 5, // group steps sum over threads
+			Prog:      prog,
 			SpacePool: pool,
 		},
 	})

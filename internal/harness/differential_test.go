@@ -153,3 +153,63 @@ func TestOverheadCompiledMatchesReference(t *testing.T) {
 		t.Fatalf("overhead results diverge between reference and compiled engines")
 	}
 }
+
+// TestConcurrentCompiledMatchesReference: a concurrent campaign renders
+// the same report bytes whether its groups run yielding compiled code or
+// tree-walk (WithReference), both unsharded and sharded 0/2 + 1/2 then
+// merged, at 2 and 4 threads with DPMR variants in the plan.
+func TestConcurrentCompiledMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	for _, threads := range []int{2, 4} {
+		spec := ConcurrentSpec([]string{"chash", "cpipe", "csteal"}, []Variant{
+			Stdapp(),
+			NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{}),
+			NewVariant(dpmr.MDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{}),
+		})
+		spec.Threads = threads
+		var want string
+		for _, reference := range []bool{false, true} {
+			run := func(opts ...Option) Result {
+				t.Helper()
+				s, err := Start(ctx, spec, append(opts, WithParallel(2), WithReference(reference))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			r := NewRunner()
+			reports := map[string]string{"unsharded": renderConc(run(WithRunner(r)).Concurrent)}
+			// The engine really switched: compiled runs cache a yielding
+			// program with each module, reference runs none.
+			w, err := workloads.ConcurrentByName("chash")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, prog, err := r.concurrentModule(w, Stdapp(), threads); err != nil || (prog == nil) != reference {
+				t.Fatalf("threads=%d reference=%v: cached program %v (err %v)", threads, reference, prog != nil, err)
+			}
+			var parts []*PartialResult
+			for idx := 0; idx < 2; idx++ {
+				parts = append(parts, run(WithShard(ShardSpec{Index: idx, Count: 2})).ConcurrentPartial)
+			}
+			merged, err := NewRunner().MergeConcurrent(spec, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports["merged"] = renderConc(merged)
+			for cut, got := range reports {
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					t.Errorf("threads=%d reference=%v %s report differs:\n--- want ---\n%s--- got ---\n%s",
+						threads, reference, cut, want, got)
+				}
+			}
+		}
+	}
+}

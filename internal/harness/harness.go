@@ -163,13 +163,15 @@ type Runner struct {
 	// built module stays resident for the Runner's lifetime.
 	EvictModules bool
 	// Compile lowers every frozen module to the interpreter's pre-decoded
-	// register bytecode (interp.Compile) as part of the stage-1 build; the
-	// module's trials then execute the compiled program instead of
-	// tree-walking the IR. Results are bit-identical either way (asserted
-	// by the compiled-vs-reference differential test), so the flag only
-	// trades a one-time compile per module for much cheaper per-trial
-	// dispatch. On by default via NewRunner; turn it off to run the
-	// tree-walker as the reference implementation (CLI -compile=false).
+	// register bytecode (interp.Compile, or interp.CompileYielding for
+	// the scheduled groups of concurrent Specs) as part of the stage-1
+	// build; the module's trials then execute the compiled program
+	// instead of tree-walking the IR. Results are bit-identical either
+	// way (asserted by the compiled-vs-reference differential tests), so
+	// the flag only trades a one-time compile per module for much cheaper
+	// per-trial dispatch. On by default via NewRunner; turn it off to run
+	// the tree-walker as the reference implementation (CLI
+	// -compile=false).
 	Compile bool
 	// Precompile, when positive, launches that many background AOT
 	// workers per trial batch: they walk the batch's distinct modules in
@@ -188,11 +190,10 @@ type Runner struct {
 	// channel subscription; set it directly only for low-level embedding.
 	Events func(Event)
 
-	mu         sync.Mutex // guards golden and spacePool
+	mu         sync.Mutex // guards golden
 	progressMu sync.Mutex // serializes Events callbacks
 	golden     map[string]*goldenInfo
 	cache      *moduleCache
-	spacePool  *mem.Pool
 }
 
 type goldenInfo struct {
@@ -219,8 +220,8 @@ func NewRunner() *Runner {
 // values plan construction and trial execution read. A persistent
 // worker's Runner may serve Specs of different memory geometries across
 // assignments: golden results are memoized under the geometry they ran
-// with, so a geometry change drops the golden cache (like spaces()
-// rebuilds the space pool) rather than serving baselines measured under
+// with, so a geometry change drops the golden cache (as spaces() switches
+// to that geometry's pool) rather than serving baselines measured under
 // a different address-space layout. Built modules are geometry-
 // independent and stay cached.
 func (r *Runner) applySpec(spec Spec) {
@@ -244,29 +245,26 @@ func (r *Runner) notify(ev Event) {
 	r.progressMu.Unlock()
 }
 
-// spaces returns the Runner's address-space pool for its current
-// MemConfig. Trial VMs draw their spaces from it and return them after
-// each run, so a campaign allocates roughly Parallel spaces total instead
-// of one per trial; a reset space replays runs identically to a fresh one
-// (mem.Space.Reset), so results are unaffected.
-func (r *Runner) spaces() *mem.Pool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.spacePool == nil || r.spacePool.Config() != r.MemConfig.WithDefaults() {
-		r.spacePool = mem.NewPool(r.MemConfig)
-	}
-	return r.spacePool
-}
+// spaces returns the process-wide address-space pool for the Runner's
+// current MemConfig (mem.SharedPool). Trial VMs draw their spaces from it
+// and return them after each run, so a campaign allocates roughly
+// Parallel spaces total instead of one per trial, and a fresh Runner of
+// the same geometry reuses the spaces earlier ones returned; a reset
+// space replays runs identically to a fresh one (mem.Space.Reset), so
+// results are unaffected.
+func (r *Runner) spaces() *mem.Pool { return mem.SharedPool(r.MemConfig) }
 
-// compileModule lowers a frozen module for the fast interpreter path. A
-// compile failure is not fatal — the module's trials simply run on the
-// reference tree-walker, which is always semantically authoritative — so
-// malformed-but-executable IR behaves exactly as it always has.
-func (r *Runner) compileModule(m *ir.Module) *interp.Program {
+// compileModule lowers a frozen module for the fast interpreter path with
+// compile (interp.Compile, or interp.CompileYielding for scheduled
+// groups). A compile failure is not fatal — the module's trials simply
+// run on the reference tree-walker, which is always semantically
+// authoritative — so malformed-but-executable IR behaves exactly as it
+// always has.
+func (r *Runner) compileModule(m *ir.Module, compile func(*ir.Module) (*interp.Program, error)) *interp.Program {
 	if !r.Compile {
 		return nil
 	}
-	prog, err := interp.Compile(m)
+	prog, err := compile(m)
 	if err != nil {
 		return nil
 	}
@@ -293,7 +291,7 @@ func (r *Runner) Golden(w workloads.Workload) (*interp.Result, error) {
 			m = m.Clone()
 			opt.Run(m)
 			m.Freeze()
-			prog = r.compileModule(m)
+			prog = r.compileModule(m, interp.Compile)
 		}
 		res := interp.Run(m, interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, Prog: prog, SpacePool: r.spaces()})
 		if res.Kind != interp.ExitNormal || res.Code != 0 {
@@ -325,7 +323,7 @@ func (r *Runner) base(w workloads.Workload) (*ir.Module, *interp.Program, error)
 	return r.cache.get(moduleKey{workload: w.Name, variant: "base"}, func() (*ir.Module, *interp.Program, error) {
 		m := w.Build()
 		m.Freeze()
-		return m, r.compileModule(m), nil
+		return m, r.compileModule(m, interp.Compile), nil
 	})
 }
 
@@ -369,7 +367,7 @@ func (r *Runner) buildVariant(w workloads.Workload, v Variant, inj *faultinject.
 		return bm, bprog, nil
 	}
 	m.Freeze()
-	return m, r.compileModule(m), nil
+	return m, r.compileModule(m, interp.Compile), nil
 }
 
 // Outcome classifies one experiment run per §3.6.

@@ -232,3 +232,17 @@ func TestSampleSites(t *testing.T) {
 		t.Error("0 = no cap")
 	}
 }
+
+// TestFreshRunnersShareSpaces: fresh Runners of one geometry draw from
+// one process-wide pool, so a space an earlier Runner returned serves a
+// later one, as when a fresh Runner serves every submission.
+func TestFreshRunnersShareSpaces(t *testing.T) {
+	p := NewRunner().spaces()
+	s := p.Get()
+	p.Put(s)
+	q := NewRunner().spaces()
+	if got := q.Get(); got != s {
+		t.Fatal("a fresh Runner of the same geometry did not reuse the space an earlier one returned")
+	}
+	q.Put(s)
+}

@@ -2,10 +2,10 @@ package harness
 
 // Session is the context-first execution layer over Spec: Start takes
 // the declarative *what* (a Spec) plus functional options for the *how*
-// (worker count, compilation, eviction, sharding, space pooling) and
-// runs the experiment in the background, streaming typed events —
-// TrialDone, Progress, ShardMerged, CacheStats — through a subscription
-// channel while it executes. Cancelling the context stops dispatch,
+// (worker count, compilation, eviction, sharding) and runs the
+// experiment in the background, streaming typed events — TrialDone,
+// Progress, ShardMerged, CacheStats — through a subscription channel
+// while it executes. Cancelling the context stops dispatch,
 // drains in-flight trials, and Wait returns the completed-prefix
 // partial result together with the context's error, so a cancelled
 // campaign's finished work is never discarded.
@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"dpmr/internal/mem"
 )
 
 // sessionConfig is the resolved *how* of a Session, accumulated by the
@@ -29,7 +27,6 @@ type sessionConfig struct {
 	evict       bool
 	precompile  int
 	shard       ShardSpec
-	spacePool   *mem.Pool
 	report      io.Writer
 }
 
@@ -45,9 +42,10 @@ func WithParallel(n int) Option {
 	return func(c *sessionConfig) { c.parallel, c.parallelSet = n, true }
 }
 
-// WithReference executes trials on the tree-walking reference
-// interpreter instead of compiled module bytecode. Output is
-// byte-identical either way; the switch exists for A/B measurement.
+// WithReference executes trials — concurrent groups included — on the
+// tree-walking reference interpreter instead of compiled module
+// bytecode. Output is byte-identical either way; the switch exists for
+// A/B measurement.
 func WithReference(on bool) Option { return func(c *sessionConfig) { c.reference = on } }
 
 // WithEviction releases each injected module from the build cache after
@@ -67,11 +65,6 @@ func WithPrecompile(n int) Option { return func(c *sessionConfig) { c.precompile
 // experiment sessions write an ExperimentPartial JSON document to the
 // report writer.
 func WithShard(shard ShardSpec) Option { return func(c *sessionConfig) { c.shard = shard } }
-
-// WithSpacePool draws trial address spaces from p instead of a fresh
-// per-Runner pool, so consecutive sessions of one memory geometry
-// recycle the same spaces. The pool's geometry must match the Spec's.
-func WithSpacePool(p *mem.Pool) Option { return func(c *sessionConfig) { c.spacePool = p } }
 
 // WithRunner executes the session on r instead of a fresh NewRunner, so
 // consecutive sessions of one plan reuse its warm module and golden
@@ -164,11 +157,6 @@ func Start(ctx context.Context, spec Spec, opts ...Option) (*Session, error) {
 	r.Compile = !cfg.reference
 	r.Precompile = cfg.precompile
 	r.Shard = cfg.shard
-	if cfg.spacePool != nil {
-		r.mu.Lock()
-		r.spacePool = cfg.spacePool
-		r.mu.Unlock()
-	}
 	s := &Session{spec: n, done: make(chan struct{})}
 	s.evCond = sync.NewCond(&s.evMu)
 	r.Events = s.emit

@@ -118,6 +118,16 @@ const (
 	opAtomicRMW
 	opAtomicCAS
 	opFence
+	// Yielding twins of the five shared-memory opcodes, emitted only by
+	// CompileYielding: each hands control to the Config.Yield hook and
+	// then executes exactly as its plain twin (same operands, same
+	// layout). Plain programs never contain them, so campaign dispatch
+	// never reaches their cases.
+	opLoadY
+	opStoreY
+	opAtomicRMWY
+	opAtomicCASY
+	opFenceY
 )
 
 // Operand-width flags (decodedInstr.flags).
@@ -205,6 +215,10 @@ type Program struct {
 	// each one's imm2 is its index into the per-VM inline-cache arrays
 	// (exec.go), assigned in compile order.
 	indirectSites int
+	// yielding marks a CompileYielding program: its shared-memory
+	// accesses are yielding opcodes, so NewVM may bind it under a Yield
+	// hook.
+	yielding bool
 }
 
 // Module returns the module the program was compiled from.
@@ -216,7 +230,18 @@ func (p *Program) Module() *ir.Module { return p.mod }
 // would only fault on dynamically) are reported as errors; callers are
 // expected to fall back to the reference interpreter, which remains
 // semantically authoritative.
-func Compile(m *ir.Module) (p *Program, err error) {
+func Compile(m *ir.Module) (*Program, error) { return compile(m, false) }
+
+// CompileYielding is Compile for concurrent use: every load, store,
+// atomic and fence becomes a yielding opcode that invokes Config.Yield
+// first, where the tree-walker yields — after the step is counted and
+// the budget checked, before the access. Fusion rules that contain a
+// load or a store no longer match such code, so every yield point keeps
+// a dispatch of its own; the other rules still apply. NewVM binds a
+// yielding program under a Yield hook, where it refuses a plain one.
+func CompileYielding(m *ir.Module) (*Program, error) { return compile(m, true) }
+
+func compile(m *ir.Module, yielding bool) (p *Program, err error) {
 	if m == nil {
 		return nil, fmt.Errorf("interp: Compile of nil module")
 	}
@@ -237,6 +262,7 @@ func Compile(m *ir.Module) (p *Program, err error) {
 		byFn:      make(map[*ir.Func]*compiledFunc, len(m.Funcs)),
 		byAddr:    make(map[uint64]*compiledFunc, len(m.Funcs)),
 		globalIdx: make(map[string]int, len(m.Globals)),
+		yielding:  yielding,
 	}
 	for i, g := range m.Globals {
 		p.globalIdx[g.Name] = i
@@ -284,11 +310,17 @@ func (p *Program) compileFunc(cf *compiledFunc, f *ir.Func) {
 		}
 	}
 	// Pass 2: decode every instruction plain (one decodedInstr per ir
-	// instruction, guards appended where blocks lack terminators).
+	// instruction, guards appended where blocks lack terminators); a
+	// yielding program swaps each shared-memory opcode for its twin here,
+	// so fusion, packing and validation all see the final opcodes.
 	code := make([]decodedInstr, 0, n)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			code = append(code, p.decode(cf, f, in, start))
+			d := p.decode(cf, f, in, start)
+			if p.yielding {
+				d.op = yieldingTwin(d.op)
+			}
+			code = append(code, d)
 		}
 		if needsGuard(b) {
 			code = append(code, decodedInstr{
@@ -309,7 +341,25 @@ func (p *Program) compileFunc(cf *compiledFunc, f *ir.Func) {
 	// Pass 5: re-prove the frame- and code-bounds invariants the unchecked
 	// executor relies on (validate.go); failure aborts compilation and the
 	// caller tree-walks.
-	validateFunc(cf)
+	validateFunc(cf, p.yielding)
+}
+
+// yieldingTwin returns the yielding twin of a shared-memory opcode, and
+// any other opcode unchanged.
+func yieldingTwin(op opcode) opcode {
+	switch op {
+	case opLoad:
+		return opLoadY
+	case opStore:
+		return opStoreY
+	case opAtomicRMW:
+		return opAtomicRMWY
+	case opAtomicCAS:
+		return opAtomicCASY
+	case opFence:
+		return opFenceY
+	}
+	return op
 }
 
 func rid(r *ir.Reg) int32 { return int32(r.ID) }

@@ -3,7 +3,9 @@
 // switch over pre-decoded opcodes; register frames and call-argument
 // slices are carved from per-VM arenas instead of allocated per call; the
 // step/cycle clocks are kept in locals; the trace hook is absent entirely
-// (a traced VM never binds a Program — see Config.Prog). Every cycle
+// (a traced VM never binds a Program — see Config.Prog), and the Yield
+// hook is reached only through the yielding opcodes a CompileYielding
+// program carries. Every cycle
 // charge, trap, and error below mirrors the tree-walker exactly; the
 // differential tests assert bit-identical Results across both loops.
 package interp
@@ -210,6 +212,15 @@ func (vm *VM) execCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 			if trap := space.Free(*reg(fp, in.a)); trap != nil {
 				return 0, trap
 			}
+		case opLoadY:
+			// A yielding twin (CompileYielding) flushes the clocks, so the
+			// hook sees the steps and cycles the walker would show it, and
+			// then yields and runs its plain twin. The step was counted
+			// and the budget checked above, as the walker does before it
+			// yields.
+			flush()
+			vm.yield()
+			fallthrough
 		case opLoad:
 			raw, cost, trap := space.LoadCosted(*reg(fp, in.a), int(in.imm))
 			extra += costLoadBase + cost
@@ -217,6 +228,10 @@ func (vm *VM) execCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 				return 0, trap
 			}
 			*reg(fp, in.dst) = normReg(raw, in.norm)
+		case opStoreY:
+			flush()
+			vm.yield()
+			fallthrough
 		case opStore:
 			cost, trap := space.StoreCosted(*reg(fp, in.a), int(in.imm), *reg(fp, in.b))
 			extra += costStoreBase + cost
@@ -492,7 +507,7 @@ func (vm *VM) execCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 			}
 		case opRandInt:
 			extra += costIntrinsic
-			v, err := randInRange(vm.rng, int64(in.imm), int64(in.imm2))
+			v, err := randInRange(vm.Rand(), int64(in.imm), int64(in.imm2))
 			if err != nil {
 				return 0, err
 			}
@@ -513,6 +528,10 @@ func (vm *VM) execCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 				code = int64(*reg(fp, in.a))
 			}
 			return 0, &ExitRequest{Code: code}
+		case opAtomicRMWY:
+			flush()
+			vm.yield()
+			fallthrough
 		case opAtomicRMW:
 			// The shared helper charges cycles on the VM fields, so the
 			// local clocks flush around it exactly like opAlloc.
@@ -528,6 +547,10 @@ func (vm *VM) execCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 				return 0, err
 			}
 			*reg(fp, in.dst) = old
+		case opAtomicCASY:
+			flush()
+			vm.yield()
+			fallthrough
 		case opAtomicCAS:
 			raddr, replica := uint64(0), in.imm2>>32 != 0
 			if replica {
@@ -542,6 +565,10 @@ func (vm *VM) execCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 				return 0, err
 			}
 			*reg(fp, in.dst) = cur
+		case opFenceY:
+			flush()
+			vm.yield()
+			fallthrough
 		case opFence:
 			extra += costFence
 		case opErr:

@@ -7,6 +7,11 @@
 // -opstats histograms (profile.go; aggregate dynamic shares over all four
 // workloads × {golden, SDS} in the rule comments).
 //
+// Rules match on plain opcodes only. A yielding program (CompileYielding)
+// carries the yielding twins of loads and stores, so no rule containing
+// a load or a store fuses there and every yield point keeps a dispatch of
+// its own; the remaining rules apply unchanged.
+//
 // Every fusion is layout-preserving: the rule rewrites only the head slot,
 // and the constituents keep their own — now unreachable — slots, so pc
 // assignment, branch targets, and the walker's view of the module are all

@@ -30,9 +30,12 @@ var compileFuzzSeeds = []string{
 }
 
 // compileDifferential runs text under the tree-walker and the compiled
-// engine and reports a fatal error on any Result divergence. It returns
-// false when the module never reached execution (parse/verify/compile
-// rejection — all legitimate).
+// engine and reports a fatal error on any Result divergence. It then
+// does the same for the yielding program (CompileYielding) against the
+// walker, both under a Yield hook that records the VM's clocks at every
+// yield: the yields too must fall at the same steps and cycles. It
+// returns false when the module never reached execution
+// (parse/verify/compile rejection — all legitimate).
 func compileDifferential(t *testing.T, text string) bool {
 	t.Helper()
 	m, err := ir.Parse(text)
@@ -59,7 +62,37 @@ func compileDifferential(t *testing.T, text string) bool {
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatalf("compiled result diverges from reference:\nref: %+v\ngot: %+v\n--- module ---\n%s", ref, got, text)
 	}
+	yprog, err := interp.CompileYielding(m)
+	if err != nil {
+		t.Fatalf("CompileYielding rejects a module Compile accepts: %v\n--- module ---\n%s", err, text)
+	}
+	ref, refYields := runRecordingYields(t, m, cfg, nil)
+	got, gotYields := runRecordingYields(t, m, cfg, yprog)
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("yielding compiled result diverges from reference:\nref: %+v\ngot: %+v\n--- module ---\n%s", ref, got, text)
+	}
+	if !reflect.DeepEqual(refYields, gotYields) {
+		t.Fatalf("yielding compiled run yields at other clocks:\nref: %v\ngot: %v\n--- module ---\n%s", refYields, gotYields, text)
+	}
 	return true
+}
+
+// runRecordingYields runs m with prog bound (nil tree-walks) under a
+// Yield hook that logs the VM's (steps, cycles) at every yield.
+func runRecordingYields(t *testing.T, m *ir.Module, cfg interp.Config, prog *interp.Program) (*interp.Result, [][2]uint64) {
+	t.Helper()
+	var vm *interp.VM
+	var yields [][2]uint64
+	cfg.Prog = prog
+	cfg.Yield = func() { yields = append(yields, [2]uint64{vm.Steps(), vm.Cycles()}) }
+	vm, err := interp.NewVM(m, cfg)
+	if err != nil {
+		return &interp.Result{Kind: interp.ExitError, Reason: err.Error()}, nil
+	}
+	if vm.Compiled() != (prog != nil) {
+		t.Fatalf("VM under Yield: compiled %v with prog %v", vm.Compiled(), prog != nil)
+	}
+	return vm.Run(), yields
 }
 
 // TestCompileFuzzSeedsValid: every handwritten fuzz seed parses,
@@ -84,11 +117,19 @@ func TestCompileFuzzSeedsValid(t *testing.T) {
 // even on adversarial control and operand layouts.
 //
 // Seeds are the workloads and a DPMR transform (the richest real
-// modules, together exercising every fusion rule) plus the handwritten
-// edge-case modules above.
+// modules, together exercising every fusion rule), the concurrent
+// workloads' main threads plain and DPMR-transformed (their atomics and
+// fences exercise every yielding opcode), plus the handwritten edge-case
+// modules above.
 func FuzzCompile(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Build().String())
+	}
+	for _, w := range workloads.Concurrent() {
+		f.Add(w.Build(1).String())
+		if xm, err := dpmr.Transform(w.Build(1), dpmr.Config{Design: dpmr.MDS, Seed: 1}); err == nil {
+			f.Add(xm.String())
+		}
 	}
 	if xm, err := dpmr.Transform(workloads.All()[0].Build(), dpmr.Config{
 		Design: dpmr.SDS, Diversity: dpmr.RearrangeHeap{}, Policy: dpmr.AllLoads{}, Seed: 1,

@@ -119,14 +119,15 @@ type Config struct {
 	// Trace, it routes the run through the tree-walking loop so the
 	// compiled dispatch never pays for the hook.
 	OpStats *OpStats
-	// Prog, when non-nil, is the module's compiled form (Compile): the VM
-	// executes the pre-decoded register bytecode instead of tree-walking
-	// the IR. Results — cycles, traps, detections, RNG sequence, output —
-	// are bit-identical either way. Prog must have been compiled from the
-	// same *ir.Module the VM runs. When Trace is also set, the VM uses the
-	// tree-walking loop, whose per-instruction hook produces the exact
-	// trace format; the compiled loop keeps that check out of its fast
-	// path entirely.
+	// Prog, when non-nil, is the module's compiled form (Compile or
+	// CompileYielding): the VM executes the pre-decoded register bytecode
+	// instead of tree-walking the IR. Results — cycles, traps, detections,
+	// RNG sequence, output — are bit-identical either way. Prog must have
+	// been compiled from the same *ir.Module the VM runs. The VM binds it
+	// only when its hooks allow: with Trace or OpStats set it tree-walks,
+	// whose per-instruction hooks the compiled loop keeps out of its fast
+	// path entirely; with Yield set it binds only a CompileYielding
+	// program, so a plain program never runs without its yields.
 	Prog *Program
 	// SpacePool, when non-nil, supplies the VM's address space and
 	// receives it back when Run completes (after memory statistics are
@@ -137,10 +138,12 @@ type Config struct {
 	SpacePool *mem.Pool
 	// Yield, when non-nil, is invoked before every load, store, atomic,
 	// and fence — the cooperative scheduling points of the interleaving
-	// scheduler (internal/sched). Like Trace and OpStats it routes the
-	// run through the tree-walking loop, so the compiled dispatch never
-	// pays for the hook; the walker stays the oracle for concurrent
-	// execution.
+	// scheduler (internal/sched) — after the instruction's step is
+	// counted and before its access. A VM runs a yielding Prog
+	// (CompileYielding) under it, and tree-walks otherwise; the plain
+	// compiled dispatch never pays for the hook. Both loops yield at the
+	// same points with the same clocks, and tests hold the compiled
+	// scheduler to the walker's.
 	Yield func()
 	// ThreadID labels this VM's accesses in the shared Space's trace
 	// recorder (see mem.TraceRec). Only meaningful under a scheduler.
@@ -188,7 +191,7 @@ type VM struct {
 	Space  *mem.Space
 
 	cfg     Config
-	rng     *rand.Rand
+	rng     *rand.Rand // nil until first use (Rand)
 	output  []byte
 	steps   uint64
 	cycles  uint64
@@ -262,7 +265,6 @@ func NewVM(m *ir.Module, cfg Config) (*VM, error) {
 		Module: m,
 		Space:  space,
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		limit:  limit,
 		maxDep: maxDep,
 	}
@@ -270,7 +272,7 @@ func NewVM(m *ir.Module, cfg Config) (*VM, error) {
 		if cfg.Prog.mod != m {
 			return fail(fmt.Errorf("interp: Config.Prog was compiled from module %q, not %q", cfg.Prog.mod.Name, m.Name))
 		}
-		if cfg.Trace == nil && cfg.OpStats == nil && cfg.Yield == nil {
+		if cfg.Trace == nil && cfg.OpStats == nil && (cfg.Yield == nil || cfg.Prog.yielding) {
 			vm.prog = cfg.Prog
 		}
 	}
@@ -463,8 +465,22 @@ func (vm *VM) Cycles() uint64 { return vm.cycles }
 // Charge adds cycles to the clock (used by extern implementations).
 func (vm *VM) Charge(c uint64) { vm.cycles += c }
 
-// Rand exposes the deterministic PRNG to externs.
-func (vm *VM) Rand() *rand.Rand { return vm.rng }
+// Steps returns the number of instructions executed so far.
+func (vm *VM) Steps() uint64 { return vm.steps }
+
+// Rand exposes the deterministic PRNG to externs and RandInt. It is
+// seeded from Config.Seed on first use, which draws the same stream as
+// seeding in NewVM while sparing the many runs that never draw.
+func (vm *VM) Rand() *rand.Rand {
+	if vm.rng == nil {
+		vm.rng = rand.New(rand.NewSource(vm.cfg.Seed))
+	}
+	return vm.rng
+}
+
+// Compiled reports whether the VM executes a bound compiled program
+// (Config.Prog) rather than tree-walking the IR.
+func (vm *VM) Compiled() bool { return vm.prog != nil }
 
 // AppendOutput adds bytes to the program output stream.
 func (vm *VM) AppendOutput(b []byte) { vm.output = append(vm.output, b...) }
@@ -703,7 +719,7 @@ func (vm *VM) Call(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 		case *ir.RandInt:
 			vm.cycles += costIntrinsic
-			v, err := randInRange(vm.rng, i.Lo, i.Hi)
+			v, err := randInRange(vm.Rand(), i.Lo, i.Hi)
 			if err != nil {
 				return 0, err
 			}

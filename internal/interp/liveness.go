@@ -83,7 +83,7 @@ func appendRefs(refs []regRef, in *decodedInstr, calls []callSite) []regRef {
 		// no registers
 	case opConst, opGlobalAddr, opRandInt:
 		add(def(in.dst))
-	case opMove, opMoveNorm, opConvert, opHeapBufSize, opLoad, opFieldAddr:
+	case opMove, opMoveNorm, opConvert, opHeapBufSize, opLoad, opLoadY, opFieldAddr:
 		add(use(in.a), def(in.dst))
 	case opAdd, opSub, opMul, opSDiv, opUDiv, opSRem, opURem,
 		opAnd, opOr, opXor, opShl, opLShr, opAShr,
@@ -92,7 +92,7 @@ func appendRefs(refs []regRef, in *decodedInstr, calls []callSite) []regRef {
 		add(use(in.a), use(in.b), def(in.dst))
 	case opCmpBr:
 		add(use(in.a), use(in.b), def(in.dst))
-	case opStore:
+	case opStore, opStoreY:
 		add(use(in.a), use(in.b))
 	case opFieldLoad:
 		add(use(in.a), def(in.dst), def(int32(uint32(in.imm2))))
@@ -122,19 +122,19 @@ func appendRefs(refs []regRef, in *decodedInstr, calls []callSite) []regRef {
 			def(int32(in.imm2&0xFFFF)))
 	case opAlloc:
 		add(use(in.a), def(in.dst))
-	case opAtomicRMW:
+	case opAtomicRMW, opAtomicRMWY:
 		add(use(in.a), use(in.b))
 		if in.imm2 != 0 {
 			add(use(int32(in.imm2 - 1)))
 		}
 		add(def(in.dst))
-	case opAtomicCAS:
+	case opAtomicCAS, opAtomicCASY:
 		add(use(in.a), use(in.b), use(int32(uint32(in.imm2))))
 		if r := in.imm2 >> 32; r != 0 {
 			add(use(int32(r - 1)))
 		}
 		add(def(in.dst))
-	case opFence:
+	case opFence, opFenceY:
 		// no registers
 	case opFree, opOutput, opCondBr, opRet, opExit:
 		add(use(in.a))
@@ -411,7 +411,7 @@ func remapInstr(in *decodedInstr, mapReg func(int32) int32) {
 		// no registers (opBr's dst is a pc)
 	case opConst, opGlobalAddr, opRandInt:
 		in.dst = mapReg(in.dst)
-	case opMove, opMoveNorm, opConvert, opHeapBufSize, opLoad, opFieldAddr, opAlloc:
+	case opMove, opMoveNorm, opConvert, opHeapBufSize, opLoad, opLoadY, opFieldAddr, opAlloc:
 		in.dst, in.a = mapReg(in.dst), mapReg(in.a)
 	case opAdd, opSub, opMul, opSDiv, opUDiv, opSRem, opURem,
 		opAnd, opOr, opXor, opShl, opLShr, opAShr,
@@ -419,7 +419,7 @@ func remapInstr(in *decodedInstr, mapReg func(int32) int32) {
 		opCmp, opIndexAddr, opCmpBr:
 		// opCmpBr's imm/imm2 are pc targets, not registers.
 		in.dst, in.a, in.b = mapReg(in.dst), mapReg(in.a), mapReg(in.b)
-	case opStore, opAssert:
+	case opStore, opStoreY, opAssert:
 		in.a, in.b = mapReg(in.a), mapReg(in.b)
 	case opFieldLoad, opFieldStore:
 		in.dst, in.a = mapReg(in.dst), mapReg(in.a)
@@ -447,19 +447,19 @@ func remapInstr(in *decodedInstr, mapReg func(int32) int32) {
 		in.dst, in.a, in.b = mapReg(in.dst), mapReg(in.a), mapReg(in.b)
 		in.imm2 = in.imm2&^0xFFFFFFFFFFFF |
 			mapU16(in.imm2) | mapU16(in.imm2>>16)<<16 | mapU16(in.imm2>>32)<<32
-	case opAtomicRMW:
+	case opAtomicRMW, opAtomicRMWY:
 		in.dst, in.a, in.b = mapReg(in.dst), mapReg(in.a), mapReg(in.b)
 		if in.imm2 != 0 {
 			in.imm2 = uint64(uint32(mapReg(int32(in.imm2-1)))) + 1
 		}
-	case opAtomicCAS:
+	case opAtomicCAS, opAtomicCASY:
 		in.dst, in.a, in.b = mapReg(in.dst), mapReg(in.a), mapReg(in.b)
 		packed := uint64(uint32(mapReg(int32(uint32(in.imm2)))))
 		if r := in.imm2 >> 32; r != 0 {
 			packed |= (uint64(uint32(mapReg(int32(r-1)))) + 1) << 32
 		}
 		in.imm2 = packed
-	case opFence:
+	case opFence, opFenceY:
 		// no registers
 	case opCall:
 		in.dst = mapReg(in.dst) // args live in the callSite, remapped once

@@ -9,14 +9,20 @@
 // function that fails validation fails the whole compilation (via panic,
 // recovered in Compile), and the caller falls back to the tree-walker,
 // which checks everything dynamically.
+//
+// It also proves the yield discipline of the program's mode: a yielding
+// program (CompileYielding) reaches shared memory only through yielding
+// opcodes, so no access can skip the scheduler's yield, and a plain
+// program holds none of them.
 package interp
 
 import "fmt"
 
-// validateFunc checks one compiled internal function. It panics (caught
-// by Compile's recover) rather than returning an error so a violation
-// anywhere aborts the whole program compilation.
-func validateFunc(cf *compiledFunc) {
+// validateFunc checks one compiled internal function of a yielding or a
+// plain program. It panics (caught by Compile's recover) rather than
+// returning an error so a violation anywhere aborts the whole program
+// compilation.
+func validateFunc(cf *compiledFunc, yielding bool) {
 	n := len(cf.code)
 	if n == 0 {
 		// Internal functions always carry at least a fell-off guard; empty
@@ -36,6 +42,9 @@ func validateFunc(cf *compiledFunc) {
 	var succ []int32
 	for pc := 0; pc < n; pc++ {
 		in := &cf.code[pc]
+		if !yieldSafe(in.op, yielding) {
+			fail(pc, fmt.Sprintf("opcode %d breaks the yield discipline (yielding %v)", in.op, yielding))
+		}
 		// Table indices consulted before any register math.
 		switch in.op {
 		case opCall, opCallIndirect:
@@ -66,4 +75,20 @@ func validateFunc(cf *compiledFunc) {
 			}
 		}
 	}
+}
+
+// yieldSafe reports whether op may appear in a program of the given mode.
+// A yielding program must yield before every shared-memory access, so it
+// holds no plain or fused access; a plain program holds no yielding
+// opcode.
+func yieldSafe(op opcode, yielding bool) bool {
+	switch op {
+	case opLoadY, opStoreY, opAtomicRMWY, opAtomicCASY, opFenceY:
+		return yielding
+	case opLoad, opStore, opAtomicRMW, opAtomicCAS, opFence,
+		opLoadLoadAssert, opStore2, opFieldLoad, opIndexLoad,
+		opFieldStore, opIndexStore, opConstLoad:
+		return !yielding
+	}
+	return true
 }

@@ -26,6 +26,29 @@ type Pool struct {
 // NewPool returns an empty pool producing Spaces of cfg.
 func NewPool(cfg Config) *Pool { return &Pool{cfg: cfg.WithDefaults()} }
 
+// shared is the process-wide pool behind SharedPool.
+var shared struct {
+	mu   sync.Mutex
+	pool *Pool
+}
+
+// SharedPool returns the process-wide pool for cfg's normalized geometry,
+// so that independent owners of one geometry — say, a fresh harness
+// Runner per submission — reuse each other's spaces. It retains only the
+// most recently requested geometry: asking for another replaces the
+// pool, and the old one, with every space it holds, is garbage once its
+// last holder drops it. A caller cycling through geometries therefore
+// pins no memory beyond the pools it still holds itself.
+func SharedPool(cfg Config) *Pool {
+	cfg = cfg.WithDefaults()
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	if shared.pool == nil || shared.pool.cfg != cfg {
+		shared.pool = NewPool(cfg)
+	}
+	return shared.pool
+}
+
 // Config returns the configuration the pool's spaces are built with,
 // normalized (WithDefaults) — compare it against another normalized
 // config to decide whether a pool can serve it.

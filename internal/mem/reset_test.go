@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -167,6 +168,65 @@ func TestPoolRecycles(t *testing.T) {
 	if got := p.Get(); got != s2 {
 		t.Errorf("second recycle failed")
 	}
+}
+
+// TestSharedPoolReusesLatestGeometry: every caller of one geometry gets
+// the same shared pool, so a space one owner put back serves the next;
+// asking for a second geometry drops the first, whose spaces are then no
+// longer retained.
+func TestSharedPoolReusesLatestGeometry(t *testing.T) {
+	a := Config{GlobalBytes: 4096, HeapBytes: 64 * 1024, StackBytes: 8 * 1024}
+	b := Config{GlobalBytes: 4096, HeapBytes: 128 * 1024, StackBytes: 8 * 1024}
+	p := SharedPool(a)
+	if SharedPool(a.WithDefaults()) != p {
+		t.Fatal("one normalized geometry got two shared pools")
+	}
+	s := p.Get()
+	p.Put(s)
+	if got := SharedPool(a).Get(); got != s {
+		t.Fatal("a second owner of the geometry did not reuse the space the first put back")
+	}
+	p.Put(s)
+	if q := SharedPool(b); q == p || q.Config() != b.WithDefaults() {
+		t.Fatalf("second geometry served by the first geometry's pool (config %+v)", q.Config())
+	}
+	p2 := SharedPool(a)
+	if p2 == p {
+		t.Fatal("the first geometry's pool outlived a request for another")
+	}
+	if got := p2.Get(); got == s {
+		t.Fatal("the first geometry's space was retained across another geometry")
+	}
+}
+
+// TestSharedPoolConcurrentUse: owners of two geometries drawing and
+// returning spaces at once always get a space of their own geometry
+// (run with -race).
+func TestSharedPoolConcurrentUse(t *testing.T) {
+	cfgs := []Config{
+		{GlobalBytes: 4096, HeapBytes: 64 * 1024, StackBytes: 8 * 1024},
+		{GlobalBytes: 4096, HeapBytes: 128 * 1024, StackBytes: 8 * 1024},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		cfg := cfgs[g%2].WithDefaults()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := SharedPool(cfg)
+				s := p.Get()
+				if got := s.heapEnd - s.heapBase; got != uint64(cfg.HeapBytes) {
+					t.Errorf("drew a %d-byte heap from the pool of %d-byte heaps", got, cfg.HeapBytes)
+				}
+				if _, trap := s.Malloc(64); trap != nil {
+					t.Error(trap)
+				}
+				p.Put(s)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestLoadStoreCostedMatchSeparateCalls drives identical access sequences

@@ -76,7 +76,10 @@ func NewTraceRec(threads, limit int) *TraceRec {
 
 // reset returns t to the state NewTraceRec(threads, limit) gives, except
 // that every buffer t already holds is cut to length 0 and keeps its
-// capacity, including those beyond the new thread count.
+// capacity, including those beyond the new thread count. Every buffer
+// starts empty but non-nil (make of length 0 does not allocate), so a
+// thread that records nothing reads the same from a fresh recorder as
+// from a recycled one.
 func (t *TraceRec) reset(threads, limit int) {
 	if threads < 1 {
 		threads = 1
@@ -89,6 +92,9 @@ func (t *TraceRec) reset(threads, limit int) {
 	}
 	t.threads = t.threads[:threads]
 	for i, buf := range t.threads {
+		if buf == nil {
+			buf = make([]TraceEvent, 0)
+		}
 		t.threads[i] = buf[:0]
 	}
 	t.limit, t.seq, t.thread, t.truncated, t.dropped = limit, 0, 0, false, 0

@@ -19,10 +19,15 @@
 // The first thread to exit abnormally (trap, DPMR detection, timeout)
 // aborts the group and its exit classifies the trial: Run resumes each
 // thread that had started and is still live, once, to unwind via a
-// sentinel panic. A thread never drawn is never started. Because the
-// walker is the oracle for concurrent execution (the Yield hook routes
-// every VM through the tree-walking loop), compiled-engine divergence
-// cannot leak into concurrent results.
+// sentinel panic. A thread never drawn is never started.
+//
+// Threads run compiled code when Config.VM.Prog is a yielding program
+// (interp.CompileYielding), whose yields fall at the same instructions
+// and clocks as the tree-walker's, and tree-walk otherwise: a plain
+// compiled program is never bound under the scheduler, since it would
+// run without yielding. The walker is the oracle. Tests hold compiled
+// groups to walker groups over every concurrent workload, thread count,
+// DPMR design and abort path, down to the trace and the switch count.
 package sched
 
 import (
@@ -56,11 +61,11 @@ type Config struct {
 	// space; SpacePool, when set, supplies that space and receives it
 	// back after the run, and its config must match Mem. It also supplies
 	// the trace recorder, which the run lends to its caller as
-	// Result.Trace. Seed seeds
-	// thread 0, with worker seeds derived per thread; SharedSpace,
-	// SharedGlobals, Yield, and ThreadID are managed by the scheduler and
-	// must be unset (Yield is the scheduler's draw-and-handover hook).
-	// StepLimit bounds each thread separately.
+	// Result.Trace. Prog, when a yielding program, runs every thread
+	// compiled. Seed seeds thread 0, with worker seeds derived per
+	// thread; SharedSpace, SharedGlobals, Yield, and ThreadID are managed
+	// by the scheduler and must be unset (Yield is the scheduler's
+	// draw-and-handover hook). StepLimit bounds each thread separately.
 	VM interp.Config
 }
 

@@ -191,28 +191,43 @@ func crashWorkerModule() *ir.Module {
 	return m
 }
 
-// TestWalkerIsOracle: a concurrent run must refuse the compiled fast
-// path; binding a Program changes nothing because Yield forces the
-// walker.
+// TestWalkerIsOracle: both halves of the binding rule that keeps every
+// scheduled access behind a yield. Under a Yield hook a VM refuses a
+// plain program and tree-walks, and binds a yielding one; either way the
+// group replays the walker's group exactly.
 func TestWalkerIsOracle(t *testing.T) {
 	w := workloads.Concurrent()[0]
 	m := w.Build(2)
 	m.Freeze()
-	prog, err := interp.Compile(m)
+	plain, err := interp.Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := runClean(t, m, 2, 77)
-	res := Run(m, Config{
-		Threads: 2,
-		Seed:    77,
-		VM:      interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: prog},
-	})
-	if res.Combined.Kind != interp.ExitNormal {
-		t.Fatalf("with Prog bound: %v (%s)", res.Combined.Kind, res.Combined.Reason)
+	yielding, err := interp.CompileYielding(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Combined, res.Combined) {
-		t.Fatalf("Prog-bound group diverged from walker group")
+	walker := runClean(t, m, 2, 77)
+	for _, c := range []struct {
+		name  string
+		prog  *interp.Program
+		bound bool
+	}{{"plain", plain, false}, {"yielding", yielding, true}} {
+		vm, err := interp.NewVM(m, interp.Config{Prog: c.prog, Yield: func() {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vm.Compiled() != c.bound {
+			t.Errorf("%s program under Yield: bound %v, want %v", c.name, vm.Compiled(), c.bound)
+		}
+		res := Run(m, Config{
+			Threads: 2,
+			Seed:    77,
+			VM:      interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: c.prog},
+		})
+		if d := diffResults(res, walker); d != "" {
+			t.Errorf("%s program: group diverged from the walker's: %s", c.name, d)
+		}
 	}
 }
 
@@ -249,21 +264,37 @@ func TestTraceDropFailpoint(t *testing.T) {
 }
 
 // TestYieldStallFailpoint: a stalled yield delays but never corrupts the
-// handover — the group still runs to a clean deterministic finish.
+// handover — the group still runs to a clean deterministic finish, on
+// the walker and on compiled code alike.
 func TestYieldStallFailpoint(t *testing.T) {
-	if err := failpt.Arm("interp/yield-stall=stall(1)@3"); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(failpt.Disarm)
 	w := workloads.Concurrent()[1]
 	m := w.Build(2)
 	m.Freeze()
-	res := runClean(t, m, 2, 21)
-	if failpt.Hits("interp/yield-stall") < 3 {
-		t.Fatalf("yield-stall site hit only %d times", failpt.Hits("interp/yield-stall"))
+	prog, err := interp.CompileYielding(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep := consist.Check(res.Trace); !rep.Clean() {
-		t.Fatalf("stall must not corrupt anything: %v", rep.Violations)
+	var walker *Result
+	for _, p := range []*interp.Program{nil, prog} {
+		if err := failpt.Arm("interp/yield-stall=stall(1)@3"); err != nil {
+			t.Fatal(err)
+		}
+		res := Run(m, Config{Threads: 2, Seed: 21, VM: interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: p}})
+		if c := res.Combined; c.Kind != interp.ExitNormal || c.Code != 0 {
+			t.Fatalf("compiled %v: %v code %d (%s)", p != nil, c.Kind, c.Code, c.Reason)
+		}
+		if failpt.Hits("interp/yield-stall") < 3 {
+			t.Fatalf("compiled %v: yield-stall site hit only %d times", p != nil, failpt.Hits("interp/yield-stall"))
+		}
+		if rep := consist.Check(res.Trace); !rep.Clean() {
+			t.Fatalf("compiled %v: stall must not corrupt anything: %v", p != nil, rep.Violations)
+		}
+		if walker == nil {
+			walker = res
+		} else if d := diffResults(res, walker); d != "" {
+			t.Fatalf("stalled compiled group diverged from the stalled walker group: %s", d)
+		}
 	}
 }
 
@@ -386,7 +417,9 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 // TestRecycledTraceMatchesFresh: runs that draw their recorder from one
 // pool, each handing it back before the next, record exactly what runs on
 // fresh recorders record — across growing and shrinking thread counts,
-// the default and a truncating trace limit, and failpoint-dropped events.
+// the default and a truncating trace limit, failpoint-dropped events, and
+// a crash abort whose worker records nothing into a buffer an earlier
+// run filled.
 func TestRecycledTraceMatchesFresh(t *testing.T) {
 	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
 	pool := mem.NewPool(memCfg)
@@ -397,6 +430,7 @@ func TestRecycledTraceMatchesFresh(t *testing.T) {
 		drops    string // mem/trace-drop schedule armed for both runs ("" = none)
 	}{
 		{"chash", 4, 0, ""},
+		{"crashworker", 2, 0, ""},
 		{"cpipe", 1, 0, "mem/trace-drop=drop@5"},
 		{"csteal", 3, 64, ""},
 		{"chash", 2, 64, "mem/trace-drop=drop@2;mem/trace-drop=drop@30+"},
@@ -420,12 +454,15 @@ func TestRecycledTraceMatchesFresh(t *testing.T) {
 	}
 	sawTruncated, sawDropped := false, false
 	for i, st := range steps {
-		w, err := workloads.ConcurrentByName(st.workload)
-		if err != nil {
-			t.Fatal(err)
+		m := crashWorkerModule()
+		if st.workload != m.Name {
+			w, err := workloads.ConcurrentByName(st.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = w.Build(st.threads)
+			m.Freeze()
 		}
-		m := w.Build(st.threads)
-		m.Freeze()
 		want := run(m, st.threads, st.limit, st.drops, nil)
 		got := run(m, st.threads, st.limit, st.drops, pool)
 		if d := diffResults(got, want); d != "" {
@@ -484,28 +521,15 @@ func diffResults(got, want *Result) string {
 	return ""
 }
 
-// TestRunMatchesReference: the direct handover replays the scheduler it
-// replaced, referenceRun, exactly — the whole Result, Combined.Mem, trace
-// and switch count included — over every concurrent workload, thread
-// count and DPMR design, with and without a step limit that aborts groups
-// on timeout, and over worker crashes that abort before every thread has
-// been drawn.
-func TestRunMatchesReference(t *testing.T) {
-	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
-	pool := mem.NewPool(memCfg)
+// runGrid calls check on every configuration of the scheduler grid and
+// tallies how the groups it returns ended: every concurrent workload at 1
+// to 4 threads, plain and DPMR-transformed (SDS, MDS), six schedule
+// seeds, with no step limit and with one that aborts groups on timeout,
+// plus worker crashes that abort before every thread has been drawn —
+// 582 configurations in all. The grid must reach clean exits, timeout
+// aborts and crash aborts.
+func runGrid(t *testing.T, check func(t *testing.T, m *ir.Module, cfg Config) *Result) {
 	kinds := map[interp.ExitKind]int{}
-	check := func(t *testing.T, m *ir.Module, cfg Config) {
-		t.Helper()
-		cfg.VM.Mem = memCfg
-		cfg.VM.SpacePool = pool
-		want := referenceRun(m, cfg)
-		got := Run(m, cfg)
-		if d := diffResults(got, want); d != "" {
-			t.Fatalf("threads=%d seed=%d steplimit=%d: %s", cfg.Threads, cfg.Seed, cfg.VM.StepLimit, d)
-		}
-		kinds[got.Combined.Kind]++
-	}
-
 	designs := []struct {
 		name      string
 		transform bool
@@ -528,9 +552,10 @@ func TestRunMatchesReference(t *testing.T) {
 					m.Freeze()
 					for seed := int64(1); seed <= 6; seed++ {
 						for _, limit := range []uint64{0, 3000} {
-							check(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{
+							res := check(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{
 								Externs: externs, Seed: seed + 100, StepLimit: limit,
 							}})
+							kinds[res.Combined.Kind]++
 						}
 					}
 				})
@@ -541,16 +566,63 @@ func TestRunMatchesReference(t *testing.T) {
 	for threads := 2; threads <= 4; threads++ {
 		t.Run(fmt.Sprintf("crashworker/%d", threads), func(t *testing.T) {
 			for seed := int64(0); seed < 50; seed++ {
-				check(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit}})
+				res := check(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit}})
+				kinds[res.Combined.Kind]++
 			}
 		})
 	}
-	// The grid must reach clean exits, timeout aborts and crash aborts.
 	for _, k := range []interp.ExitKind{interp.ExitNormal, interp.ExitTimeout, interp.ExitTrap} {
 		if kinds[k] == 0 {
 			t.Errorf("no group ended %v: kinds seen %v", k, kinds)
 		}
 	}
+}
+
+// TestRunMatchesReference: the direct handover replays the scheduler it
+// replaced, referenceRun, exactly — the whole Result, Combined.Mem, trace
+// and switch count included — over the whole grid.
+func TestRunMatchesReference(t *testing.T) {
+	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
+	pool := mem.NewPool(memCfg)
+	runGrid(t, func(t *testing.T, m *ir.Module, cfg Config) *Result {
+		t.Helper()
+		cfg.VM.Mem = memCfg
+		cfg.VM.SpacePool = pool
+		want := referenceRun(m, cfg)
+		got := Run(m, cfg)
+		if d := diffResults(got, want); d != "" {
+			t.Fatalf("threads=%d seed=%d steplimit=%d: %s", cfg.Threads, cfg.Seed, cfg.VM.StepLimit, d)
+		}
+		return got
+	})
+}
+
+// TestCompiledRunMatchesWalker: groups running a yielding program
+// (interp.CompileYielding) replay the walker's groups exactly — the whole
+// Result, trace and switch count included — over the whole grid. Both
+// sides run unpooled.
+func TestCompiledRunMatchesWalker(t *testing.T) {
+	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
+	progs := map[*ir.Module]*interp.Program{}
+	runGrid(t, func(t *testing.T, m *ir.Module, cfg Config) *Result {
+		t.Helper()
+		prog, ok := progs[m]
+		if !ok {
+			var err error
+			if prog, err = interp.CompileYielding(m); err != nil {
+				t.Fatal(err)
+			}
+			progs[m] = prog
+		}
+		cfg.VM.Mem = memCfg
+		want := Run(m, cfg)
+		cfg.VM.Prog = prog
+		got := Run(m, cfg)
+		if d := diffResults(got, want); d != "" {
+			t.Fatalf("threads=%d seed=%d steplimit=%d: %s", cfg.Threads, cfg.Seed, cfg.VM.StepLimit, d)
+		}
+		return got
+	})
 }
 
 // TestAbortLeaksNoGoroutines: an aborted group leaves no goroutine
