@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"dpmr/internal/consist"
 	"dpmr/internal/coord"
 	coordnet "dpmr/internal/coord/net"
 	"dpmr/internal/dpmr"
@@ -30,7 +29,6 @@ import (
 	"dpmr/internal/ir"
 	"dpmr/internal/journal"
 	"dpmr/internal/mem"
-	"dpmr/internal/sched"
 	"dpmr/internal/workloads"
 )
 
@@ -869,69 +867,4 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 			b.ReportMetric(float64(cycles)/float64(golden), "overhead-x")
 		})
 	}
-}
-
-// BenchmarkScheduler measures the deterministic interleaving scheduler
-// (internal/sched): one scheduled chash group per iteration, its shared
-// space and trace recorder drawn from one mem.Pool as the harness draws
-// them. serial1 is the degenerate single-VM group (every draw picks the
-// yielding thread, so no handovers — the walker baseline); interleavedN
-// adds N-VM cooperative scheduling with yields at every load/store/atomic;
-// the traced variant layers per-replica trace recording on top, and the
-// checked variant also runs consist.Check on each trace: a whole
-// concurrent-campaign trial. Traced rows hand each recorder back with
-// PutTrace, as the harness does, so a warm run reuses its buffers.
-// The serial/interleaved trials-per-second ratio is the scheduling cost,
-// interleaved/traced isolates the recorder's share, and traced/checked
-// the checker's. ns/switch divides the run's time by its scheduling draws.
-// The rows above tree-walk; the compiled rows run the same groups on a
-// yielding program (interp.CompileYielding), as the harness runs them by
-// default, so compiled/plain is the engine's speedup under the scheduler.
-func BenchmarkScheduler(b *testing.B) {
-	w, err := workloads.ConcurrentByName("chash")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, threads int, traced, checked, compiled bool) {
-		m := w.Build(threads)
-		m.Freeze()
-		var prog *interp.Program
-		if compiled {
-			if prog, err = interp.CompileYielding(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		pool := mem.NewPool(benchMem)
-		var switches uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := sched.Run(m, sched.Config{
-				Threads:       threads,
-				Seed:          1,
-				TraceDisabled: !traced,
-				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem, Prog: prog, SpacePool: pool},
-			})
-			c := res.Combined
-			if c.Kind != interp.ExitNormal || c.Code != 0 {
-				b.Fatalf("chash (%d threads): %v code %d (%s)", threads, c.Kind, c.Code, c.Reason)
-			}
-			if checked {
-				if rep := consist.Check(res.Trace); !rep.Clean() {
-					b.Fatalf("chash (%d threads): consistency violations: %v", threads, rep.Violations)
-				}
-			}
-			pool.PutTrace(res.Trace)
-			switches = res.Switches
-		}
-		b.ReportMetric(float64(switches), "switches/run")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(switches), "ns/switch")
-		reportTrialsPerSec(b, 1)
-	}
-	b.Run("serial1", func(b *testing.B) { run(b, 1, false, false, false) })
-	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false, false, false) })
-	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true, false, false) })
-	b.Run("interleaved3checked", func(b *testing.B) { run(b, 3, true, true, false) })
-	b.Run("serial1compiled", func(b *testing.B) { run(b, 1, false, false, true) })
-	b.Run("interleaved3checkedcompiled", func(b *testing.B) { run(b, 3, true, true, true) })
 }

@@ -98,7 +98,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		shard      = fs.String("shard", "", "run shard i/N of the experiment and write a partial result (requires a single experiment)")
 		outPath    = fs.String("out", "", "partial-result output file with -shard (default stdout)")
 		merge      = fs.Bool("merge", false, "merge partial-result files, directories, or globs (the positional arguments) and render the report")
-		compile    = fs.Bool("compile", true, "execute trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (output is byte-identical, only speed differs)")
+		compile    = fs.Bool("compile", true, "execute campaign and overhead trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (output is byte-identical, only speed differs; concurrent trials always run compiled)")
 		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off; output is byte-identical, only speed differs)")
 		journalDir = fs.String("journal", "", "journal completed trial spans to this `dir` and write a progressive report there (requires a single experiment)")
 		resumeJnl  = fs.Bool("resume", false, "resume the experiment from an existing -journal directory, re-running only the missing trials")

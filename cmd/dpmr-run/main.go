@@ -114,7 +114,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		merge      = fs.Bool("merge", false, "merge campaign partial-result files (the positional arguments; with -campaign)")
 		journalDir = fs.String("journal", "", "journal completed trial spans to this `dir` and write a progressive report there (with -campaign)")
 		resume     = fs.Bool("resume", false, "resume the campaign from an existing -journal directory, re-running only the missing trials")
-		compile    = fs.Bool("compile", true, "execute as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (output is byte-identical, only speed differs)")
+		compile    = fs.Bool("compile", true, "execute as compiled module bytecode; -compile=false forces the tree-walking reference interpreter for single runs and campaign trials (output is byte-identical, only speed differs; concurrent trials always run compiled)")
 		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off; output is byte-identical, only speed differs; with -campaign)")
 		opStats    = fs.String("opstats", "", "write the executed opcode-pair/triple histogram as JSON to `file` (\"-\" = stdout; single runs only, runs on the reference interpreter)")
 		remote     = fs.String("remote", "", "submit the campaign to the dpmrd campaign service at this `addr` and merge the streamed shard results locally (with -campaign)")

@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "log scheduling and fleet diagnostics to stderr")
 		parallel   = fs.Int("parallel", 1, "campaign worker goroutines per fleet slot (output is identical at any count)")
 		evict      = fs.Bool("evict", true, "release each module after its final trial (bounds peak cache residency)")
-		compile    = fs.Bool("compile", true, "execute trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter")
+		compile    = fs.Bool("compile", true, "execute campaign and overhead trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (concurrent trials always run compiled)")
 		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {

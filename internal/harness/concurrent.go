@@ -10,14 +10,16 @@ package harness
 // unchanged: shards emit ordinary PartialResults and MergeConcurrent
 // reassembles a result byte-identical to an unsharded run.
 //
-// Concurrent trials execute compiled code, as campaign trials do: each
-// concurrent module is cached with a yielding program
-// (interp.CompileYielding), whose loads, stores, atomics and fences
-// call the scheduler's yield hook where the tree-walker calls it. With
-// Runner.Compile off (WithReference, CLI -compile=false), or when
-// compilation fails, the groups tree-walk instead. Reports are
-// byte-identical either way; the walker stays the oracle through tests
-// that hold compiled groups to walker groups result for result.
+// Concurrent trials always execute compiled code: each concurrent module
+// is cached with a yielding program (interp.CompileYielding), whose
+// loads, stores, atomics and fences call the scheduler's yield hook where
+// the tree-walker would, and sched.Run drives every thread of a group on
+// the trial's goroutine. A module that fails to compile fails its trials
+// with the compile error. Runner.Compile (WithReference, CLI
+// -compile=false) governs campaign and overhead trials only. The walker
+// stays the oracle in sched's tests, which hold the compiled groups to
+// walker groups result for result; the harness pins the report digests
+// both engines produced.
 
 import (
 	"context"
@@ -103,10 +105,9 @@ func planConcurrent(spec Spec) (*concurrentPlan, error) {
 }
 
 // concurrentModule returns the cached executable module of (workload,
-// variant) built for the given thread count, and its yielding program
-// (nil with Compile off or on a compile failure, when the groups
-// tree-walk). The thread count is folded into the cache key because
-// Build(threads) bakes the worker count into the module.
+// variant) built for the given thread count, and its yielding program.
+// The thread count is folded into the cache key because Build(threads)
+// bakes the worker count into the module.
 func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, threads int) (*ir.Module, *interp.Program, error) {
 	key := moduleKey{workload: w.Name + "#t" + strconv.Itoa(threads), variant: v.Label()}
 	return r.cache.get(key, func() (*ir.Module, *interp.Program, error) {
@@ -124,7 +125,11 @@ func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, thr
 			m = xm
 		}
 		m.Freeze()
-		return m, r.compileModule(m, interp.CompileYielding), nil
+		prog, err := interp.CompileYielding(m)
+		if err != nil {
+			return nil, nil, err
+		}
+		return m, prog, nil
 	})
 }
 

@@ -162,16 +162,16 @@ type Runner struct {
 	// large campaigns (see CacheStats). Off by default: with it off, every
 	// built module stays resident for the Runner's lifetime.
 	EvictModules bool
-	// Compile lowers every frozen module to the interpreter's pre-decoded
-	// register bytecode (interp.Compile, or interp.CompileYielding for
-	// the scheduled groups of concurrent Specs) as part of the stage-1
-	// build; the module's trials then execute the compiled program
-	// instead of tree-walking the IR. Results are bit-identical either
-	// way (asserted by the compiled-vs-reference differential tests), so
-	// the flag only trades a one-time compile per module for much cheaper
-	// per-trial dispatch. On by default via NewRunner; turn it off to run
-	// the tree-walker as the reference implementation (CLI
-	// -compile=false).
+	// Compile lowers every frozen campaign and overhead module to the
+	// interpreter's pre-decoded register bytecode (interp.Compile) as part
+	// of the stage-1 build; the module's trials then execute the compiled
+	// program instead of tree-walking the IR. Results are bit-identical
+	// either way (asserted by the compiled-vs-reference differential
+	// tests), so the flag only trades a one-time compile per module for
+	// much cheaper per-trial dispatch. On by default via NewRunner; turn
+	// it off to run the tree-walker as the reference implementation (CLI
+	// -compile=false). Concurrent Specs ignore it: their groups always run
+	// a yielding program (interp.CompileYielding).
 	Compile bool
 	// Precompile, when positive, launches that many background AOT
 	// workers per trial batch: they walk the batch's distinct modules in
@@ -254,17 +254,15 @@ func (r *Runner) notify(ev Event) {
 // results are unaffected.
 func (r *Runner) spaces() *mem.Pool { return mem.SharedPool(r.MemConfig) }
 
-// compileModule lowers a frozen module for the fast interpreter path with
-// compile (interp.Compile, or interp.CompileYielding for scheduled
-// groups). A compile failure is not fatal — the module's trials simply
-// run on the reference tree-walker, which is always semantically
-// authoritative — so malformed-but-executable IR behaves exactly as it
-// always has.
-func (r *Runner) compileModule(m *ir.Module, compile func(*ir.Module) (*interp.Program, error)) *interp.Program {
+// compileModule lowers a frozen module for the fast interpreter path. A
+// compile failure is not fatal — the module's trials simply run on the
+// reference tree-walker, which is always semantically authoritative — so
+// malformed-but-executable IR behaves exactly as it always has.
+func (r *Runner) compileModule(m *ir.Module) *interp.Program {
 	if !r.Compile {
 		return nil
 	}
-	prog, err := compile(m)
+	prog, err := interp.Compile(m)
 	if err != nil {
 		return nil
 	}
@@ -291,7 +289,7 @@ func (r *Runner) Golden(w workloads.Workload) (*interp.Result, error) {
 			m = m.Clone()
 			opt.Run(m)
 			m.Freeze()
-			prog = r.compileModule(m, interp.Compile)
+			prog = r.compileModule(m)
 		}
 		res := interp.Run(m, interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, Prog: prog, SpacePool: r.spaces()})
 		if res.Kind != interp.ExitNormal || res.Code != 0 {
@@ -323,7 +321,7 @@ func (r *Runner) base(w workloads.Workload) (*ir.Module, *interp.Program, error)
 	return r.cache.get(moduleKey{workload: w.Name, variant: "base"}, func() (*ir.Module, *interp.Program, error) {
 		m := w.Build()
 		m.Freeze()
-		return m, r.compileModule(m, interp.Compile), nil
+		return m, r.compileModule(m), nil
 	})
 }
 
@@ -367,7 +365,7 @@ func (r *Runner) buildVariant(w workloads.Workload, v Variant, inj *faultinject.
 		return bm, bprog, nil
 	}
 	m.Freeze()
-	return m, r.compileModule(m, interp.Compile), nil
+	return m, r.compileModule(m), nil
 }
 
 // Outcome classifies one experiment run per §3.6.

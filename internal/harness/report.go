@@ -24,10 +24,11 @@ type Options struct {
 	// Evict releases each injected module from the build cache after its
 	// final trial, bounding peak module residency on large campaigns.
 	Evict bool
-	// Reference forces every trial onto the tree-walking reference
-	// interpreter instead of the compiled module bytecode (CLI
-	// -compile=false). Output is byte-identical either way; the switch
-	// exists for A/B measurement and debugging.
+	// Reference forces campaign and overhead trials onto the
+	// tree-walking reference interpreter instead of the compiled module
+	// bytecode (CLI -compile=false); concurrent groups always run
+	// compiled. Output is byte-identical either way; the switch exists
+	// for A/B measurement and debugging.
 	Reference bool
 	// Precompile launches that many background AOT workers that build
 	// and compile upcoming modules ahead of the execution frontier (see

@@ -42,10 +42,10 @@ func WithParallel(n int) Option {
 	return func(c *sessionConfig) { c.parallel, c.parallelSet = n, true }
 }
 
-// WithReference executes trials — concurrent groups included — on the
+// WithReference executes campaign and overhead trials on the
 // tree-walking reference interpreter instead of compiled module
 // bytecode. Output is byte-identical either way; the switch exists for
-// A/B measurement.
+// A/B measurement. Concurrent groups always run compiled.
 func WithReference(on bool) Option { return func(c *sessionConfig) { c.reference = on } }
 
 // WithEviction releases each injected module from the build cache after

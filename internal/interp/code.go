@@ -224,6 +224,9 @@ type Program struct {
 // Module returns the module the program was compiled from.
 func (p *Program) Module() *ir.Module { return p.mod }
 
+// Yielding reports whether the program was compiled by CompileYielding.
+func (p *Program) Yielding() bool { return p.yielding }
+
 // Compile lowers a frozen module to its executable Program. The module
 // must be frozen: the program aliases its types and functions and assumes
 // they never change. Compilation failures (malformed IR the tree-walker

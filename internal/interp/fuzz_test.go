@@ -33,9 +33,9 @@ var compileFuzzSeeds = []string{
 // engine and reports a fatal error on any Result divergence. It then
 // does the same for the yielding program (CompileYielding) against the
 // walker, both under a Yield hook that records the VM's clocks at every
-// yield: the yields too must fall at the same steps and cycles. It
-// returns false when the module never reached execution
-// (parse/verify/compile rejection — all legitimate).
+// yield, the compiled VM parking at each one: the yields too must fall at
+// the same steps and cycles. It returns false when the module never
+// reached execution (parse/verify/compile rejection — all legitimate).
 func compileDifferential(t *testing.T, text string) bool {
 	t.Helper()
 	m, err := ir.Parse(text)
@@ -78,13 +78,20 @@ func compileDifferential(t *testing.T, text string) bool {
 }
 
 // runRecordingYields runs m with prog bound (nil tree-walks) under a
-// Yield hook that logs the VM's (steps, cycles) at every yield.
+// Yield hook that logs the VM's (steps, cycles) at every yield. The
+// walker's hook returns at once. A compiled VM runs under StartMain and
+// Resume instead, and its hook parks it at every yield, so the run is a
+// chain of parks and resumes; each park must un-count the yielding
+// instruction's step, which the resume counts again.
 func runRecordingYields(t *testing.T, m *ir.Module, cfg interp.Config, prog *interp.Program) (*interp.Result, [][2]uint64) {
 	t.Helper()
 	var vm *interp.VM
 	var yields [][2]uint64
 	cfg.Prog = prog
-	cfg.Yield = func() { yields = append(yields, [2]uint64{vm.Steps(), vm.Cycles()}) }
+	cfg.Yield = func() bool {
+		yields = append(yields, [2]uint64{vm.Steps(), vm.Cycles()})
+		return prog != nil
+	}
 	vm, err := interp.NewVM(m, cfg)
 	if err != nil {
 		return &interp.Result{Kind: interp.ExitError, Reason: err.Error()}, nil
@@ -92,7 +99,24 @@ func runRecordingYields(t *testing.T, m *ir.Module, cfg interp.Config, prog *int
 	if vm.Compiled() != (prog != nil) {
 		t.Fatalf("VM under Yield: compiled %v with prog %v", vm.Compiled(), prog != nil)
 	}
-	return vm.Run(), yields
+	if prog == nil {
+		return vm.Run(), yields
+	}
+	if err := vm.StartMain(); err != nil {
+		return &interp.Result{Kind: interp.ExitError, Reason: err.Error()}, nil
+	}
+	for parks := 0; ; parks++ {
+		res := vm.Resume()
+		if res != nil {
+			if parks != len(yields) {
+				t.Fatalf("%d parks for %d yields", parks, len(yields))
+			}
+			return res, yields
+		}
+		if last := yields[len(yields)-1]; vm.Steps() != last[0]-1 || vm.Cycles() != last[1]-1 {
+			t.Fatalf("parked at (%d, %d) after yielding at %v: the step must be un-counted", vm.Steps(), vm.Cycles(), last)
+		}
+	}
 }
 
 // TestCompileFuzzSeedsValid: every handwritten fuzz seed parses,
@@ -120,7 +144,7 @@ func TestCompileFuzzSeedsValid(t *testing.T) {
 // modules, together exercising every fusion rule), the concurrent
 // workloads' main threads plain and DPMR-transformed (their atomics and
 // fences exercise every yielding opcode), plus the handwritten edge-case
-// modules above.
+// modules above. Every yielding run parks and resumes at each yield.
 func FuzzCompile(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Build().String())

@@ -21,6 +21,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -127,7 +128,8 @@ type Config struct {
 	// only when its hooks allow: with Trace or OpStats set it tree-walks,
 	// whose per-instruction hooks the compiled loop keeps out of its fast
 	// path entirely; with Yield set it binds only a CompileYielding
-	// program, so a plain program never runs without its yields.
+	// program, so a plain program never runs without its yields. Only a
+	// bound program can be driven by Start and Resume.
 	Prog *Program
 	// SpacePool, when non-nil, supplies the VM's address space and
 	// receives it back when Run completes (after memory statistics are
@@ -142,9 +144,16 @@ type Config struct {
 	// counted and before its access. A VM runs a yielding Prog
 	// (CompileYielding) under it, and tree-walks otherwise; the plain
 	// compiled dispatch never pays for the hook. Both loops yield at the
-	// same points with the same clocks, and tests hold the compiled
-	// scheduler to the walker's.
-	Yield func()
+	// same points with the same clocks.
+	//
+	// The hook reports whether the VM parks there. Only a VM driven by
+	// Start and Resume can park: Resume then returns nil, and the next
+	// Resume carries out the access without yielding again. A hook that
+	// wants another thread to run returns true there; under Run, RunEntry
+	// or Call — the walker always among them — it must instead block
+	// until this VM may go on, and return false. Such a VM fails with an
+	// error if its hook returns true.
+	Yield func() (park bool)
 	// ThreadID labels this VM's accesses in the shared Space's trace
 	// recorder (see mem.TraceRec). Only meaningful under a scheduler.
 	ThreadID int
@@ -213,6 +222,21 @@ type VM struct {
 	globalAddrs []uint64
 	regStack    []uint64
 	argStack    []uint64
+
+	// The compiled loop's explicit call stack (exec.go), and the index of
+	// the base frame of the innermost dispatch segment: 0 for the root,
+	// higher in a segment an extern called back into. parked marks the
+	// top frame's pc as a yielding instruction whose yield was taken.
+	frames  []frame
+	segBase int
+	parked  bool
+
+	// Resumable entry state (Start, Resume): the entry function and its
+	// arguments, and whether they are main's argv, still to be built.
+	resumable bool
+	entryMain bool
+	entry     *compiledFunc
+	entryArgs []uint64
 
 	// Indirect-call inline caches, indexed by each opCallIndirect's imm2
 	// slot: a monomorphic site resolves its target with one tag compare.
@@ -392,11 +416,78 @@ func (vm *VM) Run() *Result {
 
 // RunEntry executes fn(args) on an initialized VM and classifies the
 // outcome exactly like Run, without the main-specific setup or space
-// recycling. The interleaving scheduler uses it to run worker-thread
-// entry points on secondary VMs of a concurrent group.
+// recycling.
 func (vm *VM) RunEntry(fn *ir.Func, args []uint64) *Result {
-	res := &Result{}
 	ret, err := vm.Call(fn, args)
+	return vm.exitResult(fn, ret, err)
+}
+
+// Start arms a VM to run fn(args) under Resume, a step at a time: the
+// entry point of the interleaving scheduler, which drives each thread of
+// a concurrent group this way on the calling goroutine. The VM must be
+// bound to a compiled program (Config.Prog) that compiles fn. No
+// instruction runs before the first Resume.
+func (vm *VM) Start(fn *ir.Func, args []uint64) error {
+	if vm.prog == nil {
+		return fmt.Errorf("interp: Start needs a VM bound to a compiled program")
+	}
+	cf := vm.prog.byFn[fn]
+	if cf == nil || cf.external {
+		return fmt.Errorf("interp: Start of %s, which the program does not compile", fn.Name)
+	}
+	vm.resumable, vm.entry, vm.entryArgs = true, cf, args
+	return nil
+}
+
+// StartMain is Start for main(). Its argv, when it takes one, is built on
+// the first Resume, as Run builds it before the first instruction.
+func (vm *VM) StartMain() error {
+	mainFn := vm.Module.Func("main")
+	if mainFn == nil {
+		return errors.New("no main function")
+	}
+	if err := vm.Start(mainFn, nil); err != nil {
+		return err
+	}
+	vm.entryMain = true
+	return nil
+}
+
+// Resume runs the started VM until its Yield hook parks it, returning
+// nil, or until the entry function exits, returning the Result RunEntry
+// would return for the whole run. Unlike Run, it never recycles the
+// space. A yield reached inside an extern callback cannot park, so it
+// ends the run with ErrYieldInCallback.
+func (vm *VM) Resume() *Result {
+	cf := vm.entry
+	if cf == nil {
+		return &Result{Kind: ExitError, Reason: "interp: Resume of a VM that is not started"}
+	}
+	var ret uint64
+	var err error
+	if len(vm.frames) > 0 {
+		ret, err = vm.dispatch()
+	} else {
+		args := vm.entryArgs
+		if vm.entryMain {
+			if args, err = vm.mainArgs(cf.fn); err != nil {
+				vm.entry = nil
+				return &Result{Kind: ExitError, Reason: err.Error()}
+			}
+		}
+		ret, err = vm.execCompiled(cf, args)
+	}
+	if err == errParked {
+		return nil
+	}
+	vm.entry = nil
+	return vm.exitResult(cf.fn, ret, err)
+}
+
+// exitResult classifies the exit of entry function fn, which returned ret
+// and err, with the VM's clocks, output and memory statistics.
+func (vm *VM) exitResult(fn *ir.Func, ret uint64, err error) *Result {
+	res := &Result{}
 	switch e := err.(type) {
 	case nil:
 		res.Kind = ExitNormal
@@ -618,7 +709,9 @@ func (vm *VM) Call(fn *ir.Func, args []uint64) (uint64, error) {
 				return 0, trap
 			}
 		case *ir.Load:
-			vm.yield()
+			if _, err := vm.yield(false); err != nil {
+				return 0, err
+			}
 			addr := regs[i.Ptr.ID]
 			n := i.Dst.Type.Size()
 			vm.cycles += costLoadBase + vm.Space.AccessCost(addr)
@@ -628,7 +721,9 @@ func (vm *VM) Call(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 			regs[i.Dst.ID] = normLoaded(raw, i.Dst.Type)
 		case *ir.Store:
-			vm.yield()
+			if _, err := vm.yield(false); err != nil {
+				return 0, err
+			}
 			addr := regs[i.Ptr.ID]
 			n := i.Val.Type.Size()
 			vm.cycles += costStoreBase + vm.Space.AccessCost(addr)
@@ -735,7 +830,9 @@ func (vm *VM) Call(fn *ir.Func, args []uint64) (uint64, error) {
 			vm.cycles += costOutput
 			vm.emitOutput(i, regs[i.Val.ID])
 		case *ir.AtomicRMW:
-			vm.yield()
+			if _, err := vm.yield(false); err != nil {
+				return 0, err
+			}
 			raddr := uint64(0)
 			if i.RPtr != nil {
 				raddr = regs[i.RPtr.ID]
@@ -747,7 +844,9 @@ func (vm *VM) Call(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 			regs[i.Dst.ID] = old
 		case *ir.AtomicCAS:
-			vm.yield()
+			if _, err := vm.yield(false); err != nil {
+				return 0, err
+			}
 			raddr := uint64(0)
 			if i.RPtr != nil {
 				raddr = regs[i.RPtr.ID]
@@ -759,7 +858,9 @@ func (vm *VM) Call(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 			regs[i.Dst.ID] = old
 		case *ir.Fence:
-			vm.yield()
+			if _, err := vm.yield(false); err != nil {
+				return 0, err
+			}
 			vm.cycles += costFence
 		case *ir.Exit:
 			code := int64(0)
@@ -806,15 +907,28 @@ func (vm *VM) allocMem(kind ir.AllocKind, count int64, elemSize uint64) (uint64,
 }
 
 // yield hands control to the interleaving scheduler at a cooperative
-// scheduling point. No-op (one nil check) outside concurrent execution.
-func (vm *VM) yield() {
+// scheduling point and reports whether the VM parks there, which only a
+// started VM (Start) may, in its root dispatch segment. A started VM
+// refuses a yield in any other segment — code an extern called back
+// into, root false — before consulting the hook. No-op (one nil check)
+// outside concurrent execution.
+func (vm *VM) yield(root bool) (bool, error) {
 	if vm.cfg.Yield == nil {
-		return
+		return false, nil
+	}
+	if vm.resumable && !root {
+		return false, ErrYieldInCallback
 	}
 	if act := failpt.Eval(YieldStallSite); act != nil {
 		act.Sleep()
 	}
-	vm.cfg.Yield()
+	if !vm.cfg.Yield() {
+		return false, nil
+	}
+	if !vm.resumable {
+		return false, errCannotPark
+	}
+	return true, nil
 }
 
 // GlobalTable exposes the module-order global address table, which the

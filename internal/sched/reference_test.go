@@ -100,7 +100,7 @@ func referenceRun(m *ir.Module, cfg Config) *Result {
 		vcfg.SpacePool = nil
 		vcfg.SharedSpace = space
 		vcfg.ThreadID = tid
-		vcfg.Yield = func() { t.yield(&aborted) }
+		vcfg.Yield = func() bool { t.yield(&aborted); return false }
 		if tid > 0 {
 			vcfg.Seed = derivedSeed(cfg.VM.Seed, tid)
 			vcfg.SharedGlobals = vms[0].GlobalTable()

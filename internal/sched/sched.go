@@ -4,30 +4,31 @@
 // A concurrent group is N interpreter VMs sharing one mem.Space: thread 0
 // runs main(), threads 1..N-1 run worker(tid). Execution is cooperative —
 // every VM yields at each load, store, atomic, and fence (Config.Yield in
-// interp) — and strictly serialized: exactly one VM executes at any
-// instant, so the group contains no Go-level data races even though the
-// simulated threads race freely over shared simulated memory. There is no
-// scheduler goroutine. At every yield the running thread itself draws the
-// next runnable thread from a PRNG seeded with the schedule seed: drawing
-// itself, it carries on with no goroutine switch; drawing another, it
-// hands control straight to that thread's goroutine and blocks until it
-// is drawn again. The interleaving is thus a pure function of (seed,
-// program): the same trial replays bit-identically at any host
-// parallelism, which is what extends the harness's byte-identity
-// guarantees (shard/merge/journal/coordinator) to the concurrent kind.
+// interp) — and strictly serialized: the whole group runs on the
+// goroutine that calls Run, one VM at a time, so it contains no Go-level
+// data races even though the simulated threads race freely over shared
+// simulated memory. Every thread runs compiled code (a Program from
+// interp.CompileYielding, which Run compiles itself when Config.VM.Prog is
+// nil) under interp's Start and Resume. At every yield the running thread
+// draws the next runnable thread from a PRNG seeded with the schedule
+// seed: drawing itself, it carries on in place; drawing another, it parks,
+// and Run's loop resumes the thread drawn. The interleaving is thus a
+// pure function of (seed, program): the same trial replays
+// bit-identically at any host parallelism, which is what extends the
+// harness's byte-identity guarantees (shard/merge/journal/coordinator) to
+// the concurrent kind.
 //
 // The first thread to exit abnormally (trap, DPMR detection, timeout)
-// aborts the group and its exit classifies the trial: Run resumes each
-// thread that had started and is still live, once, to unwind via a
-// sentinel panic. A thread never drawn is never started.
+// aborts the group and its exit classifies the trial: Run switches to
+// each thread still live once, as a draw would, and drops it. A thread
+// never drawn never runs.
 //
-// Threads run compiled code when Config.VM.Prog is a yielding program
-// (interp.CompileYielding), whose yields fall at the same instructions
-// and clocks as the tree-walker's, and tree-walk otherwise: a plain
-// compiled program is never bound under the scheduler, since it would
-// run without yielding. The walker is the oracle. Tests hold compiled
-// groups to walker groups over every concurrent workload, thread count,
-// DPMR design and abort path, down to the trace and the switch count.
+// The yielding program yields at the same instructions and clocks as the
+// tree-walker. Tests keep two oracles of the walker era — the scheduler
+// goroutine of referenceRun and the goroutine-per-thread handover of
+// handoverRun — and hold Run to both over every concurrent workload,
+// thread count, DPMR design and abort path, down to the trace and the
+// switch count.
 package sched
 
 import (
@@ -61,11 +62,15 @@ type Config struct {
 	// space; SpacePool, when set, supplies that space and receives it
 	// back after the run, and its config must match Mem. It also supplies
 	// the trace recorder, which the run lends to its caller as
-	// Result.Trace. Prog, when a yielding program, runs every thread
-	// compiled. Seed seeds thread 0, with worker seeds derived per
-	// thread; SharedSpace, SharedGlobals, Yield, and ThreadID are managed
-	// by the scheduler and must be unset (Yield is the scheduler's
-	// draw-and-handover hook). StepLimit bounds each thread separately.
+	// Result.Trace. Prog is the module's yielding program
+	// (interp.CompileYielding), which every thread runs; when nil, Run
+	// compiles one, and it refuses a plain program (interp.Compile), which
+	// would run without yielding. Trace and OpStats, which need the
+	// tree-walker, are refused too. Seed seeds thread 0, with worker seeds
+	// derived per thread; SharedSpace, SharedGlobals, Yield, and ThreadID
+	// are managed by the scheduler and must be unset (Yield is the
+	// scheduler's draw-and-handover hook). StepLimit bounds each thread
+	// separately.
 	VM interp.Config
 }
 
@@ -94,35 +99,20 @@ type Result struct {
 	Switches uint64
 }
 
-// abortUnwind is the sentinel panic that unwinds a parked thread after
-// the group has aborted.
-type abortUnwind struct{}
-
-// thread is one scheduled VM's control block. Its goroutine is spawned
-// the first time the thread is drawn; from then on it blocks on resume
-// whenever it has handed control to another thread.
+// thread is one scheduled VM.
 type thread struct {
-	id      int
-	vm      *interp.VM
-	resume  chan struct{}
-	started bool
+	id int
+	vm *interp.VM
 }
 
-// group is the state of one concurrent run. Exactly one goroutine touches
-// it at a time: the one holding control, which is a thread between two
-// handovers, or Run up to its first handover and after the group ends.
-// Every transfer of control is a go statement or a channel operation,
-// which orders the accesses.
+// group is the state of one concurrent run.
 type group struct {
-	rng      *rand.Rand
-	live     []*thread // threads not yet exited, in thread order
-	cur      int       // index in live of the thread last drawn
-	space    *mem.Space
-	trace    *mem.TraceRec
-	workerFn *ir.Func
-	res      *Result
-	aborted  bool          // set by Run before it resumes threads to unwind
-	wake     chan struct{} // hands control back to Run
+	rng   *rand.Rand
+	live  []*thread // threads not yet exited, in thread order
+	cur   int       // index in live of the thread last drawn
+	space *mem.Space
+	trace *mem.TraceRec
+	res   *Result
 }
 
 // pick draws the next thread among the live ones and switches the space
@@ -143,71 +133,29 @@ func (g *group) switchTo(t *thread) {
 	g.res.Switches++
 }
 
-// handover gives control to t, starting its goroutine on its first draw.
-// The caller must not touch g again until control comes back to it.
-func (g *group) handover(t *thread) {
-	if !t.started {
-		t.started = true
-		go g.run(t)
-		return
-	}
-	t.resume <- struct{}{}
-}
-
-// yield is t's Yield hook: t draws the next thread itself. Drawing itself
-// returns at once; otherwise t hands control over and blocks until it is
-// drawn again, or panics the abort sentinel if the group aborted
-// meanwhile.
-func (g *group) yield(t *thread) {
-	next := g.pick()
-	if next == t {
-		return
-	}
-	g.handover(next)
-	<-t.resume
-	if g.aborted {
-		panic(abortUnwind{})
-	}
-}
-
-// run is t's goroutine: it runs t's VM to its exit, or acknowledges Run's
-// abort once the VM has unwound.
-func (g *group) run(t *thread) {
-	if r, unwound := g.exec(t); unwound {
-		g.wake <- struct{}{}
-	} else {
-		g.exit(t, r)
-	}
-}
-
-func (g *group) exec(t *thread) (r *interp.Result, unwound bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(abortUnwind); !ok {
-				panic(p)
-			}
-			unwound = true
+// run drives the group from its first draw to its end: it resumes the
+// thread drawn until that thread parks, having drawn another, or exits.
+// An exit leaves the live set; the first abnormal one, or the last exit,
+// ends the group, and any other draws the next thread.
+func (g *group) run() {
+	t := g.pick()
+	for {
+		r := t.vm.Resume()
+		if r == nil {
+			t = g.live[g.cur]
+			continue
 		}
-	}()
-	if t.id == 0 {
-		return t.vm.Run(), false
+		g.live = append(g.live[:g.cur], g.live[g.cur+1:]...)
+		g.res.Threads[t.id] = r
+		if r.Kind != interp.ExitNormal {
+			g.res.FailedThread = t.id
+			return
+		}
+		if len(g.live) == 0 {
+			return
+		}
+		t = g.pick()
 	}
-	return t.vm.RunEntry(g.workerFn, []uint64{uint64(t.id)}), false
-}
-
-// exit removes the exiting thread t from the live set and records its
-// result. The first abnormal exit, or the last exit, hands control back
-// to Run; any other exit draws the next thread.
-func (g *group) exit(t *thread, r *interp.Result) {
-	g.live = append(g.live[:g.cur], g.live[g.cur+1:]...)
-	g.res.Threads[t.id] = r
-	if r.Kind != interp.ExitNormal {
-		g.res.FailedThread = t.id
-	} else if len(g.live) > 0 {
-		g.handover(g.pick())
-		return
-	}
-	g.wake <- struct{}{}
 }
 
 // derivedSeed spreads the base VM seed across worker threads (splitmix
@@ -237,6 +185,9 @@ func Run(m *ir.Module, cfg Config) *Result {
 	if pool != nil && pool.Config() != cfg.VM.Mem.WithDefaults() {
 		return fail("sched: Config.VM.SpacePool built for %+v, but Config.VM.Mem wants %+v", pool.Config(), cfg.VM.Mem.WithDefaults())
 	}
+	if cfg.VM.Trace != nil || cfg.VM.OpStats != nil {
+		return fail("sched: Config.VM.Trace and OpStats need the tree-walker, and Run runs compiled code only")
+	}
 	mainFn := m.Func("main")
 	if mainFn == nil {
 		return fail("sched: no main function")
@@ -249,6 +200,15 @@ func Run(m *ir.Module, cfg Config) *Result {
 		if len(workerFn.Params) != 1 {
 			return fail("sched: %s must take one (tid) parameter, has %d", WorkerFunc, len(workerFn.Params))
 		}
+	}
+	prog := cfg.VM.Prog
+	if prog == nil {
+		var err error
+		if prog, err = interp.CompileYielding(m); err != nil {
+			return fail("sched: %v", err)
+		}
+	} else if !prog.Yielding() {
+		return fail("sched: Config.VM.Prog is a plain program; Run needs one from interp.CompileYielding")
 	}
 
 	// The shared space comes from the pool when there is one, and goes
@@ -276,22 +236,23 @@ func Run(m *ir.Module, cfg Config) *Result {
 	}
 
 	g := &group{
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		live:     make([]*thread, n),
-		space:    space,
-		trace:    trace,
-		workerFn: workerFn,
-		res:      &Result{Threads: make([]*interp.Result, n), FailedThread: -1, Trace: trace},
-		wake:     make(chan struct{}),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		live:  make([]*thread, n),
+		space: space,
+		trace: trace,
+		res:   &Result{Threads: make([]*interp.Result, n), FailedThread: -1, Trace: trace},
 	}
 	for tid := 0; tid < n; tid++ {
-		t := &thread{id: tid, resume: make(chan struct{})}
+		t := &thread{id: tid}
 		g.live[tid] = t
 		vcfg := cfg.VM
+		vcfg.Prog = prog
 		vcfg.SpacePool = nil
 		vcfg.SharedSpace = space
 		vcfg.ThreadID = tid
-		vcfg.Yield = func() { g.yield(t) }
+		// The draw-and-handover hook: t parks whenever it draws another
+		// thread, which run resumes next.
+		vcfg.Yield = func() bool { return g.pick() != t }
 		if tid > 0 {
 			vcfg.Seed = derivedSeed(cfg.VM.Seed, tid)
 			vcfg.SharedGlobals = g.live[0].vm.GlobalTable()
@@ -301,26 +262,25 @@ func Run(m *ir.Module, cfg Config) *Result {
 		// materialization land in thread 0's window; workloads take no
 		// args, so in practice setup allocates globals only).
 		vm, err := interp.NewVM(m, vcfg)
+		if err == nil {
+			if tid == 0 {
+				err = vm.StartMain()
+			} else {
+				err = vm.Start(workerFn, []uint64{uint64(tid)})
+			}
+		}
 		if err != nil {
 			return fail("sched: thread %d: %v", tid, err)
 		}
 		t.vm = vm
 	}
 
-	// Hand control to the first thread drawn and wait for the group to
-	// end. If it ended on an abnormal exit, every thread still live is
-	// switched to once, as a draw would, and the started ones are resumed
-	// to unwind through the abort sentinel. A thread never drawn was
-	// never started and leaves a nil result.
-	g.handover(g.pick())
-	<-g.wake
-	g.aborted = true
+	// Run the group to its end. If it ended on an abnormal exit, every
+	// thread still live is switched to once, as a draw would, and dropped
+	// with a nil result, whether or not it had started.
+	g.run()
 	for _, t := range g.live {
 		g.switchTo(t)
-		if t.started {
-			t.resume <- struct{}{}
-			<-g.wake
-		}
 	}
 	res := g.res
 

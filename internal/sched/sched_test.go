@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -191,10 +192,11 @@ func crashWorkerModule() *ir.Module {
 	return m
 }
 
-// TestWalkerIsOracle: both halves of the binding rule that keeps every
-// scheduled access behind a yield. Under a Yield hook a VM refuses a
-// plain program and tree-walks, and binds a yielding one; either way the
-// group replays the walker's group exactly.
+// TestWalkerIsOracle: Run refuses by name a plain program, which would
+// run without yielding, and the tree-walker's hooks; it compiles a nil
+// Prog itself, and that group and one given a yielding program both
+// replay the walker's group exactly. Under a Yield hook a VM still
+// tree-walks rather than bind a plain program, and binds a yielding one.
 func TestWalkerIsOracle(t *testing.T) {
 	w := workloads.Concurrent()[0]
 	m := w.Build(2)
@@ -207,26 +209,42 @@ func TestWalkerIsOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walker := runClean(t, m, 2, 77)
+	cfg := func(prog *interp.Program) Config {
+		return Config{Threads: 2, Seed: 77, VM: interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: prog}}
+	}
+	walker := handoverRun(m, cfg(nil))
+	if c := walker.Combined; c.Kind != interp.ExitNormal || c.Code != 0 {
+		t.Fatalf("walker group: %v code %d (%s)", c.Kind, c.Code, c.Reason)
+	}
 	for _, c := range []struct {
 		name  string
 		prog  *interp.Program
 		bound bool
 	}{{"plain", plain, false}, {"yielding", yielding, true}} {
-		vm, err := interp.NewVM(m, interp.Config{Prog: c.prog, Yield: func() {}})
+		vm, err := interp.NewVM(m, interp.Config{Prog: c.prog, Yield: func() bool { return false }})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if vm.Compiled() != c.bound {
 			t.Errorf("%s program under Yield: bound %v, want %v", c.name, vm.Compiled(), c.bound)
 		}
-		res := Run(m, Config{
-			Threads: 2,
-			Seed:    77,
-			VM:      interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: c.prog},
-		})
-		if d := diffResults(res, walker); d != "" {
-			t.Errorf("%s program: group diverged from the walker's: %s", c.name, d)
+	}
+	refusals := map[string]Config{"plain program": cfg(plain)}
+	traced := cfg(nil)
+	traced.VM.Trace = io.Discard
+	refusals["Trace"] = traced
+	profiled := cfg(nil)
+	profiled.VM.OpStats = interp.NewOpStats()
+	refusals["OpStats"] = profiled
+	for name, c := range refusals {
+		res := Run(m, c)
+		if r := res.Combined; r.Kind != interp.ExitError || !strings.Contains(r.Reason, strings.Fields(name)[0]) {
+			t.Errorf("%s: want a named refusal, got %v (%s)", name, r.Kind, r.Reason)
+		}
+	}
+	for name, prog := range map[string]*interp.Program{"nil Prog": nil, "yielding Prog": yielding} {
+		if d := diffResults(Run(m, cfg(prog)), walker); d != "" {
+			t.Errorf("%s: group diverged from the walker's: %s", name, d)
 		}
 	}
 }
@@ -265,7 +283,7 @@ func TestTraceDropFailpoint(t *testing.T) {
 
 // TestYieldStallFailpoint: a stalled yield delays but never corrupts the
 // handover — the group still runs to a clean deterministic finish, on
-// the walker and on compiled code alike.
+// the walker oracle and on Run's compiled loop alike.
 func TestYieldStallFailpoint(t *testing.T) {
 	t.Cleanup(failpt.Disarm)
 	w := workloads.Concurrent()[1]
@@ -280,7 +298,11 @@ func TestYieldStallFailpoint(t *testing.T) {
 		if err := failpt.Arm("interp/yield-stall=stall(1)@3"); err != nil {
 			t.Fatal(err)
 		}
-		res := Run(m, Config{Threads: 2, Seed: 21, VM: interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: p}})
+		run := Run
+		if p == nil {
+			run = handoverRun
+		}
+		res := run(m, Config{Threads: 2, Seed: 21, VM: interp.Config{StepLimit: testStepLimit, Seed: 7, Prog: p}})
 		if c := res.Combined; c.Kind != interp.ExitNormal || c.Code != 0 {
 			t.Fatalf("compiled %v: %v code %d (%s)", p != nil, c.Kind, c.Code, c.Reason)
 		}
@@ -597,10 +619,11 @@ func TestRunMatchesReference(t *testing.T) {
 	})
 }
 
-// TestCompiledRunMatchesWalker: groups running a yielding program
-// (interp.CompileYielding) replay the walker's groups exactly — the whole
-// Result, trace and switch count included — over the whole grid. Both
-// sides run unpooled.
+// TestCompiledRunMatchesWalker: Run's single loop over a yielding
+// program (interp.CompileYielding) replays the walker oracle,
+// handoverRun tree-walking the same group, exactly — the whole Result,
+// trace and switch count included — over the whole grid. Both sides run
+// unpooled.
 func TestCompiledRunMatchesWalker(t *testing.T) {
 	memCfg := mem.Config{HeapBytes: 4 << 20, StackBytes: 256 << 10}
 	progs := map[*ir.Module]*interp.Program{}
@@ -615,7 +638,7 @@ func TestCompiledRunMatchesWalker(t *testing.T) {
 			progs[m] = prog
 		}
 		cfg.VM.Mem = memCfg
-		want := Run(m, cfg)
+		want := handoverRun(m, cfg)
 		cfg.VM.Prog = prog
 		got := Run(m, cfg)
 		if d := diffResults(got, want); d != "" {
