@@ -513,10 +513,10 @@ func BenchmarkCampaign(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, _, err = harness.NewRunner().RunCampaignJournaled(context.Background(), campaign, j, prior,
-				harness.DefaultResumeSpans, func(cr *harness.CampaignResult, done, total int) {
+			_, _, err = harness.NewRunner().RunJournaled(context.Background(), campaign, j, prior,
+				harness.DefaultResumeSpans, func(res harness.Result, done, total int) {
 					if werr := journal.WriteReport(dir, func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%s: %d of %d trials\n", cr.Kind, done, total)
+						_, err := fmt.Fprintf(w, "%s: %d of %d trials\n", res.Campaign.Kind, done, total)
 						return err
 					}); werr != nil {
 						b.Fatal(werr)
@@ -542,7 +542,7 @@ func BenchmarkCampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := harness.NewRunner().RunCampaignJournaled(context.Background(), campaign, j, prior,
+		if _, _, err := harness.NewRunner().RunJournaled(context.Background(), campaign, j, prior,
 			harness.DefaultResumeSpans, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -556,7 +556,7 @@ func BenchmarkCampaign(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, executed, err := harness.NewRunner().RunCampaignJournaled(context.Background(), campaign, j, rp,
+			_, executed, err := harness.NewRunner().RunJournaled(context.Background(), campaign, j, rp,
 				harness.DefaultResumeSpans, nil)
 			if err != nil {
 				b.Fatal(err)

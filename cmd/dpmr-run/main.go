@@ -58,7 +58,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -316,7 +315,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		default:
 			return fail(fmt.Errorf("-spec %s: dpmr-run runs campaign and concurrent specs, got kind %q (use dpmr-exp for experiments)", *specFile, spec.Kind))
 		}
-		concurrent = spec.Kind == harness.SpecConcurrent
 		if *dumpSpec {
 			if err := spec.Encode(stdout); err != nil {
 				return execFail(stderr, err)
@@ -482,10 +480,6 @@ type campaignArgs struct {
 	stdout, stderr         io.Writer
 }
 
-// concurrent reports whether the Spec runs the scheduler-driven
-// concurrent kind — the arms below only diverge at merge/render time.
-func (a campaignArgs) concurrent() bool { return a.spec.Kind == harness.SpecConcurrent }
-
 // sessionOptions is the campaign's execution policy as Session options.
 func (a campaignArgs) sessionOptions() []harness.Option {
 	return []harness.Option{
@@ -496,25 +490,16 @@ func (a campaignArgs) sessionOptions() []harness.Option {
 	}
 }
 
-// mergeAndPrint reassembles shard partials with the Spec's kind-specific
-// merge and prints the kind's summary block — the tail the -merge,
-// -coord, and -remote arms share.
-func mergeAndPrint(a campaignArgs, parts []*harness.PartialResult, how string) int {
+// mergeAndPrint merges shard payloads with the Spec's merge and prints
+// the summary — the tail the -merge, -coord, and -remote arms share.
+func mergeAndPrint(a campaignArgs, payloads [][]byte, how string) int {
 	r := harness.NewRunner()
 	r.Parallel = a.parallel
-	if a.concurrent() {
-		cr, err := r.MergeConcurrent(a.spec, parts)
-		if err != nil {
-			return execFail(a.stderr, err)
-		}
-		harness.RenderConcurrent(a.stdout, cr)
-		return 0
-	}
-	cr, err := r.MergeCampaign(a.spec, parts)
+	res, err := r.MergePayloads(a.spec, payloads)
 	if err != nil {
 		return execFail(a.stderr, err)
 	}
-	printCampaignSummary(a.stdout, how, cr)
+	res.Render(a.stdout, how)
 	return 0
 }
 
@@ -555,41 +540,54 @@ func runSession(ctx context.Context, a campaignArgs, extra ...harness.Option) (h
 
 // runCampaign executes the campaign Spec on the streaming Session API —
 // whole, as one shard writing a partial result, merging shard partials,
-// or scheduled on a coordinator fleet — and prints the coverage summary.
+// scheduled on a coordinator fleet, against a journal, or on a remote
+// daemon — and prints the summary.
 func runCampaign(ctx context.Context, a campaignArgs) int {
 	runFail := func(err error) int { return execFail(a.stderr, err) }
 
 	switch {
 	case a.remote != "":
-		return runRemoteCampaign(ctx, a)
+		var sink func(harness.Event)
+		if a.progress {
+			sink = harness.RenderProgress(a.stderr, "campaign@"+a.remote)
+		}
+		// The daemon schedules the shards on its fleet (and journals them
+		// if it runs with -journal); the client-side merge recomputes the
+		// summary from the exact tiling, so the report is byte-identical
+		// to a local run no matter how the fleet carved it up.
+		payloads, err := coordnet.Submit(ctx, a.remote, a.spec, sink)
+		if err != nil {
+			return runFail(err)
+		}
+		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards via dpmrd", len(payloads)))
 	case a.journalDir != "" && a.coordFlags.Enabled():
 		return runCoordinatedJournaled(ctx, a)
-	case a.journalDir != "" && a.concurrent():
-		return runJournaledConcurrent(ctx, a)
 	case a.journalDir != "":
-		return runJournaledCampaign(ctx, a)
+		return runJournaled(ctx, a)
 	case a.coordFlags.Enabled():
-		return runCoordinatedCampaign(ctx, a)
+		fleet := a.fleet()
+		fleet.Shards = a.coordFlags.Shards
+		payloads, err := coord.RunFleet(ctx, fleet)
+		if err != nil {
+			return runFail(err)
+		}
+		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards via %d workers", len(payloads), a.coordFlags.Workers))
 	case a.sharded:
 		res, code := runSession(ctx, a, harness.WithShard(a.shardSpec))
 		if code != 0 {
 			return code
 		}
-		p := res.CampaignPartial
-		if a.concurrent() {
-			p = res.ConcurrentPartial
-		}
-		var err error
 		out := a.stdout
 		var f *os.File
 		if a.outPath != "" && a.outPath != "-" {
-			f, err = os.Create(a.outPath)
-			if err != nil {
+			var err error
+			if f, err = os.Create(a.outPath); err != nil {
 				return runFail(err)
 			}
 			out = f
 		}
-		if err := p.Encode(out); err != nil {
+		lo, hi, total, err := res.EncodePartial(out)
+		if err != nil {
 			if f != nil {
 				f.Close()
 			}
@@ -602,37 +600,61 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 				return runFail(err)
 			}
 		}
-		fmt.Fprintf(a.stderr, "shard %s: trials [%d, %d) of %d\n", a.shardSpec, p.Lo, p.Hi, p.Total)
+		fmt.Fprintf(a.stderr, "shard %s: trials [%d, %d) of %d\n", a.shardSpec, lo, hi, total)
 		return 0
 	case a.merge:
-		parts := make([]*harness.PartialResult, len(a.mergeFiles))
+		payloads := make([][]byte, len(a.mergeFiles))
 		for i, name := range a.mergeFiles {
-			f, err := os.Open(name)
+			data, err := os.ReadFile(name)
 			if err != nil {
 				return runFail(err)
 			}
-			p, err := harness.DecodePartial(f)
-			f.Close()
-			if err != nil {
-				return runFail(fmt.Errorf("%s: %w", name, err))
-			}
-			parts[i] = p
+			payloads[i] = data
 		}
-		return mergeAndPrint(a, parts, fmt.Sprintf("%d shards", len(parts)))
+		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards", len(payloads)))
 	}
 
 	res, code := runSession(ctx, a)
 	if code != 0 {
 		return code
 	}
-	if a.concurrent() {
-		harness.RenderConcurrent(a.stdout, res.Concurrent)
-	} else {
-		printCampaignSummary(a.stdout, fmt.Sprintf("%d workers", a.parallel), res.Campaign)
-	}
+	res.Render(a.stdout, fmt.Sprintf("%d workers", a.parallel))
 	fmt.Fprintf(a.stdout, "modules:    %d built, peak %d resident, %d evicted\n",
 		res.Stats.Builds, res.Stats.Peak, res.Stats.Evicted)
 	return 0
+}
+
+// fleet is the coordinator configuration the -coord arms share. Every
+// assignment carries the Spec, so spawned `dpmr-run -worker` processes
+// take only execution policy on argv, and in-process workers run
+// concurrently, each assignment on a fresh Runner (ShardPayload with no
+// Options.Runner).
+func (a campaignArgs) fleet() coord.FleetOptions {
+	cf := a.coordFlags
+	workerOpts := harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
+	fleet := coord.FleetOptions{
+		Spec:    a.spec,
+		Workers: cf.Workers, Lease: cf.Lease,
+		Chaos: cf.Chaos, Stderr: a.stderr,
+		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+			return harness.ShardPayload(ctx, spec, shard, workerOpts)
+		},
+	}
+	if cf.Spawn {
+		fleet.SpawnArgv = []string{
+			"-worker",
+			"-parallel", strconv.Itoa(a.parallel),
+			"-evict=" + strconv.FormatBool(a.evict),
+			"-compile=" + strconv.FormatBool(a.compile),
+			"-precompile", strconv.Itoa(a.precompile),
+		}
+	}
+	if a.progress {
+		fleet.Log = func(format string, args ...any) {
+			fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
+		}
+	}
+	return fleet
 }
 
 // journalRunner builds the Runner a journaled campaign executes on: the
@@ -650,31 +672,31 @@ func (a campaignArgs) journalRunner() *harness.Runner {
 	return r
 }
 
-// writeJournaledSummary renders the journaled campaign summary: the
-// standard coverage block, plus a trailing progress comment only while
-// trials are still missing — so the final progressive report file is
-// byte-identical to the summary an uninterrupted run prints on stdout.
-func writeJournaledSummary(w io.Writer, cr *harness.CampaignResult, done, total int) {
-	printCampaignSummary(w, "journaled", cr)
+// writeJournaledSummary renders the journaled summary: the standard
+// block, plus a trailing progress comment only while trials are still
+// missing — so the final progressive report file is byte-identical to
+// the summary an uninterrupted run prints on stdout.
+func writeJournaledSummary(w io.Writer, res harness.Result, done, total int) {
+	res.Render(w, "journaled")
 	if done < total {
 		fmt.Fprintf(w, "# journal: %d of %d trials\n", done, total)
 	}
 }
 
-// writeJournaledConcurrentSummary is writeJournaledSummary's concurrent
-// analogue: the shared RenderConcurrent block plus the trailing progress
-// comment while trials are still missing.
-func writeJournaledConcurrentSummary(w io.Writer, cr *harness.ConcurrentResult, done, total int) {
-	harness.RenderConcurrent(w, cr)
-	if done < total {
-		fmt.Fprintf(w, "# journal: %d of %d trials\n", done, total)
-	}
+// writeReport re-renders the journal directory's progressive report.
+func writeReport(dir string, res harness.Result, done, total int) error {
+	return journal.WriteReport(dir, func(w io.Writer) error {
+		writeJournaledSummary(w, res, done, total)
+		return nil
+	})
 }
 
-// runJournaledConcurrent is runJournaledCampaign for the concurrent
-// kind: same journal directory, progressive report, and resume behavior,
-// with the concurrent merge and report block.
-func runJournaledConcurrent(ctx context.Context, a campaignArgs) int {
+// runJournaled executes the campaign against a -journal directory:
+// replayed coverage is skipped, each completed span is made durable
+// before the next starts, the progressive report re-renders after replay
+// and as spans land, and the final summary is byte-identical to a run
+// that was never interrupted.
+func runJournaled(ctx context.Context, a campaignArgs) int {
 	j, prior, err := harness.OpenJournal(a.journalDir, a.resume, a.spec)
 	if err != nil {
 		return usageFail(a.stderr, err)
@@ -682,55 +704,10 @@ func runJournaledConcurrent(ctx context.Context, a campaignArgs) int {
 	defer j.Close()
 	var snapErr error
 	var total int
-	cr, executed, err := a.journalRunner().RunConcurrentJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
-		func(snapshot *harness.ConcurrentResult, done, planTotal int) {
+	res, executed, err := a.journalRunner().RunJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
+		func(snapshot harness.Result, done, planTotal int) {
 			total = planTotal
-			if werr := journal.WriteReport(a.journalDir, func(w io.Writer) error {
-				writeJournaledConcurrentSummary(w, snapshot, done, planTotal)
-				return nil
-			}); werr != nil && snapErr == nil {
-				snapErr = werr
-			}
-		})
-	if err != nil {
-		return execFail(a.stderr, err)
-	}
-	if snapErr != nil {
-		return execFail(a.stderr, snapErr)
-	}
-	if total == 0 {
-		// A fully replayed journal runs no span, so the snapshot callback
-		// never fired; the plan size still frames the replay message.
-		if total, err = a.journalRunner().PlanTrials(a.spec); err != nil {
-			return execFail(a.stderr, err)
-		}
-	}
-	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d\n", total-executed, executed)
-	warnDegraded(a.stderr, j)
-	writeJournaledConcurrentSummary(a.stdout, cr, total, total)
-	return 0
-}
-
-// runJournaledCampaign executes the campaign against a -journal
-// directory: replayed coverage is skipped, each completed span is made
-// durable before the next starts, the progressive report re-renders as
-// spans land, and the final summary is byte-identical to a run that was
-// never interrupted.
-func runJournaledCampaign(ctx context.Context, a campaignArgs) int {
-	j, prior, err := harness.OpenJournal(a.journalDir, a.resume, a.spec)
-	if err != nil {
-		return usageFail(a.stderr, err)
-	}
-	defer j.Close()
-	var snapErr error
-	var total int
-	cr, executed, err := a.journalRunner().RunCampaignJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
-		func(snapshot *harness.CampaignResult, done, planTotal int) {
-			total = planTotal
-			if werr := journal.WriteReport(a.journalDir, func(w io.Writer) error {
-				writeJournaledSummary(w, snapshot, done, planTotal)
-				return nil
-			}); werr != nil && snapErr == nil {
+			if werr := writeReport(a.journalDir, snapshot, done, planTotal); werr != nil && snapErr == nil {
 				snapErr = werr
 			}
 		})
@@ -742,7 +719,7 @@ func runJournaledCampaign(ctx context.Context, a campaignArgs) int {
 	}
 	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d\n", total-executed, executed)
 	warnDegraded(a.stderr, j)
-	writeJournaledSummary(a.stdout, cr, total, total)
+	writeJournaledSummary(a.stdout, res, total, total)
 	return 0
 }
 
@@ -766,12 +743,7 @@ func runCoordinatedJournaled(ctx context.Context, a campaignArgs) int {
 		return usageFail(a.stderr, err)
 	}
 	defer j.Close()
-	r := a.journalRunner()
-	resume := r.ResumeCampaign
-	if a.concurrent() {
-		resume = r.ResumeConcurrent
-	}
-	c, err := resume(a.spec, prior)
+	c, err := a.journalRunner().Resume(a.spec, prior)
 	if err != nil {
 		return execFail(a.stderr, err)
 	}
@@ -782,171 +754,33 @@ func runCoordinatedJournaled(ctx context.Context, a campaignArgs) int {
 	if a.coordFlags.Shards > 0 {
 		spanCount = a.coordFlags.Shards
 	}
-	parts := append([]*harness.PartialResult(nil), c.Parts...)
-	writeSnap := func() error {
-		done := 0
-		for _, p := range parts {
-			done += p.Hi - p.Lo
-		}
-		return journal.WriteReport(a.journalDir, func(w io.Writer) error {
-			if a.concurrent() {
-				writeJournaledConcurrentSummary(w, c.SnapshotConcurrent(parts), done, c.Total)
-			} else {
-				writeJournaledSummary(w, c.Snapshot(parts), done, c.Total)
-			}
-			return nil
-		})
-	}
-	if err := writeSnap(); err != nil {
+	replayed := c.Done()
+	if err := writeReport(a.journalDir, c.Snapshot(), replayed, c.Total); err != nil {
 		return execFail(a.stderr, err)
 	}
 	executed := 0
 	if spans := c.Spans(spanCount); len(spans) > 0 {
-		cf := a.coordFlags
-		workerOpts := harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
-		fleet := coord.FleetOptions{
-			Spec:    a.spec,
-			Workers: cf.Workers, Spans: spans, Lease: cf.Lease,
-			Chaos: cf.Chaos, Stderr: a.stderr,
-			Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-				return harness.ShardPayload(ctx, spec, shard, workerOpts)
-			},
-			OnResult: func(_ int, payload []byte) error {
-				p, err := harness.AppendCampaignPayload(j, payload)
-				if err != nil {
-					return err
-				}
-				executed += p.Hi - p.Lo
-				parts = append(parts, p)
-				return writeSnap()
-			},
-		}
-		if cf.Spawn {
-			fleet.SpawnArgv = []string{
-				"-worker",
-				"-parallel", strconv.Itoa(a.parallel),
-				"-evict=" + strconv.FormatBool(a.evict),
-				"-compile=" + strconv.FormatBool(a.compile),
-				"-precompile", strconv.Itoa(a.precompile),
+		fleet := a.fleet()
+		fleet.Spans = spans
+		fleet.OnResult = func(_ int, payload []byte) error {
+			n, err := c.Append(j, payload)
+			if err != nil {
+				return err
 			}
-		}
-		if a.progress {
-			fleet.Log = func(format string, args ...any) {
-				fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
-			}
+			executed += n
+			return writeReport(a.journalDir, c.Snapshot(), c.Done(), c.Total)
 		}
 		if _, err := coord.RunFleet(ctx, fleet); err != nil {
 			return execFail(a.stderr, err)
 		}
 	}
 	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d via %d workers\n",
-		c.Done(), executed, a.coordFlags.Workers)
+		replayed, executed, a.coordFlags.Workers)
 	warnDegraded(a.stderr, j)
-	if a.concurrent() {
-		cr, err := r.MergeConcurrent(a.spec, parts)
-		if err != nil {
-			return execFail(a.stderr, err)
-		}
-		writeJournaledConcurrentSummary(a.stdout, cr, c.Total, c.Total)
-		return 0
-	}
-	cr, err := r.MergeCampaign(a.spec, parts)
+	res, err := c.Merge()
 	if err != nil {
 		return execFail(a.stderr, err)
 	}
-	writeJournaledSummary(a.stdout, cr, c.Total, c.Total)
+	writeJournaledSummary(a.stdout, res, c.Total, c.Total)
 	return 0
-}
-
-// runCoordinatedCampaign schedules the campaign's shards on a worker
-// fleet — in-process goroutines or spawned `dpmr-run -worker` processes —
-// merges the streamed partials, and prints the same summary an unsharded
-// run computes. The Spec rides in every assignment.
-func runCoordinatedCampaign(ctx context.Context, a campaignArgs) int {
-	runFail := func(err error) int { return execFail(a.stderr, err) }
-	cf := a.coordFlags
-	workerOpts := harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
-	fleet := coord.FleetOptions{
-		Spec:    a.spec,
-		Workers: cf.Workers, Shards: cf.Shards, Lease: cf.Lease,
-		Chaos: cf.Chaos, Stderr: a.stderr,
-		// In-process workers run concurrently, so each assignment gets a
-		// fresh Runner (ShardPayload with no Options.Runner).
-		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, workerOpts)
-		},
-	}
-	if cf.Spawn {
-		fleet.SpawnArgv = []string{
-			"-worker",
-			"-parallel", strconv.Itoa(a.parallel),
-			"-evict=" + strconv.FormatBool(a.evict),
-			"-compile=" + strconv.FormatBool(a.compile),
-			"-precompile", strconv.Itoa(a.precompile),
-		}
-	}
-	if a.progress {
-		fleet.Log = func(format string, args ...any) {
-			fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
-		}
-	}
-	payloads, err := coord.RunFleet(ctx, fleet)
-	if err != nil {
-		return runFail(err)
-	}
-	parts := make([]*harness.PartialResult, len(payloads))
-	for i, payload := range payloads {
-		p, err := harness.DecodePartial(bytes.NewReader(payload))
-		if err != nil {
-			return runFail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		parts[i] = p
-	}
-	return mergeAndPrint(a, parts, fmt.Sprintf("%d shards via %d workers", len(payloads), cf.Workers))
-}
-
-// runRemoteCampaign submits the campaign Spec to a dpmrd daemon and
-// merges the shard payloads it streams back. The daemon schedules the
-// shards on its fleet (and journals them if it runs with -journal); the
-// client-side merge recomputes the summary from the exact tiling, so
-// the printed report is byte-identical to a local run no matter how the
-// fleet carved it up.
-func runRemoteCampaign(ctx context.Context, a campaignArgs) int {
-	runFail := func(err error) int { return execFail(a.stderr, err) }
-	var sink func(harness.Event)
-	if a.progress {
-		sink = harness.RenderProgress(a.stderr, "campaign@"+a.remote)
-	}
-	payloads, err := coordnet.Submit(ctx, a.remote, a.spec, sink)
-	if err != nil {
-		return runFail(err)
-	}
-	parts := make([]*harness.PartialResult, len(payloads))
-	for i, payload := range payloads {
-		p, err := harness.DecodePartial(bytes.NewReader(payload))
-		if err != nil {
-			return runFail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		parts[i] = p
-	}
-	return mergeAndPrint(a, parts, fmt.Sprintf("%d shards via dpmrd", len(parts)))
-}
-
-// printCampaignSummary prints one coverage block per (workload, variant)
-// cell of the result — for the flag-driven single-workload,
-// single-variant campaign that is exactly one block, identical to what
-// the pre-Spec engine printed.
-func printCampaignSummary(w io.Writer, how string, cr *harness.CampaignResult) {
-	for _, variant := range cr.Variants {
-		for _, wname := range cr.Workloads {
-			c := cr.Cell(variant, wname)
-			fmt.Fprintf(w, "campaign: %s %s variant %s, %s\n", wname, cr.Kind, variant.Label(), how)
-			fmt.Fprintf(w, "injections: %d successful\n", c.N)
-			fmt.Fprintf(w, "coverage:   CO %.2f + NatDet %.2f + DpmrDet %.2f = %.2f\n",
-				c.CO, c.NatDet, c.DpmrDet, c.Coverage())
-			if c.MeanT2DMS > 0 {
-				fmt.Fprintf(w, "latency:    mean time to detection %.3f ms\n", c.MeanT2DMS)
-			}
-		}
-	}
 }

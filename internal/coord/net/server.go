@@ -521,7 +521,11 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 		}
 	}()
 
-	cr, err := harness.NewRunner().ResumeCampaign(spec, rp)
+	cr, err := harness.NewRunner().Resume(spec, rp)
+	if err != nil {
+		return nil, err
+	}
+	replayed, err := cr.Payloads()
 	if err != nil {
 		return nil, err
 	}
@@ -531,16 +535,13 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 		payload []byte
 	}
 	var out []loPayload
-	for _, p := range cr.Parts {
-		payload, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("coordnet: re-encoding journaled partial: %w", err)
-		}
-		out = append(out, loPayload{p.Lo, payload})
-		emit(harness.ShardMerged{Shard: harness.SpanShard(p.Lo, p.Hi), Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-			Elapsed: time.Duration(p.ElapsedMS) * time.Millisecond})
+	for _, payload := range replayed {
+		ev := shardMergedEvent(payload, harness.ShardSpec{})
+		ev.Shard = harness.SpanShard(ev.Lo, ev.Hi)
+		out = append(out, loPayload{ev.Lo, payload})
+		emit(ev)
 	}
-	if resume && len(cr.Parts) > 0 {
+	if resume && len(replayed) > 0 {
 		s.logf("dpmrd: spec %.12s resumes with %d of %d trials journaled", fp, cr.Done(), cr.Total)
 	}
 
@@ -584,7 +585,7 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 // envelope. The decode is deliberately lenient: campaign and overhead
 // partials carry lo/hi/total at the top level, experiment partials don't
 // — their event still marks the shard done, just without a trial range.
-func shardMergedEvent(payload []byte, shard harness.ShardSpec) harness.Event {
+func shardMergedEvent(payload []byte, shard harness.ShardSpec) harness.ShardMerged {
 	type span struct {
 		Lo        int   `json:"lo"`
 		Hi        int   `json:"hi"`

@@ -79,7 +79,7 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := harness.NewRunner().ResumeCampaign(spec, nil)
+	fresh, err := harness.NewRunner().Resume(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			c, err := harness.NewRunner().ResumeCampaign(spec, rp)
+			c, err := harness.NewRunner().Resume(spec, rp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,19 +158,15 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 					journaled, interrupted, c.Total)
 			}
 
-			parts := append([]*harness.PartialResult(nil), c.Parts...)
-			for _, payload := range payloads {
-				p, err := harness.DecodePartial(bytes.NewReader(payload))
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts = append(parts, p)
-			}
-			merged, err := harness.NewRunner().MergeCampaign(spec, parts)
+			replayed, err := c.Payloads()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(direct, merged) {
+			merged, err := harness.NewRunner().MergePayloads(spec, append(replayed, payloads...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct, merged.Campaign) {
 				t.Error("coordinated resume merged result differs from the uninterrupted run")
 			}
 
@@ -184,7 +180,7 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j2.Close()
-			c2, err := harness.NewRunner().ResumeCampaign(spec, rp2)
+			c2, err := harness.NewRunner().Resume(spec, rp2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,9 +6,9 @@ package harness
 // flat trial plan — per concurrent workload, every variant, Runs runs,
 // run rn exploring schedule SchedSeed+rn — is a pure function of the
 // normalized concurrent Spec, exactly like campaign and overhead plans,
-// so the whole shard/merge/journal/coordinator machinery applies
-// unchanged: shards emit ordinary PartialResults and MergeConcurrent
-// reassembles a result byte-identical to an unsharded run.
+// so the generic code on the kind interface (kind.go) shards, merges,
+// journals and resumes it: shards emit ordinary PartialResults and the
+// merge reassembles a result byte-identical to an unsharded run.
 //
 // Concurrent trials always execute compiled code: each concurrent module
 // is cached with a yielding program (interp.CompileYielding), whose
@@ -28,15 +28,11 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"dpmr/internal/consist"
-	"dpmr/internal/dpmr"
 	"dpmr/internal/extlib"
-	"dpmr/internal/failpt"
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
-	"dpmr/internal/journal"
 	"dpmr/internal/mem"
 	"dpmr/internal/sched"
 	"dpmr/internal/workloads"
@@ -111,18 +107,9 @@ func planConcurrent(spec Spec) (*concurrentPlan, error) {
 func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, threads int) (*ir.Module, *interp.Program, error) {
 	key := moduleKey{workload: w.Name + "#t" + strconv.Itoa(threads), variant: v.Label()}
 	return r.cache.get(key, func() (*ir.Module, *interp.Program, error) {
-		m := w.Build(threads)
-		if v.DPMR {
-			xm, err := dpmr.Transform(m, dpmr.Config{
-				Design:    v.Design,
-				Diversity: v.Diversity,
-				Policy:    v.Policy,
-				Seed:      transformSeed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			m = xm
+		m, err := v.transform(w.Build(threads))
+		if err != nil {
+			return nil, nil, err
 		}
 		m.Freeze()
 		prog, err := interp.CompileYielding(m)
@@ -131,23 +118,6 @@ func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, thr
 		}
 		return m, prog, nil
 	})
-}
-
-// concurrentGolden returns the memo entry of w's fault-free stdapp group
-// under the base schedule seed; runConcurrentGolden fills it. The memo
-// key includes the thread count and schedule seed, and the memo is the
-// Runner's golden map, so a memory-geometry change invalidates concurrent
-// goldens exactly like sequential ones (applySpec drops the map).
-func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, schedSeed int64) *goldenInfo {
-	key := "concurrent:" + w.Name + ":t" + strconv.Itoa(threads) + ":s" + strconv.FormatInt(schedSeed, 10)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.golden[key]
-	if !ok {
-		g = &goldenInfo{}
-		r.golden[key] = g
-	}
-	return g
 }
 
 // runConcurrentGolden runs w's golden group into g, its memo entry, on
@@ -190,15 +160,11 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 	if err != nil {
 		return Outcome{}, err
 	}
-	externs := extlib.Base()
-	if t.v.DPMR {
-		externs = extlib.Wrapped(t.v.Design)
-	}
 	res := sched.Run(m, sched.Config{
 		Threads: threads,
 		Seed:    schedSeed + int64(t.rn),
 		VM: interp.Config{
-			Externs:   externs,
+			Externs:   t.v.externs(),
 			Mem:       r.MemConfig,
 			Seed:      int64(t.rn) + 1,
 			StepLimit: golden.Steps * r.TimeoutFactor * 5, // group steps sum over threads
@@ -212,40 +178,28 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 	return o, nil
 }
 
-// execConcurrentTrials runs plan.trials[lo:hi] on the worker pool and
-// returns their classifications, with the same completed-prefix
-// cancellation contract as execTrials. The space pool and each
+// execConcurrentTrials runs the concurrent trials [lo, hi) and returns
+// their classifications (see execRows). The space pool and each
 // workload's golden memo entry are resolved once, up front, so trials
-// take no Runner lock.
+// take no Runner lock. Golden groups are memoized in the Runner's golden
+// map under the thread count and schedule seed, so a memory-geometry
+// change invalidates them exactly like sequential goldens.
 func (r *Runner) execConcurrentTrials(ctx context.Context, plan *concurrentPlan, lo, hi int) ([]TrialOutcome, error) {
 	pool := r.spaces()
 	goldens := make(map[string]*goldenInfo, len(plan.workloads))
 	for _, t := range plan.trials[lo:hi] {
 		if goldens[t.w.Name] == nil {
-			goldens[t.w.Name] = r.concurrentGolden(t.w, plan.threads, plan.schedSeed)
+			goldens[t.w.Name] = r.goldenEntry("concurrent:" + t.w.Name + ":t" + strconv.Itoa(plan.threads) + ":s" + strconv.FormatInt(plan.schedSeed, 10))
 		}
 	}
-	outcomes := make([]TrialOutcome, hi-lo)
-	errs := make([]error, hi-lo)
-	done := r.fanOut(ctx, hi-lo, func(i int) {
-		t := plan.trials[lo+i]
+	return execRows(ctx, r, lo, hi, func(i int) (TrialOutcome, error) {
+		t := plan.trials[i]
 		o, err := r.runConcurrentOnce(t, goldens[t.w.Name], plan.threads, plan.schedSeed, pool)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		outcomes[i] = o.Trial()
+		return o.Trial(), err
+	}, func(i int) string {
+		t := plan.trials[i]
+		return fmt.Sprintf("concurrent trial %d: %s %s run %d", i, t.v.Label(), t.w.Name, t.rn)
 	})
-	for i := 0; i < done; i++ {
-		if err := errs[i]; err != nil {
-			t := plan.trials[lo+i]
-			return nil, fmt.Errorf("concurrent trial %d: %s %s run %d: %w", lo+i, t.v.Label(), t.w.Name, t.rn, err)
-		}
-	}
-	if done < hi-lo {
-		return outcomes[:done], context.Cause(ctx)
-	}
-	return outcomes, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -353,219 +307,56 @@ func RenderConcurrent(w io.Writer, cr *ConcurrentResult) {
 // Entry points
 
 // RunConcurrent executes the full concurrent campaign the Spec
-// describes: every concurrent workload × every variant × Runs scheduled
-// group runs. Like RunCampaign, trials execute on the worker pool and
-// outcomes aggregate in canonical order, so the result is byte-identical
-// at every worker count; a Runner configured with a proper shard is
-// refused — use RunConcurrentPartial and MergeConcurrent.
+// describes — every concurrent workload × variant × Runs scheduled group
+// runs — with RunCampaign's determinism, cancellation, and shard
+// refusal.
 func (r *Runner) RunConcurrent(ctx context.Context, spec Spec) (*ConcurrentResult, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "RunConcurrent")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	if !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return nil, fmt.Errorf("harness: RunConcurrent with Shard %s: a shard covers only part of the plan; use RunConcurrentPartial and MergeConcurrent", r.Shard)
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, err
-	}
-	outcomes, err := r.execConcurrentTrials(ctx, plan, 0, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return aggregateConcurrent(plan, outcomes), nil
+	res, err := r.runWhole(ctx, spec, SpecConcurrent, "RunConcurrent")
+	return res.Concurrent, err
 }
 
 // RunConcurrentPartial executes only the Runner's shard of the
-// concurrent plan and returns the indexed partial result — an ordinary
-// PartialResult, so the coordinator protocol, journal records, and
-// partial files carry concurrent shards without a new wire shape. A zero
-// Shard runs the whole plan as shard 0/1; combine shards with
-// MergeConcurrent. Cancellation returns the completed-prefix partial
-// together with ctx's error.
+// concurrent plan, with RunCampaignPartial's contract. Its partial is an
+// ordinary PartialResult, so partial files, fleet payloads and journal
+// records carry concurrent shards without a new wire shape.
 func (r *Runner) RunConcurrentPartial(ctx context.Context, spec Spec) (*PartialResult, error) {
-	p, _, err := r.runConcurrentPartial(ctx, spec)
-	return p, err
+	_, p, err := r.runShard(ctx, spec, SpecConcurrent, "RunConcurrentPartial")
+	q, _ := p.(*PartialResult)
+	return q, err
 }
 
-// runConcurrentPartial also exposes the plan, for Session and the
-// journaled driver.
-func (r *Runner) runConcurrentPartial(ctx context.Context, spec Spec) (*PartialResult, *concurrentPlan, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "RunConcurrentPartial")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, nil, err
-	}
-	shard := r.Shard
-	if shard.IsZero() {
-		shard = ShardSpec{Index: 0, Count: 1}
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi := shard.shardRange(len(plan.trials))
-	start := time.Now()
-	outcomes, err := r.execConcurrentTrials(ctx, plan, lo, hi)
-	if err != nil && !cancelled(ctx, err) {
-		return nil, nil, err
-	}
-	return &PartialResult{
-		Fingerprint: plan.fingerprint,
-		Shard:       shard,
-		Lo:          lo,
-		Hi:          lo + len(outcomes),
-		Total:       len(plan.trials),
-		Outcomes:    outcomes,
-		ElapsedMS:   time.Since(start).Milliseconds(),
-	}, plan, err
-}
-
-// MergeConcurrent reassembles a full ConcurrentResult from the partial
-// results of a sharded concurrent run, with the same fingerprint and
-// exact-tiling validation as MergeCampaign. The merged result is
-// byte-identical to an unsharded RunConcurrent of the same Spec; one
-// ShardMerged event is emitted per partial, in canonical range order.
+// MergeConcurrent reassembles the ConcurrentResult of a sharded
+// concurrent run, with MergeCampaign's validation and events.
 func (r *Runner) MergeConcurrent(spec Spec, parts []*PartialResult) (*ConcurrentResult, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "MergeConcurrent")
-	if err != nil {
-		return nil, err
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, err
-	}
-	total := len(plan.trials)
-	spans := make([]planSpan, len(parts))
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("harness: MergeConcurrent: nil partial result")
-		}
-		if err := p.check(); err != nil {
-			return nil, err
-		}
-		spans[i] = planSpan{shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, fingerprint: p.Fingerprint}
-	}
-	order, err := tileSpans("MergeConcurrent", plan.fingerprint, total, spans)
-	if err != nil {
-		return nil, err
-	}
-	outcomes := make([]TrialOutcome, total)
-	for _, i := range order {
-		copy(outcomes[parts[i].Lo:parts[i].Hi], parts[i].Outcomes)
-		r.notify(ShardMerged{Shard: parts[i].Shard, Lo: parts[i].Lo, Hi: parts[i].Hi, Total: parts[i].Total,
-			Elapsed: time.Duration(parts[i].ElapsedMS) * time.Millisecond})
-	}
-	return aggregateConcurrent(plan, outcomes), nil
+	res, err := mergeTyped(r, spec, SpecConcurrent, "MergeConcurrent", parts)
+	return res.Concurrent, err
 }
 
-// ---------------------------------------------------------------------------
-// Journaled execution: the concurrent kind rides the campaign journal
-// machinery (resume.go) unchanged — concurrent shards are ordinary
-// PartialResults, so record decoding, gap computation, and adaptive span
-// cutting are shared; only the plan and merge are kind-specific.
+// concurrentKind is the concurrent campaign's pipeline (see kind).
+type concurrentKind struct{ p *concurrentPlan }
 
-// ResumeConcurrent recomputes the concurrent Spec's canonical plan and
-// diffs it against the journal replay, exactly like ResumeCampaign.
-func (r *Runner) ResumeConcurrent(spec Spec, rp *journal.Replay) (*CampaignResume, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "ResumeConcurrent")
+func (k *concurrentKind) plan(_ *Runner, spec Spec) (string, int, error) {
+	p, err := planConcurrent(spec)
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &CampaignResume{spec: spec, cplan: plan, PlanFP: plan.fingerprint, Total: len(plan.trials)}
-	if rp != nil {
-		for _, rec := range rp.Plan(plan.fingerprint) {
-			p, err := decodeJournaledPartial(rec, plan.fingerprint, len(plan.trials))
-			if err != nil {
-				return nil, err
-			}
-			c.Parts = append(c.Parts, p)
-		}
-	}
-	c.Gaps, err = rangeGaps(c.Parts, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	k.p = p
+	return p.fingerprint, len(p.trials), nil
 }
 
-// SnapshotConcurrent aggregates the given parts over zero-valued
-// stand-ins for the uncovered trials — the progressive mid-campaign view
-// of a journaled or coordinated concurrent run, the concurrent analogue
-// of Snapshot. It requires a resume built by ResumeConcurrent.
-func (c *CampaignResume) SnapshotConcurrent(parts []*PartialResult) *ConcurrentResult {
-	outcomes := make([]TrialOutcome, c.Total)
-	for _, p := range parts {
-		copy(outcomes[p.Lo:p.Hi], p.Outcomes)
-	}
-	return aggregateConcurrent(c.cplan, outcomes)
+func (k *concurrentKind) exec(ctx context.Context, r *Runner, lo, hi int) (partial, error) {
+	outcomes, err := r.execConcurrentTrials(ctx, k.p, lo, hi)
+	return &PartialResult{Lo: lo, Hi: lo + len(outcomes), Outcomes: outcomes}, err
 }
 
-// RunConcurrentJournaled executes a concurrent campaign against a
-// journal: replayed coverage is kept, the remaining gaps run as
-// adaptively cut spans, each completed span is appended durably before
-// the next starts, and the full set merges into a final result
-// byte-identical to an uninterrupted RunConcurrent. The returned int
-// counts trials executed by this call (excluding replayed coverage).
-// snap, when non-nil, receives a structurally complete progressive
-// result after every durable span, exactly like RunCampaignJournaled.
-func (r *Runner) RunConcurrentJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	snap func(cr *ConcurrentResult, done, total int)) (*ConcurrentResult, int, error) {
-	c, err := r.ResumeConcurrent(spec, prior)
-	if err != nil {
-		return nil, 0, err
-	}
-	parts := c.Parts
-	executed := 0
-	for _, span := range c.Spans(spans) {
-		if err := failpt.Err(siteSpan); err != nil {
-			return nil, executed, err
-		}
-		saved := r.Shard
-		r.Shard = span
-		p, _, err := r.runConcurrentPartial(ctx, c.spec)
-		r.Shard = saved
-		if err != nil && (p == nil || !cancelled(ctx, err)) {
-			return nil, executed, err
-		}
-		if p.Hi > p.Lo {
-			if aerr := appendCampaignPartial(j, p); aerr != nil {
-				return nil, executed, aerr
-			}
-			executed += p.Hi - p.Lo
-			parts = append(parts, p)
-			if snap != nil {
-				done := 0
-				for _, q := range parts {
-					done += q.Hi - q.Lo
-				}
-				snap(c.SnapshotConcurrent(parts), done, c.Total)
-			}
-		}
-		if err != nil {
-			return nil, executed, err
-		}
-	}
-	merged, err := r.MergeConcurrent(c.spec, parts)
-	if err != nil {
-		return nil, executed, err
-	}
-	return merged, executed, nil
+func (k *concurrentKind) aggregate(res *Result, parts []partial) {
+	res.Concurrent = aggregateConcurrent(k.p, outcomeRows(len(k.p.trials), parts))
+}
+
+func (k *concurrentKind) keep(res *Result, p partial) { res.ConcurrentPartial = p.(*PartialResult) }
+
+func (k *concurrentKind) decode(r io.Reader) (partial, error) { return widen(DecodePartial(r)) }
+
+func (k *concurrentKind) render(w io.Writer, res *Result, _ string) {
+	RenderConcurrent(w, res.Concurrent)
 }

@@ -168,7 +168,8 @@ func TestConcurrentJournaledMatchesDirect(t *testing.T) {
 	j, dir, fp := newTestJournal(t, spec)
 	r := NewRunner()
 	r.Parallel = 2
-	got, executed, err := r.RunConcurrentJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
+	res, executed, err := r.RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
+	got := res.Concurrent
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,8 @@ func TestConcurrentJournaledMatchesDirect(t *testing.T) {
 
 	j2, rp := reopenJournal(t, dir, fp)
 	defer j2.Close()
-	again, executed2, err := NewRunner().RunConcurrentJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+	res2, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+	again := res2.Concurrent
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,14 +162,6 @@ func (c *moduleCache) evict(key moduleKey) {
 	}
 }
 
-// size reports how many distinct modules are currently resident (for
-// tests and progress diagnostics).
-func (c *moduleCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 func (c *moduleCache) statsSnapshot() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,25 +185,41 @@ func (t trial) key() moduleKey {
 	return k
 }
 
-// runTrials executes the trial grid on the worker pool and returns the
-// per-trial classifications and errors, indexed like trials, plus the
-// number of completed trials. Trials are dispatched in index order, and
+// execRows runs row(lo), …, row(hi-1) on the worker pool and returns
+// the rows in trial order. Trials are dispatched in index order and
 // cancellation only stops dispatch (in-flight trials drain), so the
-// completed trials are exactly indices [0, done); done < len(trials)
-// means ctx was cancelled. Only the serializable classification fields
-// survive: the raw interpreter result is dropped per trial, releasing
-// each output buffer instead of pinning all of them until the campaign
-// ends.
+// completed trials always form a prefix: a cancelled range returns that
+// prefix together with ctx's error — the completed-prefix contract
+// graceful cancellation is built on. A trial error fails the range,
+// named by name.
+func execRows[E any](ctx context.Context, r *Runner, lo, hi int, row func(i int) (E, error), name func(i int) string) ([]E, error) {
+	rows := make([]E, hi-lo)
+	errs := make([]error, hi-lo)
+	done := r.fanOut(ctx, hi-lo, func(i int) { rows[i], errs[i] = row(lo + i) })
+	for i, err := range errs[:done] {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name(lo+i), err)
+		}
+	}
+	if done < hi-lo {
+		return rows[:done], context.Cause(ctx)
+	}
+	return rows, nil
+}
+
+// execTrials runs the campaign trials [lo, hi) and returns their
+// classifications. Only the serializable classification fields survive:
+// the raw interpreter result is dropped per trial, releasing each output
+// buffer instead of pinning all of them until the campaign ends.
 //
-// With EvictModules set, runTrials also releases each injected module
+// With EvictModules set, execTrials also releases each injected module
 // once its last trial completes. Because a site's trials are contiguous
 // in the canonical plan, this bounds peak cache residency at large site
 // counts; the per-key pending counters make it order-independent (and
 // therefore safe at any worker count): a module is only evicted when no
 // trial that uses it remains.
-func (r *Runner) runTrials(ctx context.Context, trials []trial) ([]TrialOutcome, []error, int) {
-	outcomes := make([]TrialOutcome, len(trials))
-	errs := make([]error, len(trials))
+func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int) ([]TrialOutcome, error) {
+	trials := plan.trials[lo:hi]
 	var pending map[moduleKey]*int64
 	if r.EvictModules {
 		pending = make(map[moduleKey]*int64)
@@ -222,29 +231,29 @@ func (r *Runner) runTrials(ctx context.Context, trials []trial) ([]TrialOutcome,
 				// only per-(site, variant) modules are evictable.
 				continue
 			}
-			if c := pending[k]; c != nil {
-				*c++
-			} else {
-				n := int64(1)
-				pending[k] = &n
+			if pending[k] == nil {
+				pending[k] = new(int64)
 			}
+			*pending[k]++
 		}
 	}
 	notifyUse, joinPrefetch := r.startPrefetch(ctx, trials, pending)
 	defer joinPrefetch()
 	pool := r.spaces()
-	done := r.fanOut(ctx, len(trials), func(i int) {
-		notifyUse(i)
-		t := trials[i]
+	return execRows(ctx, r, lo, hi, func(i int) (TrialOutcome, error) {
+		notifyUse(i - lo)
+		t := plan.trials[i]
 		o, err := r.runOnce(t.w, t.v, t.inj, t.rn, pool)
-		outcomes[i], errs[i] = o.Trial(), err
 		if pending != nil {
 			if c := pending[t.key()]; c != nil && atomic.AddInt64(c, -1) == 0 {
 				r.cache.evict(t.key())
 			}
 		}
+		return o.Trial(), err
+	}, func(i int) string {
+		t := plan.trials[i]
+		return fmt.Sprintf("trial %d: %s %s %s", i, t.v.Label(), t.w.Name, *t.inj)
 	})
-	return outcomes, errs, done
 }
 
 // startPrefetch launches the pipelined AOT compilation stage: Precompile
@@ -261,7 +270,7 @@ func (r *Runner) runTrials(ctx context.Context, trials []trial) ([]TrialOutcome,
 //
 // Cancellation stops admission and the workers drain without building;
 // the returned join blocks until every prefetch goroutine has exited, so
-// none outlives runTrials. With Precompile <= 0 both returned funcs are
+// none outlives execTrials. With Precompile <= 0 both returned funcs are
 // no-ops.
 func (r *Runner) startPrefetch(ctx context.Context, trials []trial, pending map[moduleKey]*int64) (notify func(i int), join func()) {
 	workers := r.Precompile
@@ -417,7 +426,11 @@ func (r *Runner) fanOut(ctx context.Context, n int, fn func(i int)) int {
 
 // CachedModules reports how many distinct modules the Runner's build
 // cache currently holds.
-func (r *Runner) CachedModules() int { return r.cache.size() }
+func (r *Runner) CachedModules() int {
+	r.cache.mu.Lock()
+	defer r.cache.mu.Unlock()
+	return len(r.cache.entries)
+}
 
 // CacheStats reports the Runner's module-cache counters: builds,
 // evictions, and current/peak residency.

@@ -106,3 +106,52 @@ func TestFuzzMergeSeedRoundTrips(t *testing.T) {
 		t.Errorf("merged single-shard report differs from direct run:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
+
+// FuzzMergePartials fuzzes every partial decoder against every plan
+// kind: the input decodes as a campaign or concurrent PartialResult, an
+// OverheadPartial, and an ExperimentPartial, and each decoded partial
+// merges against the campaign, overhead, and concurrent plans of
+// pinSpecs that match its wire type. Nothing may panic, and a single
+// partial a merge accepts must cover its whole plan.
+func FuzzMergePartials(f *testing.F) {
+	for _, seed := range []string{pinCampaignPartial, pinOverheadPartial, pinConcurrentPartial, pinExperimentPartial,
+		`{"fingerprint":"f","lo":0,"hi":1,"total":1,"cycles":[7]}`, `{"exp":"fig3.16","overheads":[null]}`, `[`} {
+		f.Add([]byte(seed))
+	}
+	campaign, overhead, concurrent := pinSpecs()
+	r := NewRunner()
+	whole := func(t *testing.T, what string, p partial, err error) {
+		if err != nil {
+			return
+		}
+		if s := p.span(); s.lo != 0 || s.hi != s.total {
+			t.Fatalf("%s accepted a partial covering [%d, %d) of %d", what, s.lo, s.hi, s.total)
+		}
+	}
+	mergeOutcomes := func(t *testing.T, p *PartialResult) {
+		_, err := r.MergeCampaign(campaign, []*PartialResult{p})
+		whole(t, "MergeCampaign", p, err)
+		_, err = r.MergeConcurrent(concurrent, []*PartialResult{p})
+		whole(t, "MergeConcurrent", p, err)
+	}
+	mergeCycles := func(t *testing.T, p *OverheadPartial) {
+		_, err := r.MergeOverhead(overhead, []*OverheadPartial{p})
+		whole(t, "MergeOverhead", p, err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, err := DecodePartial(bytes.NewReader(data)); err == nil {
+			mergeOutcomes(t, p)
+		}
+		if p, err := DecodeOverheadPartial(bytes.NewReader(data)); err == nil {
+			mergeCycles(t, p)
+		}
+		if ep, err := DecodeExperimentPartial(bytes.NewReader(data)); err == nil {
+			for _, p := range ep.Campaigns {
+				mergeOutcomes(t, p)
+			}
+			for _, p := range ep.Overheads {
+				mergeCycles(t, p)
+			}
+		}
+	})
+}

@@ -17,6 +17,13 @@
 //     experiment runs.
 //   - Runner (below) is the mid-level two-stage campaign engine both
 //     are built on.
+//   - The kind interface (kind.go) is implemented once per plan kind —
+//     campaign (below), overhead, and concurrent — in four steps: plan
+//     the Spec into a canonical trial grid and its fingerprint, exec a
+//     contiguous trial range into a partial payload, aggregate partials
+//     into a result, and render the result. Every execution path is
+//     written once on top of it: whole and partial runs, merges, resume,
+//     progressive snapshots, and the journaled span loop (resume.go).
 package harness
 
 import (
@@ -26,6 +33,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"dpmr/internal/dpmr"
@@ -87,6 +95,23 @@ func (v Variant) PolicyLabel() string {
 		return "stdapp"
 	}
 	return v.Policy.Name()
+}
+
+// transform applies the variant's DPMR transformation to m; stdapp
+// returns m unchanged.
+func (v Variant) transform(m *ir.Module) (*ir.Module, error) {
+	if !v.DPMR {
+		return m, nil
+	}
+	return dpmr.Transform(m, dpmr.Config{Design: v.Design, Diversity: v.Diversity, Policy: v.Policy, Seed: transformSeed})
+}
+
+// externs returns the extern library the variant's builds run against.
+func (v Variant) externs() map[string]interp.Extern {
+	if v.DPMR {
+		return extlib.Wrapped(v.Design)
+	}
+	return extlib.Base()
 }
 
 // DiversityVariants returns the Figure 3.6–3.10 variant set: stdapp plus
@@ -272,13 +297,7 @@ func (r *Runner) compileModule(m *ir.Module) *interp.Program {
 // Golden runs (and caches) the fault-free standard build of w. Safe for
 // concurrent use; the build-and-run happens exactly once per workload.
 func (r *Runner) Golden(w workloads.Workload) (*interp.Result, error) {
-	r.mu.Lock()
-	g, ok := r.golden[w.Name]
-	if !ok {
-		g = &goldenInfo{}
-		r.golden[w.Name] = g
-	}
-	r.mu.Unlock()
+	g := r.goldenEntry(w.Name)
 	g.once.Do(func() {
 		m, prog, err := r.base(w)
 		if err != nil {
@@ -301,15 +320,25 @@ func (r *Runner) Golden(w workloads.Workload) (*interp.Result, error) {
 	return g.res, g.err
 }
 
+// goldenEntry returns the golden memo entry under key, creating it on
+// first use.
+func (r *Runner) goldenEntry(key string) *goldenInfo {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g, ok := r.golden[key]
+	if !ok {
+		g = &goldenInfo{}
+		r.golden[key] = g
+	}
+	return g
+}
+
 // module returns the cached executable module for (workload, variant,
 // injection) and its compiled program (nil with Compile off), building
 // both on first use (stage 1 of the engine). The returned module is
 // frozen and, like the program, may back concurrent VMs.
 func (r *Runner) module(w workloads.Workload, v Variant, inj *faultinject.Site) (*ir.Module, *interp.Program, error) {
-	key := moduleKey{workload: w.Name, variant: v.Label()}
-	if inj != nil {
-		key.site = inj.String()
-	}
+	key := trial{w: w, v: v, inj: inj}.key()
 	return r.cache.get(key, func() (*ir.Module, *interp.Program, error) { return r.buildVariant(w, v, inj) })
 }
 
@@ -341,17 +370,8 @@ func (r *Runner) buildVariant(w workloads.Workload, v Variant, inj *faultinject.
 			return nil, nil, err
 		}
 	}
-	if v.DPMR {
-		xm, err := dpmr.Transform(m, dpmr.Config{
-			Design:    v.Design,
-			Diversity: v.Diversity,
-			Policy:    v.Policy,
-			Seed:      transformSeed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		m = xm
+	if m, err = v.transform(m); err != nil {
+		return nil, nil, err
 	}
 	if r.Optimize && m.Frozen() {
 		// Uninjected, untransformed variant: the optimizer needs its own
@@ -368,57 +388,43 @@ func (r *Runner) buildVariant(w workloads.Workload, v Variant, inj *faultinject.
 	return m, r.compileModule(m), nil
 }
 
-// Outcome classifies one experiment run per §3.6.
+// Outcome classifies one experiment run per §3.6: the serializable
+// classification plus the raw interpreter result it was drawn from.
 type Outcome struct {
 	Res *interp.Result
-	// SF: the injected fault code executed at least once.
-	SF bool
-	// CO: literal correct output — the run produced exactly the golden
-	// run's output and exit status.
-	CO bool
-	// NatDet: natural detection — a crash (trap) or application-level
-	// error signalling (nonzero, non-golden exit code).
-	NatDet bool
-	// DpmrDet: DPMR replica-comparison detection.
-	DpmrDet bool
-	// T2DCycles: time to fault detection (total − time to first
-	// successful injection), valid when Detected() and SF.
-	T2DCycles uint64
-	// ConsistViol: the offline consistency checker flagged the trial's
-	// shared-memory trace (concurrent kind only). Independent of the
-	// §3.6 classes above — a violating trial can still be CO, which is
-	// exactly the silent failure the trace checker surfaces.
-	ConsistViol bool
+	TrialOutcome
 }
-
-// Covered reports CO ∨ NatDet ∨ DpmrDet (Equation 3.2).
-func (o Outcome) Covered() bool { return o.CO || o.NatDet || o.DpmrDet }
-
-// Detected reports any detection.
-func (o Outcome) Detected() bool { return o.NatDet || o.DpmrDet }
 
 // Trial reduces the outcome to its serializable classification fields —
 // everything campaign aggregation reads, and exactly what a sharded run
 // ships between processes.
-func (o Outcome) Trial() TrialOutcome {
-	return TrialOutcome{SF: o.SF, CO: o.CO, NatDet: o.NatDet, DpmrDet: o.DpmrDet, T2DCycles: o.T2DCycles, ConsistViol: o.ConsistViol}
-}
+func (o Outcome) Trial() TrialOutcome { return o.TrialOutcome }
 
 // TrialOutcome is the §3.6 classification of one campaign trial in
 // serializable form. It is the unit of the partial-result format: a shard
 // runs a contiguous range of the canonical trial plan and emits one
-// TrialOutcome per trial; MergeCampaign aggregates the reassembled
-// sequence exactly as an unsharded run would, so the classification here
-// must carry every field aggregation touches (and nothing run-local like
-// raw output buffers).
+// TrialOutcome per trial; the merge aggregates the reassembled sequence
+// exactly as an unsharded run would, so the classification here must
+// carry every field aggregation touches (and nothing run-local like raw
+// output buffers).
 type TrialOutcome struct {
-	SF        bool   `json:"sf,omitempty"`
-	CO        bool   `json:"co,omitempty"`
-	NatDet    bool   `json:"natDet,omitempty"`
-	DpmrDet   bool   `json:"dpmrDet,omitempty"`
+	// SF: the injected fault code executed at least once.
+	SF bool `json:"sf,omitempty"`
+	// CO: literal correct output — the run produced exactly the golden
+	// run's output and exit status.
+	CO bool `json:"co,omitempty"`
+	// NatDet: natural detection — a crash (trap) or application-level
+	// error signalling (nonzero, non-golden exit code).
+	NatDet bool `json:"natDet,omitempty"`
+	// DpmrDet: DPMR replica-comparison detection.
+	DpmrDet bool `json:"dpmrDet,omitempty"`
+	// T2DCycles: time to fault detection (total − time to first
+	// successful injection), valid when Detected() and SF.
 	T2DCycles uint64 `json:"t2dCycles,omitempty"`
-	// ConsistViol is the concurrent kind's trace-checker verdict; always
-	// false for injection-campaign trials.
+	// ConsistViol: the offline consistency checker flagged the trial's
+	// shared-memory trace (concurrent kind only). Independent of the
+	// §3.6 classes above — a violating trial can still be CO, which is
+	// exactly the silent failure the trace checker surfaces.
 	ConsistViol bool `json:"consistViol,omitempty"`
 }
 
@@ -447,12 +453,8 @@ func (r *Runner) runOnce(w workloads.Workload, v Variant, inj *faultinject.Site,
 	if err != nil {
 		return Outcome{}, err
 	}
-	externs := extlib.Base()
-	if v.DPMR {
-		externs = extlib.Wrapped(v.Design)
-	}
 	res := interp.Run(m, interp.Config{
-		Externs:   externs,
+		Externs:   v.externs(),
 		Mem:       r.MemConfig,
 		Seed:      int64(rn) + 1,
 		StepLimit: golden.Steps * r.TimeoutFactor * 5, // DPMR variants are slower per step budget
@@ -463,7 +465,7 @@ func (r *Runner) runOnce(w workloads.Workload, v Variant, inj *faultinject.Site,
 }
 
 func (r *Runner) classify(golden, res *interp.Result) Outcome {
-	o := Outcome{Res: res, SF: res.FaultSeen}
+	o := Outcome{Res: res, TrialOutcome: TrialOutcome{SF: res.FaultSeen}}
 	switch res.Kind {
 	case interp.ExitNormal:
 		if res.Code == golden.Code && bytes.Equal(res.Output, golden.Output) {
@@ -636,27 +638,6 @@ func (r *Runner) planCampaign(spec Spec) (*campaignPlan, error) {
 	return p, nil
 }
 
-// execTrials runs plan.trials[lo:hi] on the worker pool and returns their
-// classifications, failing with the canonical (variant, workload, site)
-// naming of the first errored trial. When ctx is cancelled mid-range,
-// dispatch stops, in-flight trials drain, and execTrials returns the
-// completed prefix of outcomes together with ctx.Err() — the
-// completed-prefix contract graceful cancellation is built on.
-func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int) ([]TrialOutcome, error) {
-	trials := plan.trials[lo:hi]
-	outcomes, errs, done := r.runTrials(ctx, trials)
-	for i := 0; i < done; i++ {
-		if err := errs[i]; err != nil {
-			t := trials[i]
-			return nil, fmt.Errorf("trial %d: %s %s %s: %w", lo+i, t.v.Label(), t.w.Name, *t.inj, err)
-		}
-	}
-	if done < len(trials) {
-		return outcomes[:done], context.Cause(ctx)
-	}
-	return outcomes, nil
-}
-
 // aggregate folds the full plan's trial outcomes into a CampaignResult in
 // canonical order: identical iteration order (and thus identical
 // floating-point accumulation) to the serial engine, regardless of how
@@ -731,42 +712,59 @@ func cancelled(ctx context.Context, err error) bool {
 	return ctx.Err() != nil && errors.Is(err, context.Cause(ctx))
 }
 
-// RunCampaign executes the full injection campaign the Spec describes:
-// for every workload, every enumerated site of the fault kind, every
-// variant, Runs runs. Trials execute on the Runner's worker pool
-// (Parallel goroutines), and outcomes are aggregated in canonical trial
-// order, so the result — and any report rendered from it — is
-// byte-identical at every worker count.
-//
-// Cancelling ctx stops dispatch, drains in-flight trials, and returns
-// ctx's error; callers that want the completed-prefix partial result of
-// a cancelled campaign use RunCampaignPartial (or a Session, which does
-// so automatically).
-//
-// RunCampaign runs the whole plan: a Runner configured with a proper
-// shard (Count > 1) is refused rather than silently truncated — use
+// RunCampaign executes the full injection campaign the Spec describes —
+// every workload, enumerated site of the fault kind, variant, and run —
+// on the Runner's worker pool and aggregates it in canonical trial
+// order, byte-identical at every worker count. Cancelling ctx returns
+// ctx's error (RunCampaignPartial and Session keep the completed
+// prefix); a Runner with a proper shard is refused — use
 // RunCampaignPartial and MergeCampaign for sharded execution.
 func (r *Runner) RunCampaign(ctx context.Context, spec Spec) (*CampaignResult, error) {
-	spec, err := spec.normalizedAs(SpecCampaign, "RunCampaign")
+	res, err := r.runWhole(ctx, spec, SpecCampaign, "RunCampaign")
+	return res.Campaign, err
+}
+
+// campaignKind is the injection campaign's pipeline (see kind).
+type campaignKind struct{ p *campaignPlan }
+
+func (k *campaignKind) plan(r *Runner, spec Spec) (string, int, error) {
+	p, err := r.planCampaign(spec)
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
-	if err := r.validate(); err != nil {
-		return nil, err
+	k.p = p
+	return p.fingerprint, len(p.trials), nil
+}
+
+func (k *campaignKind) exec(ctx context.Context, r *Runner, lo, hi int) (partial, error) {
+	outcomes, err := r.execTrials(ctx, k.p, lo, hi)
+	return &PartialResult{Lo: lo, Hi: lo + len(outcomes), Outcomes: outcomes}, err
+}
+
+func (k *campaignKind) aggregate(res *Result, parts []partial) {
+	res.Campaign = aggregate(k.p, outcomeRows(len(k.p.trials), parts))
+}
+
+func (k *campaignKind) keep(res *Result, p partial) { res.CampaignPartial = p.(*PartialResult) }
+
+func (k *campaignKind) decode(r io.Reader) (partial, error) { return widen(DecodePartial(r)) }
+
+// render prints one coverage block per (workload, variant) cell — for
+// the CLI's single-workload, single-variant campaign exactly one block.
+func (k *campaignKind) render(w io.Writer, res *Result, how string) {
+	cr := res.Campaign
+	for _, variant := range cr.Variants {
+		for _, wname := range cr.Workloads {
+			c := cr.Cell(variant, wname)
+			fmt.Fprintf(w, "campaign: %s %s variant %s, %s\n", wname, cr.Kind, variant.Label(), how)
+			fmt.Fprintf(w, "injections: %d successful\n", c.N)
+			fmt.Fprintf(w, "coverage:   CO %.2f + NatDet %.2f + DpmrDet %.2f = %.2f\n",
+				c.CO, c.NatDet, c.DpmrDet, c.Coverage())
+			if c.MeanT2DMS > 0 {
+				fmt.Fprintf(w, "latency:    mean time to detection %.3f ms\n", c.MeanT2DMS)
+			}
+		}
 	}
-	if !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return nil, fmt.Errorf("harness: RunCampaign with Shard %s: a shard covers only part of the plan; use RunCampaignPartial and MergeCampaign", r.Shard)
-	}
-	r.applySpec(spec)
-	plan, err := r.planCampaign(spec)
-	if err != nil {
-		return nil, err
-	}
-	outcomes, err := r.execTrials(ctx, plan, 0, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return aggregate(plan, outcomes), nil
 }
 
 func sampleSites(sites []faultinject.Site, max int) []faultinject.Site {
@@ -779,38 +777,4 @@ func sampleSites(sites []faultinject.Site, max int) []faultinject.Site {
 		out = append(out, sites[int(float64(i)*step)])
 	}
 	return out
-}
-
-// PlanTrials reports the trial count of the Spec's canonical flat plan —
-// the unit sharding and the coordinator schedule over. Campaign,
-// overhead, and concurrent Specs all plan; experiment Specs run several
-// plans and are refused.
-func (r *Runner) PlanTrials(spec Spec) (int, error) {
-	n, err := spec.Normalized()
-	if err != nil {
-		return 0, err
-	}
-	switch n.Kind {
-	case SpecCampaign:
-		r.applySpec(n)
-		plan, err := r.planCampaign(n)
-		if err != nil {
-			return 0, err
-		}
-		return len(plan.trials), nil
-	case SpecOverhead:
-		plan, err := planOverhead(n)
-		if err != nil {
-			return 0, err
-		}
-		return len(plan.trials), nil
-	case SpecConcurrent:
-		plan, err := planConcurrent(n)
-		if err != nil {
-			return 0, err
-		}
-		return len(plan.trials), nil
-	default:
-		return 0, fmt.Errorf("harness: PlanTrials: %s specs run several plans; plan their campaigns/measurements individually", n.Kind)
-	}
 }

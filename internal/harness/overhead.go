@@ -1,23 +1,17 @@
 package harness
 
-// Overhead experiments (no injections), with the same plan/partial/merge
-// treatment as injection campaigns: the canonical flat measurement plan —
-// per workload, its golden (stdapp) run followed by one run per DPMR
-// variant — is a pure function of the normalized overhead Spec, so any
-// process can recompute it and claim a contiguous slice. Shard i of N
-// measures trials [i·T/N, (i+1)·T/N) and emits an OverheadPartial (cycle
-// counts plus the plan fingerprint); MergeOverhead validates the tiling
-// and aggregates in canonical order, so the merged OverheadResult — and
-// any report rendered from it — is byte-identical to an unsharded run.
+// Overhead experiments (no injections): the canonical flat measurement
+// plan — per workload, its golden (stdapp) run followed by one run per
+// DPMR variant — is a pure function of the normalized overhead Spec, and
+// its shards travel as OverheadPartials (cycle counts plus the plan
+// fingerprint).
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"dpmr/internal/extlib"
 	"dpmr/internal/interp"
@@ -89,32 +83,24 @@ func planOverhead(spec Spec) (*overheadPlan, error) {
 	return p, nil
 }
 
-// execOverheadTrials measures plan.trials[lo:hi] on the worker pool and
-// returns their cycle counts, failing with the canonical naming of the
-// first errored trial. Golden measurements go through the Runner's
-// memoized golden cache, so a workload's golden executes once no matter
-// how many ratios (or shards on this Runner) need it. When ctx is
-// cancelled mid-range, the completed prefix of measurements is returned
-// together with ctx.Err() (see execTrials).
+// execOverheadTrials measures the trials [lo, hi) and returns their
+// cycle counts (see execRows). Golden measurements go through the
+// Runner's memoized golden cache, so a workload's golden executes once
+// no matter how many ratios (or shards on this Runner) need it.
 func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo, hi int) ([]uint64, error) {
-	cycles := make([]uint64, hi-lo)
-	errs := make([]error, hi-lo)
 	pool := r.spaces()
-	done := r.fanOut(ctx, hi-lo, func(i int) {
-		t := plan.trials[lo+i]
+	return execRows(ctx, r, lo, hi, func(i int) (uint64, error) {
+		t := plan.trials[i]
 		if !t.v.DPMR {
 			g, err := r.Golden(t.w)
 			if err != nil {
-				errs[i] = err
-				return
+				return 0, err
 			}
-			cycles[i] = g.Cycles
-			return
+			return g.Cycles, nil
 		}
 		m, prog, err := r.module(t.w, t.v, nil)
 		if err != nil {
-			errs[i] = err
-			return
+			return 0, err
 		}
 		res := interp.Run(m, interp.Config{
 			Externs:   extlib.Wrapped(t.v.Design),
@@ -124,21 +110,13 @@ func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo,
 			SpacePool: pool,
 		})
 		if res.Kind != interp.ExitNormal {
-			errs[i] = fmt.Errorf("%v (%s)", res.Kind, res.Reason)
-			return
+			return 0, fmt.Errorf("%v (%s)", res.Kind, res.Reason)
 		}
-		cycles[i] = res.Cycles
+		return res.Cycles, nil
+	}, func(i int) string {
+		t := plan.trials[i]
+		return fmt.Sprintf("overhead trial %d: %s/%s", i, t.w.Name, t.v.Label())
 	})
-	for i := 0; i < done; i++ {
-		if err := errs[i]; err != nil {
-			t := plan.trials[lo+i]
-			return nil, fmt.Errorf("overhead trial %d: %s/%s: %w", lo+i, t.w.Name, t.v.Label(), err)
-		}
-	}
-	if done < hi-lo {
-		return cycles[:done], context.Cause(ctx)
-	}
-	return cycles, nil
 }
 
 // aggregateOverhead folds the full plan's cycle measurements into an
@@ -173,35 +151,13 @@ func aggregateOverhead(plan *overheadPlan, cycles []uint64) *OverheadResult {
 }
 
 // RunOverhead measures execution-time overhead for each variant of the
-// overhead Spec. Like RunCampaign, the measurement grid executes on the
-// worker pool and results are recorded in canonical grid order;
-// cancelling ctx stops dispatch, drains in-flight measurements, and
-// returns ctx's error.
-//
-// RunOverhead runs the whole plan: a Runner configured with a proper
-// shard (Count > 1) is refused rather than silently truncated — use
+// overhead Spec on the worker pool, recorded in canonical grid order.
+// Like RunCampaign it runs the whole plan: cancelling ctx returns ctx's
+// error, and a Runner with a proper shard is refused — use
 // RunOverheadPartial and MergeOverhead for sharded execution.
 func (r *Runner) RunOverhead(ctx context.Context, spec Spec) (*OverheadResult, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "RunOverhead")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	if !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return nil, fmt.Errorf("harness: RunOverhead with Shard %s: a shard covers only part of the plan; use RunOverheadPartial and MergeOverhead", r.Shard)
-	}
-	r.applySpec(spec)
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return nil, err
-	}
-	cycles, err := r.execOverheadTrials(ctx, plan, 0, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return aggregateOverhead(plan, cycles), nil
+	res, err := r.runWhole(ctx, spec, SpecOverhead, "RunOverhead")
+	return res.Overhead, err
 }
 
 // OverheadPartial is one shard's output of a sharded overhead
@@ -222,127 +178,75 @@ type OverheadPartial struct {
 	ElapsedMS int64 `json:"elapsedMS,omitempty"`
 }
 
-// check validates the partial's internal shape (independent of any
-// plan), so malformed input surfaces as an error, never a panic.
+func (p *OverheadPartial) span() planSpan {
+	return planSpan{shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, fingerprint: p.Fingerprint, elapsedMS: p.ElapsedMS}
+}
+
+func (p *OverheadPartial) stamp(fingerprint string, shard ShardSpec, total int, elapsedMS int64) {
+	p.Fingerprint, p.Shard, p.Total, p.ElapsedMS = fingerprint, shard, total, elapsedMS
+}
+
 func (p *OverheadPartial) check() error {
-	if p.Lo < 0 || p.Hi < p.Lo || p.Total < p.Hi {
-		return fmt.Errorf("harness: overhead partial: invalid trial range [%d, %d) of %d", p.Lo, p.Hi, p.Total)
+	if p == nil {
+		return fmt.Errorf("harness: nil partial result")
 	}
-	if len(p.Cycles) != p.Hi-p.Lo {
-		return fmt.Errorf("harness: overhead partial: %d measurements for trial range [%d, %d)", len(p.Cycles), p.Lo, p.Hi)
-	}
-	if p.Fingerprint == "" {
-		return fmt.Errorf("harness: overhead partial: missing plan fingerprint")
-	}
-	return nil
+	return p.span().check(len(p.Cycles))
 }
 
 // Encode writes the partial result as JSON.
-func (p *OverheadPartial) Encode(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(p); err != nil {
-		return fmt.Errorf("harness: encoding overhead partial: %w", err)
-	}
-	return nil
-}
+func (p *OverheadPartial) Encode(w io.Writer) error { return encodePartial(w, p) }
 
 // DecodeOverheadPartial reads a JSON overhead partial and validates its
 // shape. It never panics on malformed input.
 func DecodeOverheadPartial(r io.Reader) (*OverheadPartial, error) {
-	var p OverheadPartial
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("harness: decoding overhead partial: %w", err)
-	}
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return decodeChecked(r, new(OverheadPartial))
 }
 
 // RunOverheadPartial measures only the Runner's shard of the overhead
-// plan and returns the indexed partial result. A zero Shard runs the
-// whole plan as shard 0/1. Combine the shards with MergeOverhead.
-//
-// Cancelling ctx drains in-flight measurements and returns the
-// completed-prefix partial (Hi trimmed to the last finished trial)
-// together with ctx's error — both non-nil.
+// plan, with RunCampaignPartial's zero-shard and cancellation contract.
 func (r *Runner) RunOverheadPartial(ctx context.Context, spec Spec) (*OverheadPartial, error) {
-	p, _, err := r.runOverheadPartial(ctx, spec)
-	return p, err
+	_, p, err := r.runShard(ctx, spec, SpecOverhead, "RunOverheadPartial")
+	q, _ := p.(*OverheadPartial)
+	return q, err
 }
 
-// runOverheadPartial also exposes the plan, for callers (GenerateSharded,
-// Session) that need a structurally complete stand-in result or the full
-// aggregation.
-func (r *Runner) runOverheadPartial(ctx context.Context, spec Spec) (*OverheadPartial, *overheadPlan, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "RunOverheadPartial")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, nil, err
-	}
-	shard := r.Shard
-	if shard.IsZero() {
-		shard = ShardSpec{Index: 0, Count: 1}
-	}
-	r.applySpec(spec)
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi := shard.shardRange(len(plan.trials))
-	start := time.Now()
-	cycles, err := r.execOverheadTrials(ctx, plan, lo, hi)
-	if err != nil && !cancelled(ctx, err) {
-		return nil, nil, err
-	}
-	return &OverheadPartial{
-		Fingerprint: plan.fingerprint,
-		Shard:       shard,
-		Lo:          lo,
-		Hi:          lo + len(cycles),
-		Total:       len(plan.trials),
-		Cycles:      cycles,
-		ElapsedMS:   time.Since(start).Milliseconds(),
-	}, plan, err
-}
-
-// MergeOverhead reassembles a full OverheadResult from the partial
-// results of a sharded overhead run. The Spec must reproduce the plan
-// the shards were cut from; the plan fingerprint enforces this. Partials
-// may arrive in any order, but their ranges must tile [0, total) exactly
-// — duplicated and missing shards are rejected with the offending trial
-// range named. The merged result is byte-identical to an unsharded
-// RunOverhead of the same Spec. One ShardMerged event is emitted per
-// partial, in canonical range order.
+// MergeOverhead reassembles the OverheadResult of a sharded overhead
+// run, with MergeCampaign's validation and events.
 func (r *Runner) MergeOverhead(spec Spec, parts []*OverheadPartial) (*OverheadResult, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "MergeOverhead")
+	res, err := mergeTyped(r, spec, SpecOverhead, "MergeOverhead", parts)
+	return res.Overhead, err
+}
+
+// overheadKind is the overhead measurement's pipeline (see kind).
+type overheadKind struct{ p *overheadPlan }
+
+func (k *overheadKind) plan(_ *Runner, spec Spec) (string, int, error) {
+	p, err := planOverhead(spec)
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return nil, err
+	k.p = p
+	return p.fingerprint, len(p.trials), nil
+}
+
+func (k *overheadKind) exec(ctx context.Context, r *Runner, lo, hi int) (partial, error) {
+	cycles, err := r.execOverheadTrials(ctx, k.p, lo, hi)
+	return &OverheadPartial{Lo: lo, Hi: lo + len(cycles), Cycles: cycles}, err
+}
+
+func (k *overheadKind) aggregate(res *Result, parts []partial) {
+	cycles := make([]uint64, len(k.p.trials))
+	for _, p := range parts {
+		q := p.(*OverheadPartial)
+		copy(cycles[q.Lo:q.Hi], q.Cycles)
 	}
-	spans := make([]planSpan, len(parts))
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("harness: MergeOverhead: nil partial result")
-		}
-		if err := p.check(); err != nil {
-			return nil, err
-		}
-		spans[i] = planSpan{shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, fingerprint: p.Fingerprint}
-	}
-	order, err := tileSpans("MergeOverhead", plan.fingerprint, len(plan.trials), spans)
-	if err != nil {
-		return nil, err
-	}
-	cycles := make([]uint64, len(plan.trials))
-	for _, i := range order {
-		copy(cycles[parts[i].Lo:parts[i].Hi], parts[i].Cycles)
-		r.notify(ShardMerged{Shard: parts[i].Shard, Lo: parts[i].Lo, Hi: parts[i].Hi, Total: parts[i].Total,
-			Elapsed: time.Duration(parts[i].ElapsedMS) * time.Millisecond})
-	}
-	return aggregateOverhead(plan, cycles), nil
+	res.Overhead = aggregateOverhead(k.p, cycles)
+}
+
+func (k *overheadKind) keep(res *Result, p partial) { res.OverheadPartial = p.(*OverheadPartial) }
+
+func (k *overheadKind) decode(r io.Reader) (partial, error) { return widen(DecodeOverheadPartial(r)) }
+
+func (k *overheadKind) render(w io.Writer, res *Result, _ string) {
+	renderOverhead(w, res.Overhead, Variant.Label)
 }

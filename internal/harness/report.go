@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"dpmr/internal/dpmr"
@@ -45,12 +44,12 @@ type Options struct {
 	// golden caches stay warm across assignments.
 	Runner *Runner
 
-	// campaign/overhead interpose on experiment execution; they are how
-	// GenerateSharded and GenerateMerged reroute the campaigns inside a
-	// generator through partial runs and merges without the generator
+	// reroute, when set, replaces running one campaign or overhead
+	// sub-plan of an experiment: it is how GenerateSharded,
+	// GenerateMerged and GenerateJournaled run the generators' sub-plans
+	// as partial runs, merges or journaled spans without the generators
 	// knowing.
-	campaignExec func(ctx context.Context, r *Runner, spec Spec) (*CampaignResult, error)
-	overheadExec func(ctx context.Context, r *Runner, spec Spec) (*OverheadResult, error)
+	reroute func(ctx context.Context, r *Runner, spec Spec) (Result, error)
 }
 
 func (o Options) runner() *Runner {
@@ -68,36 +67,20 @@ func (o Options) runner() *Runner {
 	return r
 }
 
-// campaign runs (or reroutes) one campaign of an experiment.
-func (o Options) campaign(ctx context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-	if o.campaignExec != nil {
-		return o.campaignExec(ctx, r, spec)
+// sub runs (or reroutes) one campaign or overhead sub-plan of an
+// experiment.
+func (o Options) sub(ctx context.Context, r *Runner, spec Spec) (Result, error) {
+	if o.reroute != nil {
+		return o.reroute(ctx, r, spec)
 	}
-	return r.RunCampaign(ctx, spec)
-}
-
-// overhead runs (or reroutes) one overhead measurement of an experiment.
-func (o Options) overhead(ctx context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-	if o.overheadExec != nil {
-		return o.overheadExec(ctx, r, spec)
-	}
-	return r.RunOverhead(ctx, spec)
+	return r.runWhole(ctx, spec, "", "Generate")
 }
 
 // campaignSpec derives the generator's campaign sub-Spec from the
 // normalized experiment Spec.
 func campaignSpec(exp Spec, kind faultinject.Kind, variants []Variant) Spec {
-	s := exp.derive(SpecCampaign)
+	s := exp.derive(SpecCampaign, variants)
 	s.Inject = kind.String()
-	s.Variants = VariantSpecs(variants...)
-	return s
-}
-
-// overheadSpec derives the generator's overhead sub-Spec from the
-// normalized experiment Spec.
-func overheadSpec(exp Spec, variants []Variant) Spec {
-	s := exp.derive(SpecOverhead)
-	s.Variants = VariantSpecs(variants...)
 	return s
 }
 
@@ -161,13 +144,40 @@ func generators() map[string]genFunc {
 		dpmr.SDS, faultinject.ImmediateFree, PolicyVariants, true, labelPolicy)
 	g["fig3.15"] = overheadGen("Figure 3.15: Overhead of state comparison policies (SDS, rearrange-heap, ×golden)",
 		func() []Variant { return PolicyVariants(dpmr.SDS) }, labelPolicy)
-	g["fig3.16"] = fig316
+	// The Figure 3.16 ablation: naive temporal checking vs. the
+	// periodicity-exploiting gate.
+	g["fig3.16"] = overheadGen("Figure 3.16: Exploiting periodicity to improve temporal load-checking overhead (SDS, ×golden)",
+		func() []Variant {
+			return []Variant{
+				Stdapp(),
+				NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{}),
+				NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.TemporalHalf),
+				NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.PeriodicLoadChecking{Period: 2}),
+			}
+		}, labelPolicy)
 	g["tab3.4"] = latencyGen("Table 3.4: Mean time to detection of state comparison policies (SDS, ms)",
 		dpmr.SDS, PolicyVariants, labelPolicy)
 
 	// Chapter 4 (MDS).
-	g["fig4.3"] = fig43
-	g["fig4.4"] = fig44
+	g["fig4.3"] = sideBySideGen("Figure 4.3: Side-by-side diversity transformation overheads of SDS and MDS (×golden)",
+		func(design dpmr.Design) []Variant {
+			var vs []Variant
+			for _, d := range []dpmr.Diversity{dpmr.NoDiversity{}, dpmr.ZeroBeforeFree{}, dpmr.RearrangeHeap{}, dpmr.PadMalloc{Pad: 32}} {
+				vs = append(vs, NewVariant(design, d, dpmr.AllLoads{}))
+			}
+			return vs
+		}, labelDiversity)
+	// Static policies plus all-loads; temporal is excluded as in the
+	// paper (§4.5).
+	g["fig4.4"] = sideBySideGen("Figure 4.4: Side-by-side comparison policy overheads of SDS and MDS (rearrange-heap, ×golden)",
+		func(design dpmr.Design) []Variant {
+			var vs []Variant
+			for _, p := range []dpmr.Policy{dpmr.StaticLoadChecking{Percent: 10}, dpmr.StaticLoadChecking{Percent: 50},
+				dpmr.StaticLoadChecking{Percent: 90}, dpmr.AllLoads{}} {
+				vs = append(vs, NewVariant(design, dpmr.RearrangeHeap{}, p))
+			}
+			return vs
+		}, labelPolicy)
 	g["fig4.5"] = overheadGen("Figure 4.5: MDS overhead of diversity transformations (×golden)",
 		func() []Variant { return DiversityVariants(dpmr.MDS) }, labelDiversity)
 	g["fig4.6"] = overheadGen("Figure 4.6: MDS overhead of state comparison policies (rearrange-heap, ×golden)",
@@ -206,16 +216,15 @@ func labelPolicy(v Variant) string    { return v.PolicyLabel() }
 func coverageGen(title string, design dpmr.Design, kind faultinject.Kind,
 	variantsOf func(dpmr.Design) []Variant, conditional bool, lbl labelFunc) genFunc {
 	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-		r := opts.runner()
-		cr, err := opts.campaign(ctx, r, campaignSpec(spec, kind, variantsOf(design)))
+		res, err := opts.sub(ctx, opts.runner(), campaignSpec(spec, kind, variantsOf(design)))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, title)
 		if conditional {
-			renderConditional(w, cr, lbl)
+			renderConditional(w, res.Campaign, lbl)
 		} else {
-			renderCoverage(w, cr, lbl)
+			renderCoverage(w, res.Campaign, lbl)
 		}
 		return nil
 	}
@@ -249,13 +258,12 @@ func renderConditional(w io.Writer, cr *CampaignResult, lbl labelFunc) {
 
 func overheadGen(title string, variantsOf func() []Variant, lbl labelFunc) genFunc {
 	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-		r := opts.runner()
-		or, err := opts.overhead(ctx, r, overheadSpec(spec, variantsOf()))
+		res, err := opts.sub(ctx, opts.runner(), spec.derive(SpecOverhead, variantsOf()))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, title)
-		renderOverhead(w, or, lbl)
+		renderOverhead(w, res.Overhead, lbl)
 		return nil
 	}
 }
@@ -280,10 +288,11 @@ func latencyGen(title string, design dpmr.Design, variantsOf func(dpmr.Design) [
 		r := opts.runner()
 		fmt.Fprintln(w, title)
 		for _, kind := range []faultinject.Kind{faultinject.HeapArrayResize, faultinject.ImmediateFree} {
-			cr, err := opts.campaign(ctx, r, campaignSpec(spec, kind, variantsOf(design)))
+			res, err := opts.sub(ctx, r, campaignSpec(spec, kind, variantsOf(design)))
 			if err != nil {
 				return err
 			}
+			cr := res.Campaign
 			fmt.Fprintf(w, "-- %s --\n", kind)
 			fmt.Fprintf(w, "%-20s", "variant")
 			for _, name := range cr.Workloads {
@@ -305,90 +314,41 @@ func latencyGen(title string, design dpmr.Design, variantsOf func(dpmr.Design) [
 	}
 }
 
-// fig316 is the Figure 3.16 ablation: naive temporal checking vs. the
-// periodicity-exploiting gate.
-func fig316(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-	r := opts.runner()
-	variants := []Variant{
-		Stdapp(),
-		NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{}),
-		NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.TemporalHalf),
-		NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.PeriodicLoadChecking{Period: 2}),
-	}
-	or, err := opts.overhead(ctx, r, overheadSpec(spec, variants))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 3.16: Exploiting periodicity to improve temporal load-checking overhead (SDS, ×golden)")
-	renderOverhead(w, or, labelPolicy)
-	return nil
-}
-
-// fig43 renders the side-by-side SDS/MDS diversity overhead comparison.
-func fig43(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-	divs := []dpmr.Diversity{
-		dpmr.NoDiversity{}, dpmr.ZeroBeforeFree{}, dpmr.RearrangeHeap{}, dpmr.PadMalloc{Pad: 32},
-	}
-	fmt.Fprintln(w, "Figure 4.3: Side-by-side diversity transformation overheads of SDS and MDS (×golden)")
-	return sideBySide(ctx, spec, w, opts, func(design dpmr.Design) []Variant {
-		var vs []Variant
-		for _, d := range divs {
-			vs = append(vs, NewVariant(design, d, dpmr.AllLoads{}))
+// sideBySideGen renders the SDS and MDS overheads of one variant set in
+// interleaved rows.
+func sideBySideGen(title string, variantsOf func(dpmr.Design) []Variant, lbl labelFunc) genFunc {
+	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
+		fmt.Fprintln(w, title)
+		r := opts.runner()
+		sdsRes, err := opts.sub(ctx, r, spec.derive(SpecOverhead, variantsOf(dpmr.SDS)))
+		if err != nil {
+			return err
 		}
-		return vs
-	}, labelDiversity)
-}
-
-// fig44 renders the side-by-side SDS/MDS policy overhead comparison
-// (static policies plus all-loads; temporal is excluded as in the paper,
-// §4.5).
-func fig44(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-	pols := []dpmr.Policy{
-		dpmr.StaticLoadChecking{Percent: 10},
-		dpmr.StaticLoadChecking{Percent: 50},
-		dpmr.StaticLoadChecking{Percent: 90},
-		dpmr.AllLoads{},
-	}
-	fmt.Fprintln(w, "Figure 4.4: Side-by-side comparison policy overheads of SDS and MDS (rearrange-heap, ×golden)")
-	return sideBySide(ctx, spec, w, opts, func(design dpmr.Design) []Variant {
-		var vs []Variant
-		for _, p := range pols {
-			vs = append(vs, NewVariant(design, dpmr.RearrangeHeap{}, p))
+		mdsRes, err := opts.sub(ctx, r, spec.derive(SpecOverhead, variantsOf(dpmr.MDS)))
+		if err != nil {
+			return err
 		}
-		return vs
-	}, labelPolicy)
-}
-
-func sideBySide(ctx context.Context, spec Spec, w io.Writer, opts Options,
-	variantsOf func(dpmr.Design) []Variant, lbl labelFunc) error {
-	r := opts.runner()
-	sds, err := opts.overhead(ctx, r, overheadSpec(spec, variantsOf(dpmr.SDS)))
-	if err != nil {
-		return err
-	}
-	mds, err := opts.overhead(ctx, r, overheadSpec(spec, variantsOf(dpmr.MDS)))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-26s", "variant")
-	for _, name := range sds.Workloads {
-		fmt.Fprintf(w, " %8s", name)
-	}
-	fmt.Fprintln(w)
-	for i, v := range sds.Variants {
-		fmt.Fprintf(w, "SDS %-22s", lbl(v))
+		sds, mds := sdsRes.Overhead, mdsRes.Overhead
+		fmt.Fprintf(w, "%-26s", "variant")
 		for _, name := range sds.Workloads {
-			fmt.Fprintf(w, " %8.2f", sds.Ratio[v.Label()][name])
+			fmt.Fprintf(w, " %8s", name)
 		}
 		fmt.Fprintln(w)
-		mv := mds.Variants[i]
-		fmt.Fprintf(w, "MDS %-22s", lbl(mv))
-		for _, name := range mds.Workloads {
-			fmt.Fprintf(w, " %8.2f", mds.Ratio[mv.Label()][name])
+		for i, v := range sds.Variants {
+			fmt.Fprintf(w, "SDS %-22s", lbl(v))
+			for _, name := range sds.Workloads {
+				fmt.Fprintf(w, " %8.2f", sds.Ratio[v.Label()][name])
+			}
+			fmt.Fprintln(w)
+			mv := mds.Variants[i]
+			fmt.Fprintf(w, "MDS %-22s", lbl(mv))
+			for _, name := range mds.Workloads {
+				fmt.Fprintf(w, " %8.2f", mds.Ratio[mv.Label()][name])
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
+		return nil
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +366,22 @@ type ExperimentPartial struct {
 	Overheads []*OverheadPartial `json:"overheads,omitempty"`
 }
 
+// subPlans lists the experiment partial's sub-plan partials by plan
+// kind, each in execution order.
+func (ep *ExperimentPartial) subPlans() map[SpecKind][]partial {
+	return map[SpecKind][]partial{SpecCampaign: asPartials(ep.Campaigns), SpecOverhead: asPartials(ep.Overheads)}
+}
+
+// add files one sub-plan's partial, in execution order.
+func (ep *ExperimentPartial) add(p partial) {
+	switch p := p.(type) {
+	case *PartialResult:
+		ep.Campaigns = append(ep.Campaigns, p)
+	case *OverheadPartial:
+		ep.Overheads = append(ep.Overheads, p)
+	}
+}
+
 // DecodeExperimentPartial reads a JSON experiment partial and validates
 // its shape. It never panics on malformed input.
 func DecodeExperimentPartial(r io.Reader) (*ExperimentPartial, error) {
@@ -419,20 +395,9 @@ func DecodeExperimentPartial(r io.Reader) (*ExperimentPartial, error) {
 	if len(ep.Campaigns) == 0 && len(ep.Overheads) == 0 {
 		return nil, fmt.Errorf("harness: experiment partial %s: no campaigns or overhead measurements", ep.Exp)
 	}
-	for _, p := range ep.Campaigns {
-		if p == nil {
-			return nil, fmt.Errorf("harness: experiment partial %s: nil campaign", ep.Exp)
-		}
+	for _, p := range append(asPartials(ep.Campaigns), asPartials(ep.Overheads)...) {
 		if err := p.check(); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range ep.Overheads {
-		if p == nil {
-			return nil, fmt.Errorf("harness: experiment partial %s: nil overhead measurement", ep.Exp)
-		}
-		if err := p.check(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: experiment partial %s: %w", ep.Exp, err)
 		}
 	}
 	return &ep, nil
@@ -456,28 +421,17 @@ func GenerateSharded(ctx context.Context, spec Spec, shard ShardSpec, out io.Wri
 		return err
 	}
 	ep := &ExperimentPartial{Exp: n.Exp, Shard: shard}
-	opts.campaignExec = func(ctx context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
+	opts.reroute = func(ctx context.Context, r *Runner, sub Spec) (Result, error) {
 		r.Shard = shard
-		p, plan, err := r.runCampaignPartial(ctx, spec)
+		pl, p, err := r.runShard(ctx, sub, "", "GenerateSharded")
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		ep.Campaigns = append(ep.Campaigns, p)
+		ep.add(p)
 		// Rendering goes to io.Discard; a structurally complete stand-in
 		// (all cells present, zero-valued) keeps the generator's render
 		// path happy without running the other shards' trials.
-		return aggregate(plan, make([]TrialOutcome, len(plan.trials))), nil
-	}
-	opts.overheadExec = func(ctx context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-		r.Shard = shard
-		p, plan, err := r.runOverheadPartial(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		ep.Overheads = append(ep.Overheads, p)
-		// Same stand-in trick: zero cycles render as 0/NaN ratios into
-		// io.Discard without running the other shards' measurements.
-		return aggregateOverhead(plan, make([]uint64, len(plan.trials))), nil
+		return pl.result(), nil
 	}
 	if err := Generate(ctx, n, io.Discard, opts); err != nil {
 		return err
@@ -485,10 +439,7 @@ func GenerateSharded(ctx context.Context, spec Spec, shard ShardSpec, out io.Wri
 	if len(ep.Campaigns) == 0 && len(ep.Overheads) == 0 {
 		return fmt.Errorf("harness: experiment %s runs no campaign or overhead measurement; nothing to shard", n.Exp)
 	}
-	if err := json.NewEncoder(out).Encode(ep); err != nil {
-		return fmt.Errorf("harness: encoding experiment partial: %w", err)
-	}
-	return nil
+	return encodePartial(out, ep)
 }
 
 // GenerateMerged merges the shards of a sharded experiment run and
@@ -514,47 +465,44 @@ func GenerateMerged(ctx context.Context, spec Spec, out io.Writer, partials []io
 		if ep.Exp != id {
 			return fmt.Errorf("harness: GenerateMerged: partial %d is shard %s of experiment %s, want %s", i, ep.Shard, ep.Exp, id)
 		}
-		if i > 0 && len(ep.Campaigns) != len(eps[0].Campaigns) {
-			return fmt.Errorf("harness: GenerateMerged: partial %d holds %d campaigns, partial 0 holds %d", i, len(ep.Campaigns), len(eps[0].Campaigns))
-		}
-		if i > 0 && len(ep.Overheads) != len(eps[0].Overheads) {
-			return fmt.Errorf("harness: GenerateMerged: partial %d holds %d overhead measurements, partial 0 holds %d", i, len(ep.Overheads), len(eps[0].Overheads))
-		}
 		eps[i] = ep
 	}
 	spec.Exp = id
-	nCampaigns, nOverheads := len(eps[0].Campaigns), len(eps[0].Overheads)
-	ci, oi := 0, 0
-	opts.campaignExec = func(_ context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-		if ci >= nCampaigns {
-			return nil, fmt.Errorf("harness: experiment %s runs more than the %d campaigns the partials hold", id, nCampaigns)
+	// shelves[kind][i] gathers every shard's partial of the experiment's
+	// i-th sub-plan of that kind.
+	shelves := make(map[SpecKind][][]partial)
+	for i, ep := range eps {
+		for k, parts := range ep.subPlans() {
+			if i == 0 {
+				shelves[k] = make([][]partial, len(parts))
+			} else if len(parts) != len(shelves[k]) {
+				return fmt.Errorf("harness: GenerateMerged: partial %d holds %d %s plans, partial 0 holds %d", i, len(parts), k, len(shelves[k]))
+			}
+			for si, p := range parts {
+				shelves[k][si] = append(shelves[k][si], p)
+			}
 		}
-		parts := make([]*PartialResult, len(eps))
-		for j, ep := range eps {
-			parts[j] = ep.Campaigns[ci]
-		}
-		ci++
-		return r.MergeCampaign(spec, parts)
 	}
-	opts.overheadExec = func(_ context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-		if oi >= nOverheads {
-			return nil, fmt.Errorf("harness: experiment %s runs more than the %d overhead measurements the partials hold", id, nOverheads)
+	merged := make(map[SpecKind]int)
+	opts.reroute = func(_ context.Context, r *Runner, sub Spec) (Result, error) {
+		shelf, i := shelves[sub.Kind], merged[sub.Kind]
+		if i >= len(shelf) {
+			return Result{}, fmt.Errorf("harness: experiment %s runs more than the %d %s plans the partials hold", id, len(shelf), sub.Kind)
 		}
-		parts := make([]*OverheadPartial, len(eps))
-		for j, ep := range eps {
-			parts[j] = ep.Overheads[oi]
+		merged[sub.Kind]++
+		pl, err := r.plan(sub, "", "GenerateMerged")
+		if err != nil {
+			return Result{}, err
 		}
-		oi++
-		return r.MergeOverhead(spec, parts)
+		return pl.merge(r, shelf[i], "GenerateMerged")
 	}
 	if err := Generate(ctx, spec, out, opts); err != nil {
 		return err
 	}
-	if ci != nCampaigns {
-		return fmt.Errorf("harness: partials hold %d campaigns but experiment %s ran only %d", nCampaigns, id, ci)
-	}
-	if oi != nOverheads {
-		return fmt.Errorf("harness: partials hold %d overhead measurements but experiment %s ran only %d", nOverheads, id, oi)
+	for _, k := range []SpecKind{SpecCampaign, SpecOverhead} {
+		if merged[k] != len(shelves[k]) {
+			return fmt.Errorf("harness: partials hold %d %s plans but experiment %s ran only %d", len(shelves[k]), k, id, merged[k])
+		}
 	}
 	return nil
 }
@@ -563,9 +511,7 @@ func GenerateMerged(ctx context.Context, spec Spec, out io.Writer, partials []io
 // Exp field is overridden per experiment) for the shared declarative
 // parameters.
 func GenerateAll(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-	ids := ExperimentIDs()
-	sort.SliceStable(ids, func(i, j int) bool { return false }) // keep paper order
-	for _, id := range ids {
+	for _, id := range ExperimentIDs() {
 		s := spec
 		s.Exp = id
 		if err := Generate(ctx, s, w, opts); err != nil {

@@ -1,17 +1,18 @@
 package harness
 
-// Resumable, adaptively sized campaign execution over a crash-safe
-// journal (internal/journal). The flow: ResumeCampaign diffs the
-// canonical plan against the journal's replayed records by plan
-// fingerprint and computes the uncovered gaps; CampaignResume.Spans cuts
-// those gaps into explicit trial spans whose sizes follow the observed
+// Resumable, adaptively sized execution of any plan kind over a
+// crash-safe journal (internal/journal). The flow: Runner.Resume diffs
+// the canonical plan against the journal's replayed records by plan
+// fingerprint and computes the uncovered gaps; Resume.Spans cuts those
+// gaps into explicit trial spans whose sizes follow the observed
 // per-trial cost in the journal (slow regions get smaller spans, so a
 // straggling span loses less work to the next interruption) — and the
 // cut is a pure function of (journal bytes, Spec), so a resumed plan is
-// reproducible; the journaled drivers then execute the spans, appending
-// each completed partial to the journal before moving on, and finish
+// reproducible; the journaled span loop (RunJournaled, and the
+// coordinator through Resume.Append) then executes the spans, appending
+// each completed partial to the journal before moving on, and finishes
 // with the ordinary fingerprint-validated exact-tiling merge, which is
-// what guarantees a resumed campaign's report is byte-identical to an
+// what guarantees a resumed run's report is byte-identical to an
 // uninterrupted run and that no trial is ever dropped or double-counted.
 
 import (
@@ -41,92 +42,71 @@ var (
 // identical whether the resumed run executes with 1 or 8 workers.
 const DefaultResumeSpans = 8
 
-// CampaignResume is the diff of a campaign plan against a journal
-// replay: which trial ranges are already covered (Parts) and which still
-// need to run (Gaps).
-type CampaignResume struct {
-	spec  Spec
-	plan  *campaignPlan
-	cplan *concurrentPlan // set instead of plan by ResumeConcurrent
-	// PlanFP is the canonical plan's fingerprint — the key shard records
-	// are journaled under.
-	PlanFP string
-	// Total is the plan's trial count.
-	Total int
-	// Parts holds the journal's replayed partial results, validated and
-	// in ascending range order.
-	Parts []*PartialResult
-	// Gaps are the uncovered trial ranges, as explicit span ShardSpecs in
-	// ascending order. Empty means the journal already covers the plan.
-	Gaps []ShardSpec
+// Resume is the diff of any kind's plan against a journal replay, and
+// the rest of the resumed run: Spans cuts the gaps, Append journals each
+// span's result, Snapshot renders progress, and Merge finishes.
+type Resume struct {
+	r      *Runner
+	pl     *planned
+	parts  []partial   // covered ranges, replayed then appended
+	PlanFP string      // the plan fingerprint shard records are journaled under
+	Total  int         // the plan's trial count
+	Gaps   []ShardSpec // ranges the replay left uncovered, ascending; empty when complete
 }
 
-// Done reports how many trials the journal already covers.
-func (c *CampaignResume) Done() int {
-	done := 0
-	for _, p := range c.Parts {
-		done += p.Hi - p.Lo
-	}
-	return done
-}
-
-// ResumeCampaign recomputes the campaign Spec's canonical plan and diffs
-// it against the journal replay: records journaled under this plan's
-// fingerprint are decoded and re-validated (payload shape, fingerprint,
-// and the record's range against the payload's — a mismatch means the
-// journal was tampered with past its checksums and is refused as
-// corrupt); everything the records do not cover becomes a gap. rp may be
-// nil (a fresh journal): every trial is then a gap.
-func (r *Runner) ResumeCampaign(spec Spec, rp *journal.Replay) (*CampaignResume, error) {
-	spec, err := spec.normalizedAs(SpecCampaign, "ResumeCampaign")
-	if err != nil {
-		return nil, err
-	}
+// Resume recomputes the Spec's canonical plan and diffs it against the
+// journal replay: records journaled under this plan's fingerprint are
+// decoded and re-validated (payload shape, fingerprint, and the record's
+// range against the payload's — a mismatch means the journal was
+// tampered with past its checksums and is refused as corrupt);
+// everything the records do not cover becomes a gap. rp may be nil (a
+// fresh journal): every trial is then a gap.
+func (r *Runner) Resume(spec Spec, rp *journal.Replay) (*Resume, error) {
 	if err := failpt.Err(siteResume); err != nil {
 		return nil, err
 	}
 	if err := r.validate(); err != nil {
 		return nil, err
 	}
-	r.applySpec(spec)
-	plan, err := r.planCampaign(spec)
+	pl, err := r.plan(spec, "", "Resume")
 	if err != nil {
 		return nil, err
 	}
-	c := &CampaignResume{spec: spec, plan: plan, PlanFP: plan.fingerprint, Total: len(plan.trials)}
+	c := &Resume{r: r, pl: pl, PlanFP: pl.fingerprint, Total: pl.total}
 	if rp != nil {
-		for _, rec := range rp.Plan(plan.fingerprint) {
-			p, err := decodeJournaledPartial(rec, plan.fingerprint, len(plan.trials))
+		for _, rec := range rp.Plan(pl.fingerprint) {
+			p, err := pl.decodeRecord(rec)
 			if err != nil {
 				return nil, err
 			}
-			c.Parts = append(c.Parts, p)
+			c.parts = append(c.parts, p)
 		}
 	}
-	c.Gaps, err = rangeGaps(c.Parts, len(plan.trials))
+	c.Gaps, err = rangeGaps(c.parts, pl.total)
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// decodeJournaledPartial decodes one journal record's payload as a
-// campaign partial and cross-checks it against the record envelope and
-// the plan. The journal's checksum already proved the payload is the
-// bytes that were appended; these checks prove those bytes mean what the
-// envelope says, so nothing merges on the strength of metadata alone.
-func decodeJournaledPartial(rec journal.Record, planFP string, total int) (*PartialResult, error) {
-	p, err := DecodePartial(bytes.NewReader(rec.Payload))
+// decodeRecord decodes one journal record's payload as a partial of the
+// plan and cross-checks it against the record envelope. The journal's
+// checksum already proved the payload is the bytes that were appended;
+// these checks prove those bytes mean what the envelope says, so nothing
+// merges on the strength of metadata alone.
+func (pl *planned) decodeRecord(rec journal.Record) (partial, error) {
+	p, err := pl.decode(bytes.NewReader(rec.Payload))
 	if err != nil {
 		return nil, fmt.Errorf("%w: journaled payload for trials [%d, %d): %v", journal.ErrCorrupt, rec.Lo, rec.Hi, err)
 	}
-	if p.Fingerprint != planFP {
+	s := p.span()
+	if s.fingerprint != pl.fingerprint {
 		return nil, fmt.Errorf("%w: journaled payload for trials [%d, %d) was cut from plan %.12s, record claims %.12s",
-			journal.ErrCorrupt, rec.Lo, rec.Hi, p.Fingerprint, planFP)
+			journal.ErrCorrupt, rec.Lo, rec.Hi, s.fingerprint, pl.fingerprint)
 	}
-	if p.Lo != rec.Lo || p.Hi != rec.Hi || p.Total != rec.Total || p.Total != total {
+	if s.lo != rec.Lo || s.hi != rec.Hi || s.total != rec.Total || s.total != pl.total {
 		return nil, fmt.Errorf("%w: journaled payload covers [%d, %d) of %d, record claims [%d, %d) of %d",
-			journal.ErrCorrupt, p.Lo, p.Hi, p.Total, rec.Lo, rec.Hi, rec.Total)
+			journal.ErrCorrupt, s.lo, s.hi, s.total, rec.Lo, rec.Hi, rec.Total)
 	}
 	return p, nil
 }
@@ -134,18 +114,18 @@ func decodeJournaledPartial(rec journal.Record, planFP string, total int) (*Part
 // rangeGaps returns the sub-ranges of [0, total) that the parts (already
 // in ascending order, non-overlapping — the journal enforces both) do
 // not cover, as explicit spans.
-func rangeGaps[P interface{ span() (lo, hi int) }](parts []P, total int) ([]ShardSpec, error) {
+func rangeGaps(parts []partial, total int) ([]ShardSpec, error) {
 	var gaps []ShardSpec
 	next := 0
 	for _, p := range parts {
-		lo, hi := p.span()
-		if lo < next {
-			return nil, fmt.Errorf("%w: journaled ranges overlap at trial %d", journal.ErrCorrupt, lo)
+		s := p.span()
+		if s.lo < next {
+			return nil, fmt.Errorf("%w: journaled ranges overlap at trial %d", journal.ErrCorrupt, s.lo)
 		}
-		if lo > next {
-			gaps = append(gaps, SpanShard(next, lo))
+		if s.lo > next {
+			gaps = append(gaps, SpanShard(next, s.lo))
 		}
-		next = hi
+		next = s.hi
 	}
 	if next < total {
 		gaps = append(gaps, SpanShard(next, total))
@@ -153,8 +133,15 @@ func rangeGaps[P interface{ span() (lo, hi int) }](parts []P, total int) ([]Shar
 	return gaps, nil
 }
 
-func (p *PartialResult) span() (int, int)   { return p.Lo, p.Hi }
-func (p *OverheadPartial) span() (int, int) { return p.Lo, p.Hi }
+// Done reports how many trials the resume's coverage holds.
+func (c *Resume) Done() int {
+	done := 0
+	for _, p := range c.parts {
+		s := p.span()
+		done += s.hi - s.lo
+	}
+	return done
+}
 
 // Spans cuts the resume's gaps into at most n explicit spans (at least
 // one per gap), sized adaptively from the journal's observed per-trial
@@ -164,19 +151,49 @@ func (p *OverheadPartial) span() (int, int) { return p.Lo, p.Hi }
 // is deterministic — a pure function of the replayed records and the
 // Spec — which is what makes a resumed plan reproducible: re-planning
 // the same journal yields byte-identical spans at any worker count.
-func (c *CampaignResume) Spans(n int) []ShardSpec {
-	return adaptiveSpans(n, c.Gaps, observedRates(partSpans(c.Parts), c.Total))
+func (c *Resume) Spans(n int) []ShardSpec {
+	covered := make([]planSpan, len(c.parts))
+	for i, p := range c.parts {
+		covered[i] = p.span()
+	}
+	return adaptiveSpans(n, c.Gaps, observedRates(covered, c.Total))
 }
 
-// Snapshot aggregates the given parts over zero-valued stand-ins for
-// the uncovered trials — a structurally complete CampaignResult, the
-// data a progressive report renders mid-campaign.
-func (c *CampaignResume) Snapshot(parts []*PartialResult) *CampaignResult {
-	outcomes := make([]TrialOutcome, c.Total)
-	for _, p := range parts {
-		copy(outcomes[p.Lo:p.Hi], p.Outcomes)
+// Append journals one serialized partial of the plan — a fleet shard's
+// payload — and adds it to the coverage; it returns its trial count.
+func (c *Resume) Append(j *journal.Journal, payload []byte) (int, error) {
+	p, err := c.pl.decode(bytes.NewReader(payload))
+	if err != nil {
+		return 0, err
 	}
-	return aggregate(c.plan, outcomes)
+	if err := appendRecord(j, p, payload); err != nil {
+		return 0, err
+	}
+	c.parts = append(c.parts, p)
+	s := p.span()
+	return s.hi - s.lo, nil
+}
+
+// Snapshot aggregates the coverage over zero-valued stand-ins for the
+// uncovered trials: the structurally complete progressive view.
+func (c *Resume) Snapshot() Result { return c.pl.result(c.parts...) }
+
+// Merge merges the coverage, which must tile the plan, into the final
+// result (see MergeCampaign).
+func (c *Resume) Merge() (Result, error) { return c.pl.merge(c.r, c.parts, "Merge") }
+
+// Payloads returns the journal's replayed partials in their wire form
+// (encoding/json, no trailing newline), in ascending trial order.
+func (c *Resume) Payloads() ([][]byte, error) {
+	out := make([][]byte, len(c.parts))
+	for i, p := range c.parts {
+		payload, err := json.Marshal(p)
+		if err != nil {
+			return nil, fmt.Errorf("harness: encoding journaled partial: %w", err)
+		}
+		out[i] = payload
+	}
+	return out, nil
 }
 
 // OpenJournal resolves the CLIs' -journal/-resume flag pair against the
@@ -215,27 +232,24 @@ func AppendCampaignPayload(j *journal.Journal, payload []byte) (*PartialResult, 
 	if err != nil {
 		return nil, err
 	}
-	return p, j.Append(journal.Record{
-		PlanFP: p.Fingerprint, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-		ElapsedMS: p.ElapsedMS, Payload: payload,
+	return p, appendRecord(j, p, payload)
+}
+
+// appendRecord journals one partial with its serialized payload.
+func appendRecord(j *journal.Journal, p partial, payload []byte) error {
+	s := p.span()
+	return j.Append(journal.Record{
+		PlanFP: s.fingerprint, Lo: s.lo, Hi: s.hi, Total: s.total,
+		ElapsedMS: s.elapsedMS, Payload: payload,
 	})
 }
 
-// costedSpan is one covered range with its observed per-trial cost.
-type costedSpan struct {
-	lo, hi int
-	rate   float64 // ms per trial; 0 = unknown
-}
-
-func partSpans(parts []*PartialResult) []costedSpan {
-	spans := make([]costedSpan, len(parts))
-	for i, p := range parts {
-		spans[i] = costedSpan{lo: p.Lo, hi: p.Hi}
-		if p.ElapsedMS > 0 && p.Hi > p.Lo {
-			spans[i].rate = float64(p.ElapsedMS) / float64(p.Hi-p.Lo)
-		}
+// rate is the span's observed cost in ms per trial; 0 = unknown.
+func (s planSpan) rate() float64 {
+	if s.elapsedMS > 0 && s.hi > s.lo {
+		return float64(s.elapsedMS) / float64(s.hi-s.lo)
 	}
-	return spans
+	return 0
 }
 
 // observedRates builds the per-trial cost model over the whole plan:
@@ -244,12 +258,12 @@ func partSpans(parts []*PartialResult) []costedSpan {
 // one side at the edges), falling back to the global mean, and to a
 // uniform 1.0 when the journal holds no timing at all (a fresh journal:
 // the adaptive cut then degrades to the uniform cut).
-func observedRates(covered []costedSpan, total int) []float64 {
+func observedRates(covered []planSpan, total int) []float64 {
 	rates := make([]float64, total)
 	sum, nRated := 0.0, 0
 	for _, s := range covered {
-		if s.rate > 0 {
-			sum += s.rate * float64(s.hi-s.lo)
+		if r := s.rate(); r > 0 {
+			sum += r * float64(s.hi-s.lo)
 			nRated += s.hi - s.lo
 		}
 	}
@@ -257,9 +271,9 @@ func observedRates(covered []costedSpan, total int) []float64 {
 	if nRated > 0 {
 		mean = sum / float64(nRated)
 	}
-	rate := func(s costedSpan) float64 {
-		if s.rate > 0 {
-			return s.rate
+	rate := func(s planSpan) float64 {
+		if r := s.rate(); r > 0 {
+			return r
 		}
 		return mean
 	}
@@ -275,7 +289,7 @@ func observedRates(covered []costedSpan, total int) []float64 {
 	next := 0
 	for si := 0; si <= len(covered); si++ {
 		gapLo, gapHi := next, total
-		var left, right *costedSpan
+		var left, right *planSpan
 		if si > 0 {
 			left = &covered[si-1]
 		}
@@ -408,271 +422,101 @@ func cutByCost(g ShardSpec, ng int, rates []float64) []ShardSpec {
 	return spans
 }
 
-// runCampaignJournaled executes a campaign against a journal: replayed
-// coverage is kept, the remaining gaps are cut adaptively into spans,
-// each span's completed partial is appended (durably) to the journal
-// before the next span starts, and the full set merges into the final
-// result. onSpan, when non-nil, fires with the accumulated parts — once
-// after replay and once per completed span — which is what progressive
-// reporting hangs off. The returned int counts trials actually executed
-// here (not replayed); on cancellation the completed prefix of the
-// in-flight span is journaled before the context error returns.
-func (r *Runner) runCampaignJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	onSpan func(plan *campaignPlan, parts []*PartialResult)) (*CampaignResult, int, error) {
-	c, err := r.ResumeCampaign(spec, prior)
+// RunJournaled executes the Spec's plan against a journal: replayed
+// coverage is kept, the gaps run as adaptively cut spans, each span's
+// partial is appended durably before the next starts, and the full set
+// merges into a result byte-identical to an uninterrupted run. snap,
+// when non-nil, receives the progressive Snapshot and the covered/total
+// trial counts after replay and after every span. The int counts trials
+// executed here; on cancellation the in-flight span's completed prefix
+// is journaled before ctx's error returns.
+func (r *Runner) RunJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
+	snap func(res Result, done, total int)) (Result, int, error) {
+	c, err := r.Resume(spec, prior)
 	if err != nil {
-		return nil, 0, err
+		return Result{}, 0, err
 	}
-	parts := c.Parts
-	if onSpan != nil {
-		onSpan(c.plan, parts)
+	return c.run(ctx, j, spans, snap)
+}
+
+// run is the journaled span loop behind RunJournaled.
+func (c *Resume) run(ctx context.Context, j *journal.Journal, spans int, snap func(res Result, done, total int)) (Result, int, error) {
+	emit := func() {
+		if snap != nil {
+			snap(c.Snapshot(), c.Done(), c.Total)
+		}
 	}
+	emit()
 	executed := 0
 	for _, span := range c.Spans(spans) {
-		p, err := r.runSpan(ctx, c.spec, span)
+		if err := failpt.Err(siteSpan); err != nil {
+			return Result{}, executed, err
+		}
+		p, err := c.pl.run(ctx, c.r, span)
 		if err != nil && (p == nil || !cancelled(ctx, err)) {
-			return nil, executed, err
+			return Result{}, executed, err
 		}
-		if p.Hi > p.Lo {
-			if aerr := appendCampaignPartial(j, p); aerr != nil {
-				return nil, executed, aerr
-			}
-			executed += p.Hi - p.Lo
-			parts = append(parts, p)
-			if onSpan != nil {
-				onSpan(c.plan, parts)
-			}
-		}
-		if err != nil {
-			return nil, executed, err
-		}
-	}
-	merged, err := r.MergeCampaign(c.spec, parts)
-	if err != nil {
-		return nil, executed, err
-	}
-	return merged, executed, nil
-}
-
-// runSpan executes one explicit span on the Runner, preserving its
-// configured Shard around the call.
-func (r *Runner) runSpan(ctx context.Context, spec Spec, span ShardSpec) (*PartialResult, error) {
-	if err := failpt.Err(siteSpan); err != nil {
-		return nil, err
-	}
-	saved := r.Shard
-	r.Shard = span
-	p, _, err := r.runCampaignPartial(ctx, spec)
-	r.Shard = saved
-	return p, err
-}
-
-// appendCampaignPartial journals one completed campaign partial.
-func appendCampaignPartial(j *journal.Journal, p *PartialResult) error {
-	payload, err := json.Marshal(p)
-	if err != nil {
-		return fmt.Errorf("harness: encoding journaled partial: %w", err)
-	}
-	return j.Append(journal.Record{
-		PlanFP: p.Fingerprint, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-		ElapsedMS: p.ElapsedMS, Payload: payload,
-	})
-}
-
-// RunCampaignJournaled is the exported journaled campaign driver. snap,
-// when non-nil, receives a progressive snapshot after replay and after
-// every completed span: a structurally complete CampaignResult whose
-// uncovered trials are zero-valued stand-ins, plus the covered/total
-// trial counts — the data a progressive report renders. The final
-// result is byte-identical to an uninterrupted RunCampaign; the int
-// counts trials executed by this call (excluding replayed coverage).
-func (r *Runner) RunCampaignJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	snap func(cr *CampaignResult, done, total int)) (*CampaignResult, int, error) {
-	var onSpan func(plan *campaignPlan, parts []*PartialResult)
-	if snap != nil {
-		onSpan = func(plan *campaignPlan, parts []*PartialResult) {
-			outcomes := make([]TrialOutcome, len(plan.trials))
-			done := 0
-			for _, p := range parts {
-				copy(outcomes[p.Lo:p.Hi], p.Outcomes)
-				done += p.Hi - p.Lo
-			}
-			snap(aggregate(plan, outcomes), done, len(plan.trials))
-		}
-	}
-	return r.runCampaignJournaled(ctx, spec, j, prior, spans, onSpan)
-}
-
-// --------------------------------------------------------------------------
-// Overhead analogues: experiments journal their overhead measurement
-// plans through the same machinery.
-
-// resumeOverhead diffs an overhead plan against the journal replay.
-func (r *Runner) resumeOverhead(spec Spec, rp *journal.Replay) (Spec, *overheadPlan, []*OverheadPartial, []ShardSpec, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "ResumeOverhead")
-	if err != nil {
-		return spec, nil, nil, nil, err
-	}
-	if err := r.validate(); err != nil {
-		return spec, nil, nil, nil, err
-	}
-	r.applySpec(spec)
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return spec, nil, nil, nil, err
-	}
-	var parts []*OverheadPartial
-	if rp != nil {
-		for _, rec := range rp.Plan(plan.fingerprint) {
-			p, err := decodeJournaledOverhead(rec, plan.fingerprint, len(plan.trials))
-			if err != nil {
-				return spec, nil, nil, nil, err
-			}
-			parts = append(parts, p)
-		}
-	}
-	gaps, err := rangeGaps(parts, len(plan.trials))
-	if err != nil {
-		return spec, nil, nil, nil, err
-	}
-	return spec, plan, parts, gaps, nil
-}
-
-func decodeJournaledOverhead(rec journal.Record, planFP string, total int) (*OverheadPartial, error) {
-	p, err := DecodeOverheadPartial(bytes.NewReader(rec.Payload))
-	if err != nil {
-		return nil, fmt.Errorf("%w: journaled overhead payload for trials [%d, %d): %v", journal.ErrCorrupt, rec.Lo, rec.Hi, err)
-	}
-	if p.Fingerprint != planFP {
-		return nil, fmt.Errorf("%w: journaled overhead payload for trials [%d, %d) was cut from plan %.12s, record claims %.12s",
-			journal.ErrCorrupt, rec.Lo, rec.Hi, p.Fingerprint, planFP)
-	}
-	if p.Lo != rec.Lo || p.Hi != rec.Hi || p.Total != rec.Total || p.Total != total {
-		return nil, fmt.Errorf("%w: journaled overhead payload covers [%d, %d) of %d, record claims [%d, %d) of %d",
-			journal.ErrCorrupt, p.Lo, p.Hi, p.Total, rec.Lo, rec.Hi, rec.Total)
-	}
-	return p, nil
-}
-
-// runOverheadJournaled is the overhead analogue of runCampaignJournaled.
-func (r *Runner) runOverheadJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	onSpan func(plan *overheadPlan, parts []*OverheadPartial)) (*OverheadResult, int, error) {
-	spec, plan, parts, gaps, err := r.resumeOverhead(spec, prior)
-	if err != nil {
-		return nil, 0, err
-	}
-	if onSpan != nil {
-		onSpan(plan, parts)
-	}
-	costs := make([]costedSpan, len(parts))
-	for i, p := range parts {
-		costs[i] = costedSpan{lo: p.Lo, hi: p.Hi}
-		if p.ElapsedMS > 0 && p.Hi > p.Lo {
-			costs[i].rate = float64(p.ElapsedMS) / float64(p.Hi-p.Lo)
-		}
-	}
-	executed := 0
-	for _, span := range adaptiveSpans(spans, gaps, observedRates(costs, len(plan.trials))) {
-		saved := r.Shard
-		r.Shard = span
-		p, _, err := r.runOverheadPartial(ctx, spec)
-		r.Shard = saved
-		if err != nil && (p == nil || !cancelled(ctx, err)) {
-			return nil, executed, err
-		}
-		if p.Hi > p.Lo {
+		if s := p.span(); s.hi > s.lo {
 			payload, merr := json.Marshal(p)
 			if merr != nil {
-				return nil, executed, fmt.Errorf("harness: encoding journaled overhead partial: %w", merr)
+				return Result{}, executed, fmt.Errorf("harness: encoding journaled partial: %w", merr)
 			}
-			if aerr := j.Append(journal.Record{
-				PlanFP: p.Fingerprint, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-				ElapsedMS: p.ElapsedMS, Payload: payload,
-			}); aerr != nil {
-				return nil, executed, aerr
+			if aerr := appendRecord(j, p, payload); aerr != nil {
+				return Result{}, executed, aerr
 			}
-			executed += p.Hi - p.Lo
-			parts = append(parts, p)
-			if onSpan != nil {
-				onSpan(plan, parts)
-			}
+			executed += s.hi - s.lo
+			c.parts = append(c.parts, p)
+			emit()
 		}
 		if err != nil {
-			return nil, executed, err
+			return Result{}, executed, err
 		}
 	}
-	merged, err := r.MergeOverhead(spec, parts)
-	if err != nil {
-		return nil, executed, err
-	}
-	return merged, executed, nil
+	res, err := c.Merge()
+	return res, executed, err
 }
 
 // --------------------------------------------------------------------------
 // Journaled experiment generation with progressive reports.
 
-// journalState accumulates the parts every journaled sub-plan of an
-// experiment has so far, keyed by plan fingerprint — the state a
-// progressive snapshot renders from. The dedicated snapshot Runner keeps
-// snapshot rendering from disturbing the live Runner's configuration
-// (Options.runner installs event sinks and policy on whichever Runner it
-// is given).
+// journalState holds the resume of every journaled sub-plan of an
+// experiment, keyed by plan fingerprint — the state a progressive report
+// renders from. The dedicated snapshot Runner keeps snapshot rendering
+// from disturbing the live Runner's configuration (Options.runner
+// installs event sinks and policy on whichever Runner it is given).
 type journalState struct {
-	campaigns map[string][]*PartialResult
-	overheads map[string][]*OverheadPartial
-	executed  int
-	sr        *Runner
+	plans    map[string]*Resume
+	executed int
+	sr       *Runner
 }
 
-// snapshotOptions builds the interposers that render a progressive
-// report from the accumulated state without executing a single trial:
-// each sub-plan aggregates whatever parts the state holds over
-// zero-valued stand-ins for the rest, exactly the GenerateSharded trick.
+// snapshotOptions reroutes every sub-plan of a progressive report to its
+// resume's snapshot without executing a single trial; a sub-plan no span
+// has reached yet aggregates all-zero stand-ins, exactly the
+// GenerateSharded trick.
 func (st *journalState) snapshotOptions() Options {
 	return Options{
 		Runner: st.sr,
-		campaignExec: func(_ context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-			r.applySpec(spec)
-			plan, err := r.planCampaign(spec)
+		reroute: func(_ context.Context, r *Runner, sub Spec) (Result, error) {
+			pl, err := r.plan(sub, "", "GenerateJournaled")
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
-			outcomes := make([]TrialOutcome, len(plan.trials))
-			for _, p := range st.campaigns[plan.fingerprint] {
-				copy(outcomes[p.Lo:p.Hi], p.Outcomes)
+			if c, ok := st.plans[pl.fingerprint]; ok {
+				return c.Snapshot(), nil
 			}
-			return aggregate(plan, outcomes), nil
-		},
-		overheadExec: func(_ context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-			plan, err := planOverhead(spec)
-			if err != nil {
-				return nil, err
-			}
-			cycles := make([]uint64, len(plan.trials))
-			for _, p := range st.overheads[plan.fingerprint] {
-				copy(cycles[p.Lo:p.Hi], p.Cycles)
-			}
-			return aggregateOverhead(plan, cycles), nil
+			return pl.result(), nil
 		},
 	}
 }
 
-// done reports covered/total trials across every sub-plan seen so far.
+// done reports covered/total trials across every sub-plan with coverage
+// so far.
 func (st *journalState) done() (done, total int) {
-	for _, parts := range st.campaigns {
-		for _, p := range parts {
-			done += p.Hi - p.Lo
-		}
-		if len(parts) > 0 {
-			total += parts[0].Total
-		}
-	}
-	for _, parts := range st.overheads {
-		for _, p := range parts {
-			done += p.Hi - p.Lo
-		}
-		if len(parts) > 0 {
-			total += parts[0].Total
+	for _, c := range st.plans {
+		if d := c.Done(); d > 0 {
+			done += d
+			total += c.Total
 		}
 	}
 	return done, total
@@ -694,33 +538,23 @@ func GenerateJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior
 	if err != nil {
 		return 0, err
 	}
-	st := &journalState{
-		campaigns: make(map[string][]*PartialResult),
-		overheads: make(map[string][]*OverheadPartial),
-		sr:        NewRunner(),
-	}
-	emit := func() {
-		if snap == nil {
-			return
+	st := &journalState{plans: make(map[string]*Resume), sr: NewRunner()}
+	var emit func(Result, int, int)
+	if snap != nil {
+		emit = func(Result, int, int) {
+			done, total := st.done()
+			snap(func(w io.Writer) error { return Generate(ctx, n, w, st.snapshotOptions()) }, done, total)
 		}
-		done, total := st.done()
-		snap(func(w io.Writer) error { return Generate(ctx, n, w, st.snapshotOptions()) }, done, total)
 	}
-	opts.campaignExec = func(ctx context.Context, r *Runner, sub Spec) (*CampaignResult, error) {
-		merged, executed, err := r.runCampaignJournaled(ctx, sub, j, prior, spans, func(plan *campaignPlan, parts []*PartialResult) {
-			st.campaigns[plan.fingerprint] = parts
-			emit()
-		})
+	opts.reroute = func(ctx context.Context, r *Runner, sub Spec) (Result, error) {
+		c, err := r.Resume(sub, prior)
+		if err != nil {
+			return Result{}, err
+		}
+		st.plans[c.PlanFP] = c
+		res, executed, err := c.run(ctx, j, spans, emit)
 		st.executed += executed
-		return merged, err
-	}
-	opts.overheadExec = func(ctx context.Context, r *Runner, sub Spec) (*OverheadResult, error) {
-		merged, executed, err := r.runOverheadJournaled(ctx, sub, j, prior, spans, func(plan *overheadPlan, parts []*OverheadPartial) {
-			st.overheads[plan.fingerprint] = parts
-			emit()
-		})
-		st.executed += executed
-		return merged, err
+		return res, err
 	}
 	if err := Generate(ctx, n, out, opts); err != nil {
 		return st.executed, err

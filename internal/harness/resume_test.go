@@ -61,7 +61,8 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 
 	j, dir, fp := newTestJournal(t, spec)
 	r := NewRunner()
-	got, executed, err := r.RunCampaignJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
+	gotRes, executed, err := r.RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
+	got := gotRes.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 		t.Error("journaled campaign result differs from direct RunCampaign")
 	}
 
-	c, err := NewRunner().ResumeCampaign(spec, nil)
+	c, err := NewRunner().Resume(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,8 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 	// Resume of a complete journal: full replay, nothing executed.
 	j2, rp := reopenJournal(t, dir, fp)
 	defer j2.Close()
-	again, executed2, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+	againRes, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+	again := againRes.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 	spec := smallCampaign()
 	direct, _ := campaignAt(t, 1)
 	total := func() int {
-		c, err := NewRunner().ResumeCampaign(spec, nil)
+		c, err := NewRunner().Resume(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 					}
 				}
 			}
-			_, executed1, err := r.RunCampaignJournaled(ctx, spec, j, nil, DefaultResumeSpans, nil)
+			_, executed1, err := r.RunJournaled(ctx, spec, j, nil, DefaultResumeSpans, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled journaled run err = %v, want context.Canceled", err)
 			}
@@ -140,14 +142,15 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 
 			j2, rp := reopenJournal(t, dir, fp)
 			defer j2.Close()
-			c, err := NewRunner().ResumeCampaign(spec, rp)
+			c, err := NewRunner().Resume(spec, rp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.Done() != executed1 {
 				t.Errorf("journal covers %d trials, cancelled run reported %d executed", c.Done(), executed1)
 			}
-			got, executed2, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+			gotRes, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+			got := gotRes.Campaign
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +176,7 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 	direct, _ := campaignAt(t, 1)
 
 	j, dir, fp := newTestJournal(t, spec)
-	if _, _, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil); err != nil {
+	if _, _, err := NewRunner().RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -211,7 +214,8 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 			return
 		}
 		defer j.Close()
-		got, _, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
+		gotRes, _, err := NewRunner().RunJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
+		got := gotRes.Campaign
 		if err != nil {
 			if !errors.Is(err, journal.ErrCorrupt) {
 				t.Fatalf("resume from damaged journal failed with unnamed error: %v", err)
@@ -245,7 +249,7 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 func TestResumeRejectsForgedEnvelope(t *testing.T) {
 	spec := smallCampaign()
 	j, dir, fp := newTestJournal(t, spec)
-	if _, _, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j, nil, 4, nil); err != nil {
+	if _, _, err := NewRunner().RunJournaled(context.Background(), spec, j, nil, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -284,7 +288,7 @@ func TestResumeRejectsForgedEnvelope(t *testing.T) {
 		t.Fatalf("forged envelope must pass the journal layer, got %v", err)
 	}
 	defer j2.Close()
-	_, _, err = NewRunner().RunCampaignJournaled(context.Background(), spec, j2, rp, 4, nil)
+	_, _, err = NewRunner().RunJournaled(context.Background(), spec, j2, rp, 4, nil)
 	if !errors.Is(err, journal.ErrCorrupt) {
 		t.Fatalf("resume over forged envelope err = %v, want ErrCorrupt", err)
 	}
@@ -312,7 +316,7 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := r.RunCampaignJournaled(ctx, spec, j, nil, DefaultResumeSpans, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := r.RunJournaled(ctx, spec, j, nil, DefaultResumeSpans, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupting run: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -333,12 +337,13 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 		j, rp := reopenJournal(t, dir, fp)
 		r := NewRunner()
 		r.Parallel = workers
-		c, err := r.ResumeCampaign(spec, rp)
+		c, err := r.Resume(spec, rp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spans = append(spans, c.Spans(DefaultResumeSpans))
-		got, _, err := r.RunCampaignJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
+		gotRes, _, err := r.RunJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
+		got := gotRes.Campaign
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +396,7 @@ func TestSpansAdaptiveSizing(t *testing.T) {
 	}
 
 	t.Run("uniform-when-untimed", func(t *testing.T) {
-		c := &CampaignResume{Total: 40, Gaps: []ShardSpec{SpanShard(0, 40)}}
+		c := &Resume{Total: 40, Gaps: []ShardSpec{SpanShard(0, 40)}}
 		spans := c.Spans(4)
 		tile(t, spans, c.Gaps)
 		want := []ShardSpec{SpanShard(0, 10), SpanShard(10, 20), SpanShard(20, 30), SpanShard(30, 40)}
@@ -403,11 +408,11 @@ func TestSpansAdaptiveSizing(t *testing.T) {
 	t.Run("skewed-cost", func(t *testing.T) {
 		// Two equal-size gaps; the journal measured the region adjoining
 		// the second gap as 10x slower, so it must receive more spans.
-		parts := []*PartialResult{
-			{Lo: 20, Hi: 30, ElapsedMS: 10},  // 1 ms/trial next to gap [0,20)
-			{Lo: 50, Hi: 60, ElapsedMS: 100}, // 10 ms/trial next to gap [30,50)
+		parts := []partial{
+			&PartialResult{Lo: 20, Hi: 30, ElapsedMS: 10},  // 1 ms/trial next to gap [0,20)
+			&PartialResult{Lo: 50, Hi: 60, ElapsedMS: 100}, // 10 ms/trial next to gap [30,50)
 		}
-		c := &CampaignResume{Total: 60, Parts: parts,
+		c := &Resume{Total: 60, parts: parts,
 			Gaps: []ShardSpec{SpanShard(0, 20), SpanShard(30, 50)}}
 		spans := c.Spans(8)
 		tile(t, spans, c.Gaps)
@@ -428,14 +433,14 @@ func TestSpansAdaptiveSizing(t *testing.T) {
 	})
 
 	t.Run("at-least-one-span-per-gap", func(t *testing.T) {
-		c := &CampaignResume{Total: 10,
+		c := &Resume{Total: 10,
 			Gaps: []ShardSpec{SpanShard(0, 1), SpanShard(3, 4), SpanShard(6, 10)}}
 		spans := c.Spans(2) // fewer than gaps: every gap still covered
 		tile(t, spans, c.Gaps)
 	})
 
 	t.Run("spans-capped-by-trials", func(t *testing.T) {
-		c := &CampaignResume{Total: 3, Gaps: []ShardSpec{SpanShard(0, 3)}}
+		c := &Resume{Total: 3, Gaps: []ShardSpec{SpanShard(0, 3)}}
 		spans := c.Spans(8)
 		tile(t, spans, c.Gaps)
 		if len(spans) > 3 {

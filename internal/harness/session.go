@@ -77,8 +77,9 @@ func WithRunner(r *Runner) Option { return func(c *sessionConfig) { c.runner = r
 // sessions return structured results instead and ignore it.
 func WithReport(w io.Writer) Option { return func(c *sessionConfig) { c.report = w } }
 
-// Result is what a Session produces; which fields are set depends on
-// the Spec's kind and on sharding:
+// Result is what a Session produces, and what RunJournaled,
+// MergePayloads and Resume return; which fields are set depends on the
+// Spec's kind and on sharding:
 //
 //   - campaign:   CampaignPartial, plus Campaign when the whole plan ran
 //   - overhead:   OverheadPartial, plus Overhead when the whole plan ran
@@ -87,7 +88,8 @@ func WithReport(w io.Writer) Option { return func(c *sessionConfig) { c.report =
 //   - experiment: nothing here — the report went to WithReport's writer
 //
 // A cancelled campaign, overhead, or concurrent session still carries
-// the completed-prefix partial of its shard.
+// the completed-prefix partial of its shard. Merges and snapshots set
+// only the aggregate.
 type Result struct {
 	// Spec is the normalized Spec the session ran.
 	Spec Spec
@@ -108,6 +110,8 @@ type Result struct {
 	ConcurrentPartial *PartialResult
 	// Stats is the final module-cache snapshot.
 	Stats CacheStats
+
+	part partial // the kind's partial field above, for EncodePartial
 }
 
 // Session is a running experiment: a handle to subscribe to its event
@@ -272,29 +276,7 @@ func (s *Session) pump(ch chan Event) {
 // run executes the experiment and resolves the session.
 func (s *Session) run(ctx context.Context, r *Runner, cfg sessionConfig) {
 	s.result.Spec = s.spec
-	switch s.spec.Kind {
-	case SpecCampaign:
-		p, plan, err := r.runCampaignPartial(ctx, s.spec)
-		s.result.CampaignPartial = p
-		s.err = err
-		if err == nil && p.Lo == 0 && p.Hi == p.Total {
-			s.result.Campaign = aggregate(plan, p.Outcomes)
-		}
-	case SpecOverhead:
-		p, plan, err := r.runOverheadPartial(ctx, s.spec)
-		s.result.OverheadPartial = p
-		s.err = err
-		if err == nil && p.Lo == 0 && p.Hi == p.Total {
-			s.result.Overhead = aggregateOverhead(plan, p.Cycles)
-		}
-	case SpecConcurrent:
-		p, plan, err := r.runConcurrentPartial(ctx, s.spec)
-		s.result.ConcurrentPartial = p
-		s.err = err
-		if err == nil && p.Lo == 0 && p.Hi == p.Total {
-			s.result.Concurrent = aggregateConcurrent(plan, p.Outcomes)
-		}
-	case SpecExperiment:
+	if s.spec.kind() == nil {
 		o := Options{Evict: cfg.evict, Reference: cfg.reference, Events: s.emit, Runner: r}
 		if cfg.parallel != 0 {
 			o.Parallel = cfg.parallel
@@ -304,6 +286,16 @@ func (s *Session) run(ctx context.Context, r *Runner, cfg sessionConfig) {
 		} else {
 			r.Shard = ShardSpec{} // GenerateSharded re-shards per sub-plan
 			s.err = GenerateSharded(ctx, s.spec, cfg.shard, cfg.report, o)
+		}
+	} else {
+		pl, p, err := r.runShard(ctx, s.spec, "", "Start")
+		s.err = err
+		if p != nil {
+			s.result.part = p
+			pl.keep(&s.result, p)
+			if sp := p.span(); err == nil && sp.lo == 0 && sp.hi == sp.total {
+				pl.aggregate(&s.result, []partial{p})
+			}
 		}
 	}
 	s.result.Stats = r.CacheStats()

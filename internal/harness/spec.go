@@ -246,12 +246,20 @@ func (s Spec) Normalized() (Spec, error) {
 		n.Variants = vs
 		return nil
 	}
-	checkWorkloads := func() error {
+	// checkWorkloads resolves every workload name, sequential ones by
+	// default and concurrent groups with concurrent set.
+	checkWorkloads := func(concurrent bool) error {
 		if len(n.Workloads) == 0 {
 			return fmt.Errorf("harness: %s spec: no workloads", n.Kind)
 		}
 		for _, name := range n.Workloads {
-			if _, err := workloads.ByName(name); err != nil {
+			var err error
+			if concurrent {
+				_, err = workloads.ConcurrentByName(name)
+			} else {
+				_, err = workloads.ByName(name)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -268,7 +276,7 @@ func (s Spec) Normalized() (Spec, error) {
 		if _, err := parseInject(n.Inject); err != nil {
 			return Spec{}, err
 		}
-		if err := checkWorkloads(); err != nil {
+		if err := checkWorkloads(false); err != nil {
 			return Spec{}, err
 		}
 		if err := canonVariants(); err != nil {
@@ -281,7 +289,7 @@ func (s Spec) Normalized() (Spec, error) {
 		// cleared for the same reason.
 		n.Exp, n.Quick, n.Inject, n.MaxSites, n.Runs = "", false, "", 0, 0
 		n.Threads, n.SchedSeed = 0, 0
-		if err := checkWorkloads(); err != nil {
+		if err := checkWorkloads(false); err != nil {
 			return Spec{}, err
 		}
 		if err := canonVariants(); err != nil {
@@ -313,10 +321,8 @@ func (s Spec) Normalized() (Spec, error) {
 				n.Workloads = workloadNames(workloads.All())
 			}
 		}
-		for _, name := range n.Workloads {
-			if _, err := workloads.ByName(name); err != nil {
-				return Spec{}, err
-			}
+		if err := checkWorkloads(false); err != nil {
+			return Spec{}, err
 		}
 	case SpecConcurrent:
 		n.Exp, n.Quick, n.Inject, n.MaxSites = "", false, "", 0
@@ -329,13 +335,8 @@ func (s Spec) Normalized() (Spec, error) {
 		if n.SchedSeed == 0 {
 			n.SchedSeed = 1
 		}
-		if len(n.Workloads) == 0 {
-			return Spec{}, fmt.Errorf("harness: %s spec: no workloads", n.Kind)
-		}
-		for _, name := range n.Workloads {
-			if _, err := workloads.ConcurrentByName(name); err != nil {
-				return Spec{}, err
-			}
+		if err := checkWorkloads(true); err != nil {
+			return Spec{}, err
 		}
 		if err := canonVariants(); err != nil {
 			return Spec{}, err
@@ -346,18 +347,33 @@ func (s Spec) Normalized() (Spec, error) {
 	return n, nil
 }
 
-// normalizedAs normalizes and additionally requires the given kind —
-// the guard every kind-specific entry point (RunCampaign, RunOverhead,
-// Generate) uses so a Spec cannot be silently run as the wrong thing.
+// normalizedAs normalizes and additionally requires the given kind
+// unless it is empty — the guard every kind-specific entry point
+// (RunCampaign, RunOverhead, Generate) uses so a Spec cannot be silently
+// run as the wrong thing.
 func (s Spec) normalizedAs(kind SpecKind, what string) (Spec, error) {
 	n, err := s.Normalized()
 	if err != nil {
 		return Spec{}, err
 	}
-	if n.Kind != kind {
+	if kind != "" && n.Kind != kind {
 		return Spec{}, fmt.Errorf("harness: %s needs a %s spec, got kind %q", what, kind, n.Kind)
 	}
 	return n, nil
+}
+
+// kind returns a fresh pipeline for the Spec's plan kind, or nil for an
+// experiment Spec, which runs several plans.
+func (s Spec) kind() kind {
+	switch s.Kind {
+	case SpecCampaign:
+		return &campaignKind{}
+	case SpecOverhead:
+		return &overheadKind{}
+	case SpecConcurrent:
+		return &concurrentKind{}
+	}
+	return nil
 }
 
 // Canonical returns the canonical JSON encoding of the normalized Spec —
@@ -412,14 +428,16 @@ func (s Spec) resolveVariants() ([]Variant, error) {
 	return vs, nil
 }
 
-// derive builds a kind sub-Spec of an experiment Spec: the generator's
-// campaigns and measurements inherit the experiment's workload set,
-// runs, site cap, timeout factor, and memory geometry, so the sub-plans
-// (and their fingerprints) are a pure function of the experiment Spec.
-func (s Spec) derive(kind SpecKind) Spec {
+// derive builds a kind sub-Spec of an experiment Spec over the given
+// variants: the generator's campaigns and measurements inherit the
+// experiment's workload set, runs, site cap, timeout factor, and memory
+// geometry, so the sub-plans (and their fingerprints) are a pure
+// function of the experiment Spec.
+func (s Spec) derive(kind SpecKind, variants []Variant) Spec {
 	d := Spec{
 		Kind:          kind,
 		Workloads:     s.Workloads,
+		Variants:      VariantSpecs(variants...),
 		Runs:          s.Runs,
 		TimeoutFactor: s.TimeoutFactor,
 		Mem:           s.Mem,
