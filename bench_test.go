@@ -96,6 +96,54 @@ func BenchmarkInterp(b *testing.B) {
 	}
 }
 
+// BenchmarkTimeoutTrial prices the campaign's timed-out trial: mcf with
+// addArc's first allocation freed at once, which leaves its arc list
+// cyclic, so the trial spins in a loop that writes nothing until the
+// default step budget (golden steps × 20 × 5) runs out. The compiled
+// loop fast-forwards it by whole periods of that loop; the reference
+// sub-benchmark tree-walks every step. Both return the same Result.
+func BenchmarkTimeoutTrial(b *testing.B) {
+	w := mustWorkload(b, "mcf")
+	var site *faultinject.Site
+	for _, s := range faultinject.Enumerate(w.Build(), faultinject.ImmediateFree) {
+		if s.String() == "immediate-free@addArc/site0" {
+			site = &s
+			break
+		}
+	}
+	if site == nil {
+		b.Fatal("mcf has no immediate-free@addArc/site0")
+	}
+	for _, engine := range []struct {
+		name    string
+		compile bool
+	}{{"compiled", true}, {"reference", false}} {
+		b.Run(engine.name, func(b *testing.B) {
+			r := harness.NewRunner()
+			r.Compile = engine.compile
+			run := func() *interp.Result {
+				o, err := r.RunOnce(w, harness.Stdapp(), site, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if o.Res.Kind != interp.ExitTimeout {
+					b.Fatalf("%v (%s), want a timeout", o.Res.Kind, o.Res.Reason)
+				}
+				return o.Res
+			}
+			run() // the golden run and the module build, outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps uint64
+			for i := 0; i < b.N; i++ {
+				steps = run().Steps
+			}
+			b.ReportMetric(float64(steps), "steps/run")
+			reportTrialsPerSec(b, 1)
+		})
+	}
+}
+
 func buildFor(b *testing.B, w workloads.Workload, v harness.Variant, inj *faultinject.Site) *ir.Module {
 	b.Helper()
 	m := w.Build()

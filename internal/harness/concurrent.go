@@ -167,7 +167,7 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 			Externs:   t.v.externs(),
 			Mem:       r.MemConfig,
 			Seed:      int64(t.rn) + 1,
-			StepLimit: golden.Steps * r.TimeoutFactor * 5, // group steps sum over threads
+			StepLimit: stepBudget(golden.Steps, r.TimeoutFactor), // group steps sum over threads
 			Prog:      prog,
 			SpacePool: pool,
 		},

@@ -132,6 +132,56 @@ func TestCampaignCompiledMatchesReference(t *testing.T) {
 	}
 }
 
+// mcfTimeoutSite is the injection behind every timed-out campaign trial:
+// freeing mcf's arc node right after addArc allocates it leaves a free
+// list link in the node, the arc list turns cyclic, and the trial spins
+// in a short loop that writes nothing until its step budget runs out.
+func mcfTimeoutSite(t testing.TB) (workloads.Workload, faultinject.Site) {
+	t.Helper()
+	w, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "immediate-free@addArc/site0"
+	for _, s := range faultinject.Enumerate(w.Build(), faultinject.ImmediateFree) {
+		if s.String() == want {
+			return w, s
+		}
+	}
+	t.Fatalf("mcf has no site %s", want)
+	return workloads.Workload{}, faultinject.Site{}
+}
+
+// TestTimeoutTrialCompiledMatchesReference: the timed-out trial the
+// compiled loop fast-forwards (internal/interp's periodic fast-forward)
+// classifies into the identical Outcome, Result included, as the
+// tree-walker that runs every step, on the plain build and under an MDS
+// pad-malloc variant. A small timeout factor keeps the walker side fast.
+func TestTimeoutTrialCompiledMatchesReference(t *testing.T) {
+	w, site := mcfTimeoutSite(t)
+	for _, v := range []Variant{Stdapp(), NewVariant(dpmr.MDS, dpmr.PadMalloc{Pad: 32}, dpmr.AllLoads{})} {
+		t.Run(v.Label(), func(t *testing.T) {
+			run := func(compile bool) Outcome {
+				r := NewRunner()
+				r.Compile = compile
+				r.TimeoutFactor = 2
+				o, err := r.RunOnce(w, v, &site, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return o
+			}
+			ref, got := run(false), run(true)
+			if ref.Res.Kind != interp.ExitTimeout {
+				t.Fatalf("reference trial ended %v (%s), want a timeout", ref.Res.Kind, ref.Res.Reason)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("compiled outcome diverges from reference\nref: %+v %+v\ngot: %+v %+v", ref.TrialOutcome, *ref.Res, got.TrialOutcome, *got.Res)
+			}
+		})
+	}
+}
+
 // TestOverheadCompiledMatchesReference does the same for the overhead
 // (cycle-ratio) experiments, whose numbers are the most sensitive to any
 // cycle-clock divergence.

@@ -457,7 +457,7 @@ func (r *Runner) runOnce(w workloads.Workload, v Variant, inj *faultinject.Site,
 		Externs:   v.externs(),
 		Mem:       r.MemConfig,
 		Seed:      int64(rn) + 1,
-		StepLimit: golden.Steps * r.TimeoutFactor * 5, // DPMR variants are slower per step budget
+		StepLimit: stepBudget(golden.Steps, r.TimeoutFactor), // DPMR variants are slower per step budget
 		Prog:      prog,
 		SpacePool: pool,
 	})

@@ -15,9 +15,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"strings"
 
@@ -137,7 +140,7 @@ type Spec struct {
 	// run rn explores schedule SchedSeed+rn (0 = default 1).
 	SchedSeed int64 `json:"schedSeed,omitempty"`
 	// TimeoutFactor multiplies golden steps into the step budget
-	// (0 = default 20).
+	// (0 = default 20, at most MaxTimeoutFactor).
 	TimeoutFactor uint64 `json:"timeoutFactor,omitempty"`
 	// Quick restricts an experiment to two workloads, few sites, and one
 	// run for smoke passes. Normalization resolves it into explicit
@@ -204,6 +207,32 @@ func parseInject(name string) (faultinject.Kind, error) {
 	}
 }
 
+// MaxTimeoutFactor is the largest TimeoutFactor a Spec may carry. A
+// trial's step budget is golden steps × TimeoutFactor × 5, so a larger
+// factor buys a hung trial hours of a worker's time, and one large
+// enough to wrap the product would turn the budget into no limit at all.
+const MaxTimeoutFactor = 10_000
+
+// ErrTimeoutFactor refuses a Spec whose TimeoutFactor exceeds
+// MaxTimeoutFactor.
+var ErrTimeoutFactor = errors.New("harness: timeoutFactor above MaxTimeoutFactor")
+
+// stepBudget is the step limit of a trial whose golden run took
+// goldenSteps steps: goldenSteps × factor × 5, saturating at
+// math.MaxUint64 rather than wrapping, since a wrapped product could land
+// on 0, which interp reads as no limit.
+func stepBudget(goldenSteps, factor uint64) uint64 {
+	hi, lo := bits.Mul64(goldenSteps, factor)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	hi, lo = bits.Mul64(lo, 5)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
 // Normalized validates the Spec and returns its canonical form: defaults
 // filled (runs, timeout factor, memory geometry, the quick-mode workload
 // and site caps resolved into explicit values), variant names resolved
@@ -215,6 +244,9 @@ func (s Spec) Normalized() (Spec, error) {
 	n := s
 	if n.TimeoutFactor == 0 {
 		n.TimeoutFactor = 20
+	}
+	if n.TimeoutFactor > MaxTimeoutFactor {
+		return Spec{}, fmt.Errorf("%w: %d > %d", ErrTimeoutFactor, n.TimeoutFactor, MaxTimeoutFactor)
 	}
 	// Non-positive counts mean "default"/"uncapped" in every spelling;
 	// fold them to the canonical zero here so they cannot leak into the

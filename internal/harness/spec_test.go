@@ -3,7 +3,9 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -119,6 +121,58 @@ func TestSpecNormalizeRejects(t *testing.T) {
 	for name, spec := range cases {
 		if _, err := spec.Normalized(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestSpecTimeoutFactorBound: Normalized fills the default factor, keeps
+// every factor up to MaxTimeoutFactor, and refuses a larger one with
+// ErrTimeoutFactor, for both kinds whose trials run under a step budget.
+func TestSpecTimeoutFactorBound(t *testing.T) {
+	cases := []struct {
+		factor, want uint64
+		err          error
+	}{
+		{0, 20, nil},
+		{MaxTimeoutFactor, MaxTimeoutFactor, nil},
+		{MaxTimeoutFactor + 1, 0, ErrTimeoutFactor},
+		{math.MaxUint64, 0, ErrTimeoutFactor},
+	}
+	for kind, base := range map[string]Spec{"campaign": smallCampaign(), "concurrent": smallConcurrent()} {
+		for _, c := range cases {
+			spec := base
+			spec.TimeoutFactor = c.factor
+			n, err := spec.Normalized()
+			if !errors.Is(err, c.err) {
+				t.Errorf("%s factor %d: err %v, want %v", kind, c.factor, err, c.err)
+				continue
+			}
+			if err == nil && n.TimeoutFactor != c.want {
+				t.Errorf("%s factor %d: normalized to %d, want %d", kind, c.factor, n.TimeoutFactor, c.want)
+			}
+		}
+	}
+}
+
+// TestStepBudgetSaturates: the trial step budget is golden × factor × 5
+// while that fits in 64 bits and math.MaxUint64 beyond, never a wrapped
+// product, and in particular never 0, the value interp reads as no
+// limit.
+func TestStepBudgetSaturates(t *testing.T) {
+	const max = math.MaxUint64
+	cases := []struct{ golden, factor, want uint64 }{
+		{142_125, 20, 14_212_500},
+		{1, MaxTimeoutFactor, 5 * MaxTimeoutFactor},
+		{max / 5, 1, max / 5 * 5},
+		{max/5 + 1, 1, max},
+		{2, 1 << 63, max}, // golden × factor wraps to exactly 0
+		{1 << 62, 4, max},
+		{1, max, max},
+		{max, max, max},
+	}
+	for _, c := range cases {
+		if got := stepBudget(c.golden, c.factor); got != c.want {
+			t.Errorf("stepBudget(%d, %d) = %d, want %d", c.golden, c.factor, got, c.want)
 		}
 	}
 }

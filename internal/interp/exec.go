@@ -8,9 +8,14 @@
 // hook is reached only through the yielding opcodes a CompileYielding
 // program carries. Because no Go frame sits between two IR frames, a
 // yield can park the VM: the loop returns with every frame kept, and
-// Resume re-enters it at the parked instruction. Every cycle charge,
-// trap, and error below mirrors the tree-walker exactly; the
-// differential tests assert bit-identical Results across both loops.
+// Resume re-enters it at the parked instruction. A run that comes back
+// to an identical, write-free machine state is stuck in that loop until
+// its budget runs out; the loop fast-forwards it by whole periods
+// (cycle.go) at no cost to the per-instruction step check, which also
+// stands for the detector's next look. Every cycle charge, trap, and
+// error below mirrors the tree-walker exactly, a fast-forwarded run
+// included; the differential tests assert bit-identical Results across
+// both loops.
 package interp
 
 import (
@@ -214,7 +219,14 @@ func (vm *VM) dispatch() (uint64, error) {
 	clk := clock{vm.steps, vm.cycles - vm.steps}
 	flush := func() { vm.steps, vm.cycles = clk.steps, clk.steps+clk.extra }
 
+	// limit is the step budget, or the periodic fast-forward's next look
+	// when that comes first (cycle.go): the per-instruction step check
+	// then stands for both, and only a step past limit pays for telling
+	// them apart. Only the root segment looks.
 	limit := vm.limit
+	if vm.segBase == 0 {
+		limit = min(limit, vm.cyc.next)
+	}
 	space := vm.Space
 	// The outer loop enters the top frame, the inner one dispatches its
 	// code. A call or a return updates the explicit stack and re-enters
@@ -243,8 +255,14 @@ frame:
 				// The fell-off guard is exempt: the walker's ip-past-end check
 				// fires before the step is counted or the budget consulted
 				// (its case below un-counts the step for the same reason).
+				// Past the local limit but within the budget, the limit was
+				// the next look of the periodic fast-forward (cycle.go).
 				if in.op != opFellOff {
-					return vm.unwind(&clk, timeoutErr{})
+					if clk.steps > vm.limit {
+						return vm.unwind(&clk, timeoutErr{})
+					}
+					limit = vm.look(&clk, pc)
+					continue frame
 				}
 			}
 			switch in.op {
@@ -330,7 +348,7 @@ frame:
 					in.flags&flagX32 != 0, in.flags&flagY32 != 0)
 				*reg(fp, in.dst) = v
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				clk.extra += costBranch
@@ -420,7 +438,7 @@ frame:
 				x := normReg(raw, in.norm)
 				*reg(fp, in.dst) = x
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				raw, cost, trap = space.LoadCosted(*reg(fp, in.b), int(in.sub>>4))
@@ -431,7 +449,7 @@ frame:
 				y := normReg(raw, in.flags)
 				*reg(fp, int32(in.imm)) = y
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				clk.extra += costAssert
@@ -448,7 +466,7 @@ frame:
 					return vm.unwind(&clk, trap)
 				}
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				cost, trap = space.StoreCosted(*reg(fp, int32(in.imm)), int(in.sub>>4), *reg(fp, int32(in.imm2)))
@@ -474,7 +492,7 @@ frame:
 				}
 				*reg(fp, in.dst) = addr
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				raw, cost, trap := space.LoadCosted(addr, int(in.sub))
@@ -495,7 +513,7 @@ frame:
 				}
 				*reg(fp, in.dst) = addr
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				cost, trap := space.StoreCosted(addr, int(in.sub), *reg(fp, int32(in.imm2)))
@@ -511,7 +529,7 @@ frame:
 				// so a dependent add sees exactly what the unfused pair computes.
 				*reg(fp, in.dst) = in.imm
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				*reg(fp, int32(uint32(in.imm2))) = normReg(*reg(fp, in.a)+*reg(fp, in.b), in.norm)
@@ -521,12 +539,12 @@ frame:
 				// Fused const + add + br: the loop-increment tail.
 				*reg(fp, in.dst) = in.imm
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				*reg(fp, int32(in.imm2&0xFFFF)) = normReg(*reg(fp, in.a)+*reg(fp, in.b), in.norm)
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				clk.extra += costBranch
@@ -537,7 +555,7 @@ frame:
 				// the constant lands, covering the materialized-address shape).
 				*reg(fp, in.dst) = in.imm
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				raw, cost, trap := space.LoadCosted(*reg(fp, in.a), int(in.sub))
@@ -554,7 +572,7 @@ frame:
 				// imm2 as four u16 fields.
 				*reg(fp, in.dst) = uint64(int64(*reg(fp, in.a)) + int64(*reg(fp, in.b))*int64(in.imm))
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				p2 := in.imm2
@@ -568,7 +586,7 @@ frame:
 				clk.extra += costFloatOp
 				*reg(fp, in.dst) = math.Float64bits(math.Float64frombits(*reg(fp, in.a)) * math.Float64frombits(*reg(fp, in.b)))
 				clk.steps++
-				if clk.steps > limit {
+				if clk.steps > limit && clk.steps > vm.limit {
 					return vm.unwind(&clk, timeoutErr{})
 				}
 				clk.extra += costFloatOp
@@ -676,6 +694,7 @@ frame:
 				}
 			case opRandInt:
 				clk.extra += costIntrinsic
+				vm.cyc.effects++
 				v, err := randInRange(vm.Rand(), int64(in.imm), int64(in.imm2))
 				if err != nil {
 					return vm.unwind(&clk, err)
@@ -769,6 +788,7 @@ frame:
 // an extern or the walker's nil-callee panic, passing its arguments on
 // the per-VM argument stack.
 func (vm *VM) callGo(fn *ir.Func, cs *callSite, fp unsafe.Pointer) (uint64, error) {
+	vm.cyc.effects++
 	ab := len(vm.argStack)
 	for _, r := range cs.args {
 		vm.argStack = append(vm.argStack, *reg(fp, r))

@@ -14,7 +14,7 @@ import (
 // the fusion table's edges. TestCompileFuzzSeedsValid pins them as
 // parse-and-verify clean so a grammar drift cannot silently turn them
 // into skipped inputs.
-var compileFuzzSeeds = []string{
+var compileFuzzSeeds = append([]string{
 	// A loop whose header is cmp+condbr and whose latch is const+add+br —
 	// the two control-flow fusion rules — with the back edge landing on a
 	// fused head (never a mid-pair slot).
@@ -27,7 +27,27 @@ var compileFuzzSeeds = []string{
 	"module m\nfunc @main() i64 {\n.entry:\n  %z = const i64 0\n  %x = const i64 1\n  %y = add %x, %z\n  %d = sdiv %y, %z\n  ret %d\n}\n",
 	// Indirect call through a function address (inline-cache path).
 	"module m\nfunc @f() i64 {\n.entry:\n  %r = const i64 3\n  ret %r\n}\nfunc @main() i64 {\n.entry:\n  %p = funcaddr @f\n  %v = call %p()\n  ret %v\n}\n",
+}, periodicFuzzSeeds...)
+
+// periodicFuzzSeeds are loops that never end and never write once they
+// spin, so the compiled loop fast-forwards them (cycle.go) once the step
+// count passes a sixteenth of the budget: FuzzCompile mutates them from
+// runs that reach the fast-forward.
+var periodicFuzzSeeds = []string{
+	// A two-node ring chased under a cmp+condbr null check: the pointer
+	// chase of a list a dangling free made cyclic.
+	"module m\nfunc @main() i64 {\n.entry:\n  %a = malloc { i64; i64* } ; site 1\n  %b = malloc { i64; i64* } ; site 2\n  %fa = fieldaddr %a, 1\n  %pb = bitcast %b to i64*\n  store %pb, %fa\n  %fb = fieldaddr %b, 1\n  %pa = bitcast %a to i64*\n  store %pa, %fb\n  %p = move %a\n  br .loop\n.loop:\n  %n = ptrtoint %p\n  %z = const i64 0\n  %c = cmp ne %n, %z\n  condbr %c, .next, .done\n.next:\n  %f = fieldaddr %p, 1\n  %q = load i64*, %f\n  %p = bitcast %q to { i64; i64* }*\n  br .loop\n.done:\n  ret %z\n}\n",
+	// A DPMR checked load spinning beside a call whose alloca moves the
+	// stack pointer and whose return moves it back.
+	"module m\nfunc @f(%x: i64) i64 {\n.entry:\n  %n = const i64 4\n  %s = alloca i64, count %n ; site 3\n  %k = const i64 2\n  %e = indexaddr %s, %k\n  %v = load i64, %e\n  %r = add %x, %v\n  ret %r\n}\nfunc @main() i64 {\n.entry:\n  %p = malloc i64 ; site 1\n  %q = malloc i64 ; site 2\n  %v = const i64 5\n  store %v, %p\n  store %v, %q\n  br .loop\n.loop:\n  %a = load i64, %p\n  %b = load i64, %q\n  assert %a == %b\n  %t = call @f(%a)\n  br .loop\n}\n",
+	// A count to 3 that starts over: cmp+condbr at the head and
+	// const+add+br at the latch, with the register state repeating once
+	// per count.
+	"module m\nfunc @main() i64 {\n.entry:\n  br .outer\n.outer:\n  %i = const i64 0\n  br .head\n.head:\n  %lim = const i64 3\n  %c = cmp slt %i, %lim\n  condbr %c, .body, .outer\n.body:\n  %one = const i64 1\n  %i = add %i, %one\n  br .head\n}\n",
 }
+
+// fuzzStepLimit bounds every differential run.
+const fuzzStepLimit = 50_000
 
 // compileDifferential runs text under the tree-walker and the compiled
 // engine and reports a fatal error on any Result divergence. It then
@@ -47,7 +67,7 @@ func compileDifferential(t *testing.T, text string) bool {
 	}
 	// Bound runaway loops; the limit applies identically to both engines,
 	// so a limit-exit Result still has to match exactly.
-	cfg := interp.Config{StepLimit: 50_000}
+	cfg := interp.Config{StepLimit: fuzzStepLimit}
 	ref := interp.Run(m, cfg)
 	m.Freeze()
 	prog, err := interp.Compile(m)
@@ -126,6 +146,33 @@ func TestCompileFuzzSeedsValid(t *testing.T) {
 	for i, text := range compileFuzzSeeds {
 		if !compileDifferential(t, text) {
 			t.Errorf("seed %d no longer reaches execution:\n%s", i, text)
+		}
+	}
+}
+
+// TestPeriodicFuzzSeedsFastForward: under FuzzCompile's budget, every
+// periodic seed is fast-forwarded, and TestCompileFuzzSeedsValid holds
+// each one to the walker.
+func TestPeriodicFuzzSeedsFastForward(t *testing.T) {
+	for i, text := range periodicFuzzSeeds {
+		m, err := ir.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Freeze()
+		prog, err := interp.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm, err := interp.NewVM(m, interp.Config{StepLimit: fuzzStepLimit, Prog: prog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := vm.Run(); res.Kind != interp.ExitTimeout {
+			t.Errorf("periodic seed %d: %v (%s), want a timeout", i, res.Kind, res.Reason)
+		}
+		if vm.SkippedSteps() == 0 {
+			t.Errorf("periodic seed %d was not fast-forwarded:\n%s", i, text)
 		}
 	}
 }

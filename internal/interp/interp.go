@@ -100,9 +100,13 @@ func (timeoutErr) Error() string { return "step budget exhausted" }
 
 // Config configures a VM.
 type Config struct {
-	Mem       mem.Config
-	StepLimit uint64 // 0 = effectively unlimited
-	Seed      int64  // PRNG seed (RandInt instruction, rearrange-heap)
+	Mem mem.Config
+	// StepLimit is the step budget: the run times out on the first step
+	// past it (0 = effectively unlimited). A compiled run that provably
+	// loops until the budget runs out may skip whole periods of that loop
+	// (cycle.go), but its Result is the one every step would have given.
+	StepLimit uint64
+	Seed      int64 // PRNG seed (RandInt instruction, rearrange-heap)
 	Externs   map[string]Extern
 	MaxDepth  int // call depth limit; 0 = default 4096
 	// Args are command-line arguments (argv[1:]; argv[0] is the module
@@ -244,6 +248,10 @@ type VM struct {
 	// VMs; allocated lazily on the first indirect call (exec.go).
 	icTags  []uint64
 	icFuncs []*compiledFunc
+
+	// cyc is the compiled loop's periodic fast-forward detector
+	// (cycle.go).
+	cyc cycleState
 }
 
 const funcAddrBase = 0x7F00_0000_0000_0000
@@ -300,6 +308,7 @@ func NewVM(m *ir.Module, cfg Config) (*VM, error) {
 			vm.prog = cfg.Prog
 		}
 	}
+	vm.armCycles()
 	if vm.prog == nil {
 		// The per-VM symbol maps back the tree-walker's FuncAddr /
 		// GlobalAddr / indirect-call lookups. A program-bound VM skips

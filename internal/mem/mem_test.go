@@ -389,3 +389,62 @@ func TestReadWriteBytes(t *testing.T) {
 		t.Error("ReadBytes from null page must trap")
 	}
 }
+
+// TestCheckpointUnchanged: a space that has only been read since a
+// checkpoint is unchanged, and Advance grows exactly the counters reads
+// move; a store, a heap allocation and free, a live alloca or an
+// attached trace recorder each make it changed.
+func TestCheckpointUnchanged(t *testing.T) {
+	// Five lines of one 4-way set, read round robin, miss every time and
+	// leave the set's LRU order as they found it; one more line, in
+	// another set, hits.
+	read := func(s *Space, addr uint64) {
+		for _, a := range []uint64{addr, addr + 8192, addr + 2*8192, addr + 3*8192, addr + 4*8192, addr + 64} {
+			if _, _, trap := s.LoadCosted(a, 8); trap != nil {
+				t.Fatal(trap)
+			}
+		}
+	}
+	// The checkpoint follows one pass of the reads, so that repeating them
+	// leaves the cache's tags as they were.
+	setup := func() (*Space, uint64, *Checkpoint) {
+		s := newTestSpace()
+		addr, trap := s.Malloc(5 * 8192)
+		if trap != nil {
+			t.Fatal(trap)
+		}
+		read(s, addr)
+		var c Checkpoint
+		s.Checkpoint(&c)
+		return s, addr, &c
+	}
+	s, addr, c := setup()
+	hits0, misses0 := s.cache.Counts()
+	loads0 := s.stats.Loads
+	read(s, addr)
+	if !s.Unchanged(c) {
+		t.Fatal("loads alone changed the space")
+	}
+	hits, misses := s.cache.Counts()
+	loads := s.stats.Loads
+	if hits == hits0 || misses == misses0 {
+		t.Fatalf("the reads should both hit and miss: %d hits, %d misses since the checkpoint", hits-hits0, misses-misses0)
+	}
+	s.Advance(c, 3)
+	if s.stats.Loads != loads+3*(loads-loads0) || s.cache.hits != hits+3*(hits-hits0) || s.cache.misses != misses+3*(misses-misses0) {
+		t.Errorf("Advance(3) from %d loads, %d hits, %d misses gave %d, %d, %d", loads, hits, misses,
+			s.stats.Loads, s.cache.hits, s.cache.misses)
+	}
+	for name, act := range map[string]func(s *Space, addr uint64){
+		"store":       func(s *Space, addr uint64) { s.Store(addr, 8, 0) },
+		"malloc+free": func(s *Space, _ uint64) { p, _ := s.Malloc(8); s.Free(p) },
+		"alloca":      func(s *Space, _ uint64) { s.Alloca(8) },
+		"traced":      func(s *Space, _ uint64) { s.SetTrace(NewTraceRec(1, 0)) },
+	} {
+		s, addr, c := setup()
+		act(s, addr)
+		if s.Unchanged(c) {
+			t.Errorf("%s: space reported unchanged", name)
+		}
+	}
+}
