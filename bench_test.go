@@ -446,7 +446,7 @@ func BenchmarkCampaign(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(r.CachedModules()), "modules-built")
+					b.ReportMetric(float64(r.CacheStats().Builds), "modules-built")
 					var n int
 					for _, wname := range cr.Workloads {
 						n += cr.Cells[harness.Stdapp().Label()][wname].N
@@ -488,7 +488,6 @@ func BenchmarkCampaign(b *testing.B) {
 			parts := make([]*harness.PartialResult, n)
 			for s := 0; s < n; s++ {
 				r := harness.NewRunner()
-				r.EvictModules = true
 				r.Shard = harness.ShardSpec{Index: s, Count: n}
 				p, err := r.RunCampaignPartial(context.Background(), campaign)
 				if err != nil {
@@ -530,22 +529,6 @@ func BenchmarkCampaign(b *testing.B) {
 			reportTrialsPerSec(b, trials)
 		})
 	}
-
-	// Eviction ablation: serial campaign with last-trial eviction;
-	// residency metrics quantify the bound eviction buys.
-	b.Run("evict", func(b *testing.B) {
-		var stats harness.CacheStats
-		for i := 0; i < b.N; i++ {
-			r := harness.NewRunner()
-			r.EvictModules = true
-			if _, err := r.RunCampaign(context.Background(), campaign); err != nil {
-				b.Fatal(err)
-			}
-			stats = r.CacheStats()
-		}
-		b.ReportMetric(float64(stats.Peak), "peak-resident")
-		b.ReportMetric(float64(stats.Builds), "modules-built")
-	})
 
 	// Journal ablation: the same serial campaign made crash-safe — every
 	// completed span fsynced to the journal and the progressive report
@@ -619,6 +602,52 @@ func BenchmarkCampaign(b *testing.B) {
 	})
 }
 
+// BenchmarkModuleBuild prices stage 1 of the campaign engine alone: the
+// inject → DPMR transform → freeze → compile pipeline every injected
+// module goes through, over a fixed list of every workload's every site
+// of both fault kinds under the SDS and MDS rearrange-heap, all-loads
+// variants. Bases are built and frozen once, outside the clock, as a
+// Runner builds them once. ns/module is the price a rebuild after
+// last-trial eviction pays.
+func BenchmarkModuleBuild(b *testing.B) {
+	type job struct {
+		base *ir.Module
+		site faultinject.Site
+		cfg  dpmr.Config
+	}
+	var jobs []job
+	for _, w := range workloads.All() {
+		base := w.Build()
+		base.Freeze()
+		for _, kind := range []faultinject.Kind{faultinject.HeapArrayResize, faultinject.ImmediateFree} {
+			for _, site := range faultinject.Enumerate(base, kind) {
+				for _, design := range []dpmr.Design{dpmr.SDS, dpmr.MDS} {
+					jobs = append(jobs, job{base: base, site: site,
+						cfg: dpmr.Config{Design: design, Diversity: dpmr.RearrangeHeap{}, Policy: dpmr.AllLoads{}, Seed: 12345}})
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			m, err := faultinject.Apply(j.base, j.site)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if m, err = dpmr.Transform(m, j.cfg); err != nil {
+				b.Fatal(err)
+			}
+			m.Freeze()
+			if _, err := interp.Compile(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/module")
+}
+
 // benchCampaignSpec is the benchmark campaign both BenchmarkCampaign
 // and BenchmarkCoordinator run: art + bzip2, three variants, six sites,
 // one run per tuple.
@@ -658,7 +687,6 @@ func reportTrialsPerSec(b *testing.B, trials int) {
 func shardWorker() coord.Func {
 	return func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
 		r := harness.NewRunner()
-		r.EvictModules = true
 		r.Shard = shard
 		p, err := r.RunCampaignPartial(ctx, spec)
 		if err != nil {
@@ -795,7 +823,7 @@ func BenchmarkRemoteFleet(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if err := coordnet.WorkerLoop(wctx, ln.Addr().String(), harness.Options{Evict: true}, nil); err != nil {
+					if err := coordnet.WorkerLoop(wctx, ln.Addr().String(), harness.Options{}, nil); err != nil {
 						b.Errorf("WorkerLoop: %v", err)
 					}
 				}()

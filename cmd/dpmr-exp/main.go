@@ -16,10 +16,10 @@
 //	dpmr-exp -exp fig3.7 -quick -dump-spec > fig3.7.json
 //	dpmr-exp -spec fig3.7.json       # byte-identical to the flag-driven run
 //
-// The remaining flags (-parallel, -evict, -compile, -progress, -shard,
-// -coord…) only tune execution and can never change what runs, the
-// plan, or its fingerprint. -progress writes to stderr, so report
-// pipelines reading stdout stay clean.
+// The remaining flags (-parallel, -compile, -progress, -shard, -coord…)
+// only tune execution and can never change what runs, the plan, or its
+// fingerprint. -progress writes to stderr, so report pipelines reading
+// stdout stay clean.
 //
 // Every experiment shards across processes: each shard runs a contiguous
 // slice of the canonical trial plan (injection campaigns and overhead
@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		dumpSpec   = fs.Bool("dump-spec", false, "print the canonical JSON spec of the requested experiment and exit (the -spec file format)")
 		parallel   = fs.Int("parallel", 1, "campaign worker goroutines (output is identical at any count)")
 		progress   = fs.Bool("progress", false, "report per-trial campaign progress and module-cache residency on stderr")
-		evict      = fs.Bool("evict", true, "release each module after its final trial (bounds peak cache residency)")
 		shard      = fs.String("shard", "", "run shard i/N of the experiment and write a partial result (requires a single experiment)")
 		outPath    = fs.String("out", "", "partial-result output file with -shard (default stdout)")
 		merge      = fs.Bool("merge", false, "merge partial-result files, directories, or globs (the positional arguments) and render the report")
@@ -146,7 +145,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		return 0
 	}
-	opts := harness.Options{Parallel: *parallel, Evict: *evict, Reference: !*compile, Precompile: *precomp}
+	opts := harness.Options{Parallel: *parallel, Reference: !*compile, Precompile: *precomp}
 	if *progress {
 		label := spec.Exp
 		if *merge {
@@ -253,7 +252,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			out = f
 		}
 		err := runSession(ctx, spec, out, stderr, *progress,
-			harness.WithParallel(*parallel), harness.WithEviction(*evict),
+			harness.WithParallel(*parallel),
 			harness.WithReference(!*compile), harness.WithPrecompile(*precomp),
 			harness.WithShard(shardSpec))
 		if err != nil {
@@ -271,9 +270,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		return 0
 	case cf.Worker:
-		// One Runner for the worker's lifetime: shards of the same plan
-		// leased to this worker reuse its module and golden caches. The
-		// spec arrives with each assignment — argv carries none of it.
+		// One Runner for the worker's lifetime: shards leased to this
+		// worker reuse its base modules and goldens, while injected
+		// modules leave after their last trial. The spec arrives with
+		// each assignment — argv carries none of it.
 		workerOpts := opts
 		workerOpts.Events = nil
 		workerOpts.Runner = harness.NewRunner()
@@ -332,7 +332,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return 0
 	}
 	err = runSession(ctx, spec, stdout, stderr, *progress,
-		harness.WithParallel(*parallel), harness.WithEviction(*evict),
+		harness.WithParallel(*parallel),
 		harness.WithReference(!*compile), harness.WithPrecompile(*precomp))
 	if err != nil {
 		return runFail(stderr, err)
@@ -430,7 +430,6 @@ func workerArgv(opts harness.Options) []string {
 	return []string{
 		"-worker",
 		"-parallel", strconv.Itoa(max(opts.Parallel, 1)),
-		"-evict=" + strconv.FormatBool(opts.Evict),
 		"-compile=" + strconv.FormatBool(!opts.Reference),
 		"-precompile", strconv.Itoa(opts.Precompile),
 	}

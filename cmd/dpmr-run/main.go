@@ -34,7 +34,10 @@
 // (in-process goroutines, or spawned `dpmr-run -worker` processes with
 // -coord-spawn), stragglers and crashes are retried, and the merged
 // summary prints in one command. Every coord.Assignment carries the
-// Spec, so a worker process's argv holds only execution policy:
+// Spec, so a worker process's argv holds only execution policy. A
+// worker keeps each workload's base module across assignments and
+// releases each injected module after its shard's last trial that
+// needs it, as every campaign run does (-progress shows the residency):
 //
 //	dpmr-run -workload mcf -campaign -inject immediate-free -coord 4
 //
@@ -107,7 +110,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		parallel   = fs.Int("parallel", 1, "campaign worker goroutines (with -campaign)")
 		runs       = fs.Int("runs", 2, "runs per injection site (with -campaign)")
 		progress   = fs.Bool("progress", false, "report campaign progress and module-cache residency on stderr (with -campaign)")
-		evict      = fs.Bool("evict", true, "release each module after its final trial (with -campaign)")
 		shard      = fs.String("shard", "", "run campaign shard i/N and write a partial result (with -campaign)")
 		outPath    = fs.String("out", "", "partial-result output file with -shard (default stdout)")
 		merge      = fs.Bool("merge", false, "merge campaign partial-result files (the positional arguments; with -campaign)")
@@ -337,10 +339,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}()
 
 	if cf.Worker {
-		// One Runner for the worker's lifetime: shards of the same plan
-		// leased to this worker reuse its module and golden caches. The
-		// spec arrives with each assignment — argv carries none of it.
-		workerOpts := harness.Options{Parallel: *parallel, Evict: *evict, Reference: !*compile,
+		// One Runner for the worker's lifetime: shards leased to this
+		// worker reuse its base modules and goldens, while injected
+		// modules leave after their last trial. The spec arrives with
+		// each assignment — argv carries none of it.
+		workerOpts := harness.Options{Parallel: *parallel, Reference: !*compile,
 			Precompile: *precomp, Runner: harness.NewRunner()}
 		err := coord.Serve(stdin, stdout, func(spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
 			return harness.ShardPayload(ctx, spec, shard, workerOpts)
@@ -353,7 +356,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if *campaign {
 		return runCampaign(ctx, campaignArgs{
 			spec: spec, parallel: *parallel, precompile: *precomp,
-			progress: *progress, evict: *evict, compile: *compile,
+			progress: *progress, compile: *compile,
 			shardSpec: shardSpec, sharded: *shard != "", outPath: *outPath,
 			merge: *merge, mergeFiles: fs.Args(),
 			journalDir: *journalDir, resume: *resume,
@@ -464,27 +467,26 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 // campaignArgs bundles the -campaign mode's resolved inputs: the
 // declarative Spec plus the execution-policy flag values.
 type campaignArgs struct {
-	spec                   harness.Spec
-	parallel               int
-	precompile             int
-	progress, evict, merge bool
-	compile                bool
-	sharded                bool
-	shardSpec              harness.ShardSpec
-	outPath                string
-	mergeFiles             []string
-	journalDir             string
-	resume                 bool
-	remote                 string
-	coordFlags             coord.CLIFlags
-	stdout, stderr         io.Writer
+	spec            harness.Spec
+	parallel        int
+	precompile      int
+	progress, merge bool
+	compile         bool
+	sharded         bool
+	shardSpec       harness.ShardSpec
+	outPath         string
+	mergeFiles      []string
+	journalDir      string
+	resume          bool
+	remote          string
+	coordFlags      coord.CLIFlags
+	stdout, stderr  io.Writer
 }
 
 // sessionOptions is the campaign's execution policy as Session options.
 func (a campaignArgs) sessionOptions() []harness.Option {
 	return []harness.Option{
 		harness.WithParallel(a.parallel),
-		harness.WithEviction(a.evict),
 		harness.WithReference(!a.compile),
 		harness.WithPrecompile(a.precompile),
 	}
@@ -631,7 +633,7 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 // Options.Runner).
 func (a campaignArgs) fleet() coord.FleetOptions {
 	cf := a.coordFlags
-	workerOpts := harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
+	workerOpts := harness.Options{Parallel: a.parallel, Reference: !a.compile, Precompile: a.precompile}
 	fleet := coord.FleetOptions{
 		Spec:    a.spec,
 		Workers: cf.Workers, Lease: cf.Lease,
@@ -644,7 +646,6 @@ func (a campaignArgs) fleet() coord.FleetOptions {
 		fleet.SpawnArgv = []string{
 			"-worker",
 			"-parallel", strconv.Itoa(a.parallel),
-			"-evict=" + strconv.FormatBool(a.evict),
 			"-compile=" + strconv.FormatBool(a.compile),
 			"-precompile", strconv.Itoa(a.precompile),
 		}
@@ -663,7 +664,6 @@ func (a campaignArgs) fleet() coord.FleetOptions {
 func (a campaignArgs) journalRunner() *harness.Runner {
 	r := harness.NewRunner()
 	r.Parallel = a.parallel
-	r.EvictModules = a.evict
 	r.Compile = a.compile
 	r.Precompile = a.precompile
 	if a.progress {

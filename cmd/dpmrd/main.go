@@ -10,9 +10,13 @@
 // -listen accepts TCP host:port or a Unix socket path (anything
 // containing a path separator). The daemon's fleet is its -workers
 // in-process slots plus every `dpmrd -connect` process that joins; all
-// of them hold warm module/program caches across assignments, and
-// shards are checked out one at a time, so concurrent client campaigns
-// interleave fairly at shard granularity.
+// of them keep each workload's base module and goldens warm across
+// assignments, and shards are checked out one at a time, so concurrent
+// client campaigns interleave fairly at shard granularity. A worker
+// releases each injected module after the last trial of its shard that
+// needs it, so its memory does not grow with the daemon's history.
+// Submitted Specs past the harness bounds (MaxRuns, MaxThreads,
+// MaxMemBytes, MaxPlannedTrials) are refused by name.
 //
 // With -journal, campaign submissions are journaled per Spec
 // fingerprint: a client that disconnects mid-campaign and resubmits the
@@ -66,7 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		chaos      = fs.Int("chaos", 0, "fault drill: sever this many worker sockets mid-shard (-listen mode)")
 		verbose    = fs.Bool("v", false, "log scheduling and fleet diagnostics to stderr")
 		parallel   = fs.Int("parallel", 1, "campaign worker goroutines per fleet slot (output is identical at any count)")
-		evict      = fs.Bool("evict", true, "release each module after its final trial (bounds peak cache residency)")
 		compile    = fs.Bool("compile", true, "execute campaign and overhead trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (concurrent trials always run compiled)")
 		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off)")
 	)
@@ -119,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else if sched != "" {
 		fmt.Fprintf(stderr, "dpmrd: failpoints armed from %s: %s\n", failpt.EnvVar, sched)
 	}
-	opts := harness.Options{Parallel: *parallel, Evict: *evict, Reference: !*compile, Precompile: *precomp}
+	opts := harness.Options{Parallel: *parallel, Reference: !*compile, Precompile: *precomp}
 	logf := func(string, ...any) {}
 	if *verbose {
 		logf = func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }

@@ -20,7 +20,7 @@ import (
 func coordinate(t *testing.T, exp string, cfg coord.Config,
 	inject func(shard harness.ShardSpec, payload []byte) ([]byte, error)) []byte {
 	t.Helper()
-	opts := harness.Options{Evict: true}
+	opts := harness.Options{}
 	// The worker runs whatever Spec its assignment carries — exactly what
 	// a `dpmr-exp -worker` process does via harness.ShardPayload.
 	fn := coord.Func(func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
@@ -60,7 +60,7 @@ func quickSpec(exp string) harness.Spec {
 func unsharded(t *testing.T, exp string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := harness.Generate(context.Background(), quickSpec(exp), &buf, harness.Options{Evict: true}); err != nil {
+	if err := harness.Generate(context.Background(), quickSpec(exp), &buf, harness.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -117,7 +117,7 @@ func TestCancelledCoordinatorSurvivorsMerge(t *testing.T) {
 	const shards = 4
 	const exp = "fig3.16"
 	golden := unsharded(t, exp)
-	opts := harness.Options{Evict: true}
+	opts := harness.Options{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex

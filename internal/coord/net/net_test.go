@@ -65,7 +65,7 @@ func joinWorkers(t *testing.T, srv *coordnet.Server, addr string, n int) func() 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := coordnet.WorkerLoop(ctx, addr, harness.Options{Evict: true}, nil); err != nil {
+			if err := coordnet.WorkerLoop(ctx, addr, harness.Options{}, nil); err != nil {
 				t.Errorf("WorkerLoop: %v", err)
 			}
 		}()
@@ -113,7 +113,7 @@ func quickSpec(exp string) harness.Spec {
 func unsharded(t *testing.T, exp string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := harness.Generate(context.Background(), quickSpec(exp), &buf, harness.Options{Evict: true}); err != nil {
+	if err := harness.Generate(context.Background(), quickSpec(exp), &buf, harness.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -126,7 +126,7 @@ func mergePayloads(t *testing.T, spec harness.Spec, payloads [][]byte) []byte {
 		readers[i] = bytes.NewReader(p)
 	}
 	var merged bytes.Buffer
-	if err := harness.GenerateMerged(context.Background(), spec, &merged, readers, harness.Options{Evict: true}); err != nil {
+	if err := harness.GenerateMerged(context.Background(), spec, &merged, readers, harness.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return merged.Bytes()

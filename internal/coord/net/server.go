@@ -35,9 +35,9 @@ type fleetWorker interface {
 }
 
 // localWorker is an in-process fleet slot: a persistent harness.Runner
-// executing shard assignments directly, so module and program caches
-// stay warm across assignments exactly like a -coord-spawn worker
-// process. The pool checks a worker out per shard, so Run is serial.
+// executing shard assignments directly, so base modules and goldens stay
+// warm across assignments exactly like a -coord-spawn worker process.
+// The pool checks a worker out per shard, so Run is serial.
 type localWorker struct {
 	opts harness.Options
 }
@@ -191,7 +191,7 @@ type ServerConfig struct {
 	// the fleet is remote joiners only.
 	LocalWorkers int
 	// WorkerOptions is the execution policy (parallelism, compilation,
-	// eviction, prefetch) for the daemon's local workers.
+	// prefetch) for the daemon's local workers.
 	WorkerOptions harness.Options
 	// JournalRoot, when set, journals every campaign-kind submission
 	// under JournalRoot/<spec fingerprint prefix>/ — a client that

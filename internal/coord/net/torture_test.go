@@ -53,7 +53,7 @@ func launchTolerantWorkers(ctx context.Context, n int, addr string) *sync.WaitGr
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				_ = coordnet.WorkerLoop(ctx, addr, harness.Options{Evict: true}, nil)
+				_ = coordnet.WorkerLoop(ctx, addr, harness.Options{}, nil)
 				select {
 				case <-ctx.Done():
 					return

@@ -24,7 +24,7 @@ import (
 // Spec's canonical plan. The Spec travels with every assignment, so a
 // worker process needs no experiment description in its argv — its
 // flags carry only execution policy (parallelism, compilation,
-// eviction) and the coordinator remains the single source of *what*
+// prefetch) and the coordinator remains the single source of *what*
 // runs. Both sides hold the identical normalized Spec, so both compute
 // the identical plan fingerprint; a worker fed a different Spec would
 // produce partials the merge layer rejects.

@@ -88,16 +88,17 @@ type moduleEntry struct {
 	err  error
 }
 
-// CacheStats counts module-cache activity over a Runner's lifetime. The
-// residency numbers are what last-trial eviction (Runner.EvictModules)
-// bounds: without eviction Peak equals Builds; with it, Peak tracks only
-// the modules whose trials are still pending. CacheStats is also an
-// Event: sessions emit a final snapshot when an experiment completes.
+// CacheStats counts module-cache activity over a Runner's lifetime.
+// Injected modules leave the cache after their last trial (see
+// execTrials), so Peak tracks only the modules whose trials are still
+// pending, and between runs Resident is the uninjected modules that seed
+// builds. CacheStats is also an Event: sessions emit a final snapshot
+// when an experiment completes.
 type CacheStats struct {
 	// Builds counts successful module builds. A module evicted before its
-	// trials finished would be rebuilt on next use, so Builds exceeding
-	// the number of distinct modules is the signature of a premature
-	// eviction.
+	// trials in a run finished would be rebuilt within that run, so a
+	// run's Builds exceeding its distinct modules is the signature of a
+	// premature eviction.
 	Builds int
 	// Evicted counts modules released after their final trial.
 	Evicted int
@@ -212,30 +213,29 @@ func execRows[E any](ctx context.Context, r *Runner, lo, hi int, row func(i int)
 // the raw interpreter result is dropped per trial, releasing each output
 // buffer instead of pinning all of them until the campaign ends.
 //
-// With EvictModules set, execTrials also releases each injected module
-// once its last trial completes. Because a site's trials are contiguous
-// in the canonical plan, this bounds peak cache residency at large site
-// counts; the per-key pending counters make it order-independent (and
-// therefore safe at any worker count): a module is only evicted when no
-// trial that uses it remains.
+// execTrials also releases each injected module once its last trial in
+// [lo, hi) completes, so a persistent Runner holds no injected module
+// between runs and, because a site's trials are contiguous in the
+// canonical plan, peak residency stays bounded at large site counts. The
+// per-key pending counters make this order-independent (and therefore
+// safe at any worker count): a module is only evicted when no trial that
+// uses it remains. A later range that needs the module again rebuilds
+// it.
 func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int) ([]TrialOutcome, error) {
 	trials := plan.trials[lo:hi]
-	var pending map[moduleKey]*int64
-	if r.EvictModules {
-		pending = make(map[moduleKey]*int64)
-		for _, t := range trials {
-			k := t.key()
-			if k.site == "" {
-				// Uninjected modules (base builds, overhead runs) seed
-				// other builds and are shared beyond this trial list;
-				// only per-(site, variant) modules are evictable.
-				continue
-			}
-			if pending[k] == nil {
-				pending[k] = new(int64)
-			}
-			*pending[k]++
+	pending := make(map[moduleKey]*int64)
+	for _, t := range trials {
+		k := t.key()
+		if k.site == "" {
+			// Uninjected modules (base builds, overhead runs) seed
+			// other builds and are shared beyond this trial list;
+			// only per-(site, variant) modules are evictable.
+			continue
 		}
+		if pending[k] == nil {
+			pending[k] = new(int64)
+		}
+		*pending[k]++
 	}
 	notifyUse, joinPrefetch := r.startPrefetch(ctx, trials, pending)
 	defer joinPrefetch()
@@ -244,10 +244,8 @@ func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int)
 		notifyUse(i - lo)
 		t := plan.trials[i]
 		o, err := r.runOnce(t.w, t.v, t.inj, t.rn, pool)
-		if pending != nil {
-			if c := pending[t.key()]; c != nil && atomic.AddInt64(c, -1) == 0 {
-				r.cache.evict(t.key())
-			}
+		if c := pending[t.key()]; c != nil && atomic.AddInt64(c, -1) == 0 {
+			r.cache.evict(t.key())
 		}
 		return o.Trial(), err
 	}, func(i int) string {
@@ -261,7 +259,7 @@ func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int)
 // order and push each through the module cache (build + compile) ahead
 // of the execution frontier, so stage-1 work overlaps stage-2 trials
 // instead of serializing ahead of each site's first trial. The window is
-// bounded in distinct modules, keeping the eviction policy's residency
+// bounded in distinct modules, keeping last-trial eviction's residency
 // bound intact: at most aheadWindow modules sit built-but-unreached at
 // any time, admitted as the returned notify func observes each module's
 // first trial being dispatched. The sync.Once under moduleCache.get
@@ -422,14 +420,6 @@ func (r *Runner) fanOut(ctx context.Context, n int, fn func(i int)) int {
 	close(idx)
 	wg.Wait()
 	return dispatched
-}
-
-// CachedModules reports how many distinct modules the Runner's build
-// cache currently holds.
-func (r *Runner) CachedModules() int {
-	r.cache.mu.Lock()
-	defer r.cache.mu.Unlock()
-	return len(r.cache.entries)
 }
 
 // CacheStats reports the Runner's module-cache counters: builds,

@@ -157,7 +157,8 @@ func TestCampaignConcurrent(t *testing.T) {
 // TestModuleCacheBuildsEachModuleOnce asserts stage 1 of the engine:
 // the trial grid executes sites × variants × runs VMs but only
 // sites × variants (+ golden-equivalent stdapp) distinct modules are
-// ever built.
+// ever built, even though each injected module is released after its
+// last trial.
 func TestModuleCacheBuildsEachModuleOnce(t *testing.T) {
 	spec := smallCampaign()
 	spec.Workloads = spec.Workloads[:1]
@@ -173,48 +174,62 @@ func TestModuleCacheBuildsEachModuleOnce(t *testing.T) {
 	// site; non-injected variant modules are not built by the campaign
 	// (stdapp reuse covers non-DPMR variants).
 	want := 1 + sites*3
-	if got := r.CachedModules(); got != want {
-		t.Errorf("cache holds %d modules, want %d (base + sites=%d × variants=3)", got, want, sites)
+	if got := r.CacheStats().Builds; got != want {
+		t.Errorf("built %d modules, want %d (base + sites=%d × variants=3)", got, want, sites)
 	}
 }
 
+// planModules counts the distinct modules a campaign Spec's plan
+// executes, plus one base per workload.
+func planModules(t *testing.T, spec Spec) int {
+	t.Helper()
+	n, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewRunner().planCampaign(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[moduleKey]bool)
+	for _, tr := range plan.trials {
+		keys[tr.key()] = true
+	}
+	return len(keys) + len(plan.workloads)
+}
+
 // TestEvictionBoundsResidency is the residency contract of last-trial
-// eviction: an evicting campaign produces identical results with a
-// strictly lower peak module-cache residency, and never evicts a module
-// that still has pending trials — asserted through the cache-stats
-// counters: a premature eviction would force a rebuild, so Builds
-// staying equal to the non-evicting run's count proves no module was
-// released early.
+// eviction: a campaign builds each of its plan's distinct modules
+// exactly once — a module evicted while it still had pending trials
+// would be rebuilt, pushing Builds past that count — while its peak
+// residency stays strictly below its builds, and the same results come
+// out at any worker count.
 func TestEvictionBoundsResidency(t *testing.T) {
+	spec := smallCampaign()
+	want := planModules(t, spec)
+	var results []*CampaignResult
 	for _, parallel := range []int{1, 8} {
-		run := func(evict bool) (*CampaignResult, CacheStats) {
-			r := NewRunner()
-			r.Parallel = parallel
-			r.EvictModules = evict
-			cr, err := r.RunCampaign(context.Background(), smallCampaign())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cr, r.CacheStats()
+		r := NewRunner()
+		r.Parallel = parallel
+		cr, err := r.RunCampaign(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		keepCR, keep := run(false)
-		evictCR, evict := run(true)
-		if !reflect.DeepEqual(keepCR, evictCR) {
-			t.Errorf("parallel=%d: eviction changed campaign results", parallel)
+		results = append(results, cr)
+		st := r.CacheStats()
+		if st.Builds != want {
+			t.Errorf("parallel=%d: built %d modules, the plan has %d — a module was evicted with pending trials and rebuilt",
+				parallel, st.Builds, want)
 		}
-		if keep.Evicted != 0 || keep.Resident != keep.Builds || keep.Peak != keep.Builds {
-			t.Errorf("parallel=%d: non-evicting stats inconsistent: %+v", parallel, keep)
+		if st.Peak >= st.Builds {
+			t.Errorf("parallel=%d: peak residency %d, want strictly below %d builds", parallel, st.Peak, st.Builds)
 		}
-		if evict.Builds != keep.Builds {
-			t.Errorf("parallel=%d: evicting run built %d modules, non-evicting %d — a module was evicted with pending trials and rebuilt",
-				parallel, evict.Builds, keep.Builds)
+		if bases := len(spec.Workloads); st.Resident != bases || st.Evicted != st.Builds-bases {
+			t.Errorf("parallel=%d: after the run %+v, want only the %d bases resident", parallel, st, bases)
 		}
-		if evict.Peak >= keep.Peak {
-			t.Errorf("parallel=%d: peak residency with eviction = %d, want strictly below %d", parallel, evict.Peak, keep.Peak)
-		}
-		if evict.Evicted == 0 || evict.Resident != evict.Builds-evict.Evicted {
-			t.Errorf("parallel=%d: eviction counters inconsistent: %+v", parallel, evict)
-		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("campaign results differ between parallel=1 and parallel=8")
 	}
 }
 
@@ -229,7 +244,6 @@ func TestEvictionKeepsSerialResidencyConstant(t *testing.T) {
 		spec.MaxSites = maxSites
 		spec.Runs = 1
 		r := NewRunner()
-		r.EvictModules = true
 		if _, err := r.RunCampaign(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
@@ -237,6 +251,78 @@ func TestEvictionKeepsSerialResidencyConstant(t *testing.T) {
 	}
 	if p2, p4 := peakAt(2), peakAt(4); p4 != p2 {
 		t.Errorf("serial evicting peak residency grew with site count: %d sites → %d, %d sites → %d", 2, p2, 4, p4)
+	}
+}
+
+// withoutClock re-encodes a campaign payload with its wall-clock
+// ElapsedMS zeroed: every other byte is a function of the Spec and the
+// shard.
+func withoutClock(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	p, err := DecodePartial(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ElapsedMS = 0
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPersistentRunnerResidency is the module lifetime of a long-lived
+// worker: one Runner serving many campaign Specs through ShardPayload,
+// as the daemon's local workers and WorkerLoop do. After every Spec only
+// the bases remain resident, the high-water mark never exceeds the
+// largest a fresh Runner reaches on any one of the Specs, and every
+// payload is byte-identical to a fresh Runner's, apart from its
+// wall-clock field.
+func TestPersistentRunnerResidency(t *testing.T) {
+	ws := workloads.All()[:2]
+	var specs []Spec
+	for _, kind := range []faultinject.Kind{faultinject.ImmediateFree, faultinject.HeapArrayResize} {
+		for _, vs := range [][]Variant{
+			{Stdapp(), NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{})},
+			{Stdapp(), NewVariant(dpmr.MDS, dpmr.RearrangeHeap{}, dpmr.TemporalHalf)},
+		} {
+			for _, maxSites := range []int{1, 2} {
+				s := CampaignSpec(kind, ws, vs)
+				s.Runs = 1
+				s.MaxSites = maxSites
+				specs = append(specs, s)
+			}
+		}
+	}
+	shards := []ShardSpec{{}, {Index: 0, Count: 2}, {Index: 1, Count: 2}}
+	persistent := NewRunner()
+	opts := Options{Parallel: 1, Runner: persistent}
+	freshPeak := 0
+	for i, spec := range specs {
+		shard := shards[i%len(shards)]
+		got, err := ShardPayload(context.Background(), spec, shard, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewRunner()
+		want, err := ShardPayload(context.Background(), spec, shard, Options{Parallel: 1, Runner: fresh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := withoutClock(t, got), withoutClock(t, want); !bytes.Equal(got, want) {
+			t.Errorf("spec %d shard %v: the persistent Runner's payload differs from a fresh Runner's:\n%s\n%s", i, shard, got, want)
+		}
+		freshPeak = max(freshPeak, fresh.CacheStats().Peak)
+		st := persistent.CacheStats()
+		if st.Resident != len(ws) {
+			t.Errorf("after spec %d: %d modules resident, want the %d bases", i, st.Resident, len(ws))
+		}
+		if st.Peak > freshPeak {
+			t.Errorf("after spec %d: peak residency %d, above the %d a fresh Runner reaches on any spec so far", i, st.Peak, freshPeak)
+		}
+	}
+	if st := persistent.CacheStats(); st.Builds <= st.Peak {
+		t.Errorf("persistent Runner built %d modules with peak %d: eviction never released one", st.Builds, st.Peak)
 	}
 }
 
@@ -281,7 +367,7 @@ func TestRunOnceSharedModuleConcurrently(t *testing.T) {
 		}
 	}
 	// The workload's frozen base plus the one injected DPMR module.
-	if got := r.CachedModules(); got != 2 {
+	if got := r.CacheStats().Resident; got != 2 {
 		t.Errorf("cache holds %d modules, want 2 (base + variant)", got)
 	}
 }

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +153,69 @@ func FuzzMergePartials(f *testing.F) {
 			}
 			for _, p := range ep.Overheads {
 				mergeCycles(t, p)
+			}
+		}
+	})
+}
+
+// FuzzDecodeSpec fuzzes the Spec decoder a daemon runs on every
+// submission. Whatever DecodeSpec accepts must already be canonical
+// (normalizing again changes nothing), must keep its fingerprint across
+// a JSON round trip, and must stay inside every named bound.
+func FuzzDecodeSpec(f *testing.F) {
+	ws, vs := smallOverhead()
+	for _, s := range []Spec{smallCampaign(), OverheadSpec(ws, vs), smallConcurrent(), quickExp("fig3.7"), hostileCampaign()} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, seed := range []string{
+		`{"kind":"concurrent","workloads":["chash"],"variants":[{}],"threads":100000}`,
+		`{"kind":"campaign","workloads":["art"],"variants":[{}],"inject":"immediate-free","mem":{"HeapBytes":-1}}`,
+		`{"kind":"campaign","workloads":["art"],"variants":[{}],"inject":"immediate-free","mem":{"GlobalBytes":1,"HeapBytes":1125899906842624,"StackBytes":1}}`,
+		`{"kind":"experiment","exp":"fig3.7","quick":true,"runs":-3}`,
+		`{"kind":"overhead"`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := DecodeSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := n.Normalized()
+		if err != nil {
+			t.Fatalf("a decoded Spec fails to normalize again: %v", err)
+		}
+		if !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalized is not idempotent:\n%+v\n%+v", n, again)
+		}
+		fp, err := n.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeSpec(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("the JSON of a decoded Spec does not decode: %v\n%s", err, wire)
+		}
+		if fp2, err := back.Fingerprint(); err != nil || fp2 != fp {
+			t.Fatalf("fingerprint %s became %s (%v) across a JSON round trip", fp, fp2, err)
+		}
+		switch {
+		case n.Runs > MaxRuns, n.Threads > MaxThreads, n.TimeoutFactor > MaxTimeoutFactor:
+			t.Fatalf("normalized Spec past a count bound: %+v", n)
+		case n.plannedLowerBound() > MaxPlannedTrials:
+			t.Fatalf("normalized Spec plans %d trials", n.plannedLowerBound())
+		}
+		for _, size := range []int{n.Mem.GlobalBytes, n.Mem.HeapBytes, n.Mem.StackBytes} {
+			if size <= 0 || size > MaxMemBytes {
+				t.Fatalf("normalized Spec has mem size %d", size)
 			}
 		}
 	})

@@ -12,8 +12,8 @@
 //     source of every plan fingerprint.
 //   - Session (session.go) is the context-first execution handle:
 //     Start(ctx, spec, opts...) with functional options for worker
-//     counts, compilation, eviction, and sharding, streaming typed
-//     events (TrialDone, Progress, ShardMerged, CacheStats) while the
+//     counts, compilation, and sharding, streaming typed events
+//     (TrialDone, Progress, ShardMerged, CacheStats) while the
 //     experiment runs.
 //   - Runner (below) is the mid-level two-stage campaign engine both
 //     are built on.
@@ -182,11 +182,6 @@ type Runner struct {
 	// MergeCampaign reassembles a result byte-identical to an unsharded
 	// run.
 	Shard ShardSpec
-	// EvictModules releases each injected module from the build cache
-	// after its final trial completes, bounding peak cache residency on
-	// large campaigns (see CacheStats). Off by default: with it off, every
-	// built module stays resident for the Runner's lifetime.
-	EvictModules bool
 	// Compile lowers every frozen campaign and overhead module to the
 	// interpreter's pre-decoded register bytecode (interp.Compile) as part
 	// of the stage-1 build; the module's trials then execute the compiled
@@ -205,8 +200,9 @@ type Runner struct {
 	// with stage-2 trial execution. Results are byte-identical at any
 	// value (the cache's once-per-key build discipline makes prefetched
 	// and demand builds indistinguishable); the prefetch window is
-	// bounded, so EvictModules' peak-residency guarantee degrades by at
-	// most 2*Precompile+2 modules. 0 (the default) disables prefetching.
+	// bounded, so last-trial eviction's peak-residency bound degrades by
+	// at most 2*Precompile+2 modules. 0 (the default) disables
+	// prefetching.
 	Precompile int
 	// Events, when non-nil, receives the engine's typed event stream:
 	// TrialDone and Progress after each completed trial, ShardMerged per
@@ -603,18 +599,30 @@ func (r *Runner) planCampaign(spec Spec) (*campaignPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &campaignPlan{kind: kind, runs: spec.Runs, variants: variants, jobs: make([][]siteJob, len(ws))}
-	h := sha256.New()
-	fmt.Fprintf(h, "dpmr campaign plan v2\nspec %s\n", canon)
+	// Enumerate every workload's sites first, so the exact trial count
+	// is checked against MaxPlannedTrials before the plan is allocated.
+	wsites := make([][]faultinject.Site, len(ws))
+	planned := uint64(0)
 	for wi, w := range ws {
-		p.workloads = append(p.workloads, w.Name)
 		bm, _, err := r.base(w)
 		if err != nil {
 			return nil, err
 		}
-		sites := sampleSites(faultinject.Enumerate(bm, kind), spec.MaxSites)
+		wsites[wi] = sampleSites(faultinject.Enumerate(bm, kind), spec.MaxSites)
+		planned += uint64(len(wsites[wi]))
+	}
+	planned = satMul(planned, satMul(uint64(spec.Runs), 1+spec.dpmrVariants()))
+	if err := checkPlanned(planned); err != nil {
+		return nil, err
+	}
+	p := &campaignPlan{kind: kind, runs: spec.Runs, variants: variants, jobs: make([][]siteJob, len(ws)),
+		trials: make([]trial, 0, planned)}
+	h := sha256.New()
+	fmt.Fprintf(h, "dpmr campaign plan v2\nspec %s\n", canon)
+	for wi, w := range ws {
+		p.workloads = append(p.workloads, w.Name)
 		fmt.Fprintf(h, "workload %s\n", w.Name)
-		for _, site := range sites {
+		for _, site := range wsites[wi] {
 			site := site
 			fmt.Fprintf(h, "site %s\n", site)
 			job := siteJob{site: site, std: len(p.trials), vars: make([]int, len(variants))}

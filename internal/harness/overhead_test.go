@@ -160,7 +160,7 @@ func TestDecodeOverheadPartialRejectsMalformed(t *testing.T) {
 func TestGenerateShardedOverheadByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	spec := quickExp("fig3.16")
-	opts := Options{Parallel: 2, Evict: true}
+	opts := Options{Parallel: 2}
 	var golden bytes.Buffer
 	if err := Generate(ctx, spec, &golden, opts); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestPrecompileByteIdentical(t *testing.T) {
 	direct, plain := campaignAt(t, 2)
 
 	s, err := Start(context.Background(), smallCampaign(),
-		WithParallel(2), WithPrecompile(2), WithEviction(true))
+		WithParallel(2), WithPrecompile(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +39,12 @@ func TestPrecompileByteIdentical(t *testing.T) {
 }
 
 // TestPrecompileBoundsResidency: the prefetch window degrades the
-// eviction policy's peak-residency bound by at most the documented
+// last-trial eviction's peak-residency bound by at most the documented
 // 2*Precompile+2 admitted-but-unreached modules.
 func TestPrecompileBoundsResidency(t *testing.T) {
 	run := func(precompile int) CacheStats {
 		s, err := Start(context.Background(), smallCampaign(),
-			WithParallel(1), WithPrecompile(precompile), WithEviction(true))
+			WithParallel(1), WithPrecompile(precompile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestPrecompileCancel(t *testing.T) {
 	defer cancel()
 	r := NewRunner()
 	s, err := Start(ctx, smallCampaign(), WithRunner(r),
-		WithParallel(2), WithPrecompile(2), WithEviction(true))
+		WithParallel(2), WithPrecompile(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ type Options struct {
 	// Parallel is the campaign worker count (0 = default 1 = serial).
 	// Output is byte-identical at any worker count.
 	Parallel int
-	// Evict releases each injected module from the build cache after its
-	// final trial, bounding peak module residency on large campaigns.
-	Evict bool
 	// Reference forces campaign and overhead trials onto the
 	// tree-walking reference interpreter instead of the compiled module
 	// bytecode (CLI -compile=false); concurrent groups always run
@@ -60,7 +57,6 @@ func (o Options) runner() *Runner {
 	if o.Parallel != 0 {
 		r.Parallel = o.Parallel
 	}
-	r.EvictModules = o.Evict
 	r.Compile = !o.Reference
 	r.Precompile = o.Precompile
 	r.Events = o.Events

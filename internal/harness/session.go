@@ -2,7 +2,7 @@ package harness
 
 // Session is the context-first execution layer over Spec: Start takes
 // the declarative *what* (a Spec) plus functional options for the *how*
-// (worker count, compilation, eviction, sharding) and runs the
+// (worker count, compilation, sharding) and runs the
 // experiment in the background, streaming typed events — TrialDone,
 // Progress, ShardMerged, CacheStats — through a subscription channel
 // while it executes. Cancelling the context stops dispatch,
@@ -24,7 +24,6 @@ type sessionConfig struct {
 	parallel    int
 	parallelSet bool
 	reference   bool
-	evict       bool
 	precompile  int
 	shard       ShardSpec
 	report      io.Writer
@@ -47,10 +46,6 @@ func WithParallel(n int) Option {
 // bytecode. Output is byte-identical either way; the switch exists for
 // A/B measurement. Concurrent groups always run compiled.
 func WithReference(on bool) Option { return func(c *sessionConfig) { c.reference = on } }
-
-// WithEviction releases each injected module from the build cache after
-// its final trial, bounding peak cache residency on large campaigns.
-func WithEviction(on bool) Option { return func(c *sessionConfig) { c.evict = on } }
 
 // WithPrecompile launches n background AOT workers that build and
 // compile upcoming modules ahead of the execution frontier, overlapping
@@ -157,7 +152,6 @@ func Start(ctx context.Context, spec Spec, opts ...Option) (*Session, error) {
 	if cfg.parallelSet {
 		r.Parallel = cfg.parallel
 	}
-	r.EvictModules = cfg.evict
 	r.Compile = !cfg.reference
 	r.Precompile = cfg.precompile
 	r.Shard = cfg.shard
@@ -277,7 +271,7 @@ func (s *Session) pump(ch chan Event) {
 func (s *Session) run(ctx context.Context, r *Runner, cfg sessionConfig) {
 	s.result.Spec = s.spec
 	if s.spec.kind() == nil {
-		o := Options{Evict: cfg.evict, Reference: cfg.reference, Events: s.emit, Runner: r}
+		o := Options{Reference: cfg.reference, Events: s.emit, Runner: r}
 		if cfg.parallel != 0 {
 			o.Parallel = cfg.parallel
 		}

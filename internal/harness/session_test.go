@@ -17,7 +17,7 @@ import (
 func TestSessionCampaignMatchesRunner(t *testing.T) {
 	direct, _ := campaignAt(t, 2)
 
-	s, err := Start(context.Background(), smallCampaign(), WithParallel(2), WithEviction(true))
+	s, err := Start(context.Background(), smallCampaign(), WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}

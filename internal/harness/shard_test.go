@@ -20,7 +20,6 @@ func runShards(t *testing.T, n int) []*PartialResult {
 	for i := 0; i < n; i++ {
 		r := NewRunner()
 		r.Parallel = 2
-		r.EvictModules = true
 		r.Shard = ShardSpec{Index: i, Count: n}
 		p, err := r.RunCampaignPartial(context.Background(), smallCampaign())
 		if err != nil {
@@ -196,7 +195,7 @@ func TestDecodePartialRejectsMalformed(t *testing.T) {
 func TestGenerateShardedMergedByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	spec := quickExp("fig3.7")
-	opts := Options{Parallel: 2, Evict: true}
+	opts := Options{Parallel: 2}
 	var golden bytes.Buffer
 	if err := Generate(ctx, spec, &golden, opts); err != nil {
 		t.Fatal(err)

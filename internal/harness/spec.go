@@ -3,9 +3,9 @@ package harness
 // Spec is the declarative experiment layer: one serializable value that
 // says *what* to run — the paper's experiment tuple (W, C, D, I, RN)
 // plus the experiment kind — separated from *how* it runs (worker
-// counts, compilation, eviction, sharding: Session options and Runner
-// knobs). A Spec is the single input to plan construction and the sole
-// source of the SHA-256 plan fingerprint, so two processes holding the
+// counts, compilation, sharding: Session options and Runner knobs). A
+// Spec is the single input to plan construction and the sole source of
+// the SHA-256 plan fingerprint, so two processes holding the
 // same Spec compute the same plan, the same trial ranges, and the same
 // fingerprint — which is what lets shards, coordinator assignments, and
 // -spec files all name an experiment without re-deriving state from
@@ -130,11 +130,13 @@ type Spec struct {
 	// Inject names the fault kind of a campaign
 	// ("heap-array-resize", "immediate-free").
 	Inject string `json:"inject,omitempty"`
-	// Runs per (W, C, D, I) tuple (0 = default 2; 1 in quick mode).
+	// Runs per (W, C, D, I) tuple (0 = default 2; 1 in quick mode; at
+	// most MaxRuns).
 	Runs int `json:"runs,omitempty"`
 	// MaxSites caps injection sites per workload (0 = all).
 	MaxSites int `json:"maxSites,omitempty"`
-	// Threads is the VM count of a concurrent group (0 = default 3).
+	// Threads is the VM count of a concurrent group (0 = default 3, at
+	// most MaxThreads).
 	Threads int `json:"threads,omitempty"`
 	// SchedSeed is the base interleaving seed of a concurrent campaign;
 	// run rn explores schedule SchedSeed+rn (0 = default 1).
@@ -146,7 +148,8 @@ type Spec struct {
 	// run for smoke passes. Normalization resolves it into explicit
 	// Workloads/Runs/MaxSites values.
 	Quick bool `json:"quick,omitempty"`
-	// Mem sizes experiment address spaces (zero = the harness defaults).
+	// Mem sizes experiment address spaces (zero = the harness defaults;
+	// otherwise every size 1..MaxMemBytes).
 	Mem mem.Config `json:"mem"`
 }
 
@@ -217,20 +220,85 @@ const MaxTimeoutFactor = 10_000
 // MaxTimeoutFactor.
 var ErrTimeoutFactor = errors.New("harness: timeoutFactor above MaxTimeoutFactor")
 
+// Upper bounds on the rest of what one Spec may ask for. Each sits far
+// above every experiment of the paper and the benchmark; each keeps a
+// single Spec from the network from costing a worker or the daemon its
+// memory before any trial runs. Normalized refuses a Spec past any of
+// them with the matching named error.
+const (
+	// MaxRuns bounds Runs, the runs per (W, C, D, I) tuple.
+	MaxRuns = 10_000
+	// MaxThreads bounds Threads, the VM count of a concurrent group.
+	MaxThreads = 64
+	// MaxMemBytes bounds each size in Mem. Every trial's address space
+	// is allocated eagerly at the sum of the three.
+	MaxMemBytes = 256 << 20
+	// MaxPlannedTrials bounds the trials of one plan: workloads ×
+	// variants × runs, and for a campaign × injection sites.
+	MaxPlannedTrials = 1 << 20
+)
+
+// Named refusals of a Spec past one of the bounds above.
+var (
+	ErrRuns          = errors.New("harness: runs above MaxRuns")
+	ErrThreads       = errors.New("harness: threads above MaxThreads")
+	ErrMemBytes      = errors.New("harness: mem size outside 1..MaxMemBytes")
+	ErrPlannedTrials = errors.New("harness: planned trials above MaxPlannedTrials")
+)
+
+// checkPlanned refuses a plan of more than MaxPlannedTrials trials.
+func checkPlanned(trials uint64) error {
+	if trials > MaxPlannedTrials {
+		return fmt.Errorf("%w: %d > %d", ErrPlannedTrials, trials, MaxPlannedTrials)
+	}
+	return nil
+}
+
+// satMul multiplies, saturating at math.MaxUint64.
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// dpmrVariants counts the Spec's DPMR variants: a campaign or overhead
+// plan gives each its own trials, while stdapp's rows cover the others.
+func (s Spec) dpmrVariants() uint64 {
+	n := uint64(0)
+	for _, v := range s.Variants {
+		if v.DPMR {
+			n++
+		}
+	}
+	return n
+}
+
+// plannedLowerBound is the trial count of the normalized Spec's plan
+// with one injection site per workload: exact for overhead and
+// concurrent Specs, and a lower bound for a campaign (planCampaign checks
+// the exact count once its sites are enumerated) and for an experiment's
+// campaigns.
+func (s Spec) plannedLowerBound() uint64 {
+	w, runs := uint64(len(s.Workloads)), uint64(s.Runs)
+	switch s.Kind {
+	case SpecCampaign:
+		return satMul(satMul(w, runs), 1+s.dpmrVariants())
+	case SpecOverhead:
+		return satMul(w, 1+s.dpmrVariants())
+	case SpecConcurrent:
+		return satMul(satMul(w, runs), uint64(len(s.Variants)))
+	}
+	return satMul(w, runs)
+}
+
 // stepBudget is the step limit of a trial whose golden run took
 // goldenSteps steps: goldenSteps × factor × 5, saturating at
 // math.MaxUint64 rather than wrapping, since a wrapped product could land
 // on 0, which interp reads as no limit.
 func stepBudget(goldenSteps, factor uint64) uint64 {
-	hi, lo := bits.Mul64(goldenSteps, factor)
-	if hi != 0 {
-		return math.MaxUint64
-	}
-	hi, lo = bits.Mul64(lo, 5)
-	if hi != 0 {
-		return math.MaxUint64
-	}
-	return lo
+	return satMul(satMul(goldenSteps, factor), 5)
 }
 
 // Normalized validates the Spec and returns its canonical form: defaults
@@ -239,7 +307,9 @@ func stepBudget(goldenSteps, factor uint64) uint64 {
 // to their canonical spellings, and kind-inapplicable fields cleared.
 // Equal experiments normalize to byte-identical canonical JSON, which is
 // what makes Fingerprint (and the plan fingerprints embedding it) stable
-// across flag spellings, JSON round trips, and processes.
+// across flag spellings, JSON round trips, and processes. A Spec past
+// MaxTimeoutFactor, MaxRuns, MaxThreads, MaxMemBytes or MaxPlannedTrials
+// is refused with the bound's named error.
 func (s Spec) Normalized() (Spec, error) {
 	n := s
 	if n.TimeoutFactor == 0 {
@@ -260,8 +330,22 @@ func (s Spec) Normalized() (Spec, error) {
 	if n.Threads < 0 {
 		n.Threads = 0
 	}
+	if n.Runs > MaxRuns {
+		return Spec{}, fmt.Errorf("%w: %d > %d", ErrRuns, n.Runs, MaxRuns)
+	}
+	if n.Threads > MaxThreads {
+		return Spec{}, fmt.Errorf("%w: %d > %d", ErrThreads, n.Threads, MaxThreads)
+	}
 	if (n.Mem == mem.Config{}) {
 		n.Mem = defaultMem()
+	}
+	for _, f := range []struct {
+		name string
+		size int
+	}{{"GlobalBytes", n.Mem.GlobalBytes}, {"HeapBytes", n.Mem.HeapBytes}, {"StackBytes", n.Mem.StackBytes}} {
+		if f.size <= 0 || f.size > MaxMemBytes {
+			return Spec{}, fmt.Errorf("%w: mem.%s = %d", ErrMemBytes, f.name, f.size)
+		}
 	}
 	canonVariants := func() error {
 		if len(n.Variants) == 0 {
@@ -375,6 +459,9 @@ func (s Spec) Normalized() (Spec, error) {
 		}
 	default:
 		return Spec{}, fmt.Errorf("harness: spec kind %q: want campaign, overhead, experiment, or concurrent", n.Kind)
+	}
+	if err := checkPlanned(n.plannedLowerBound()); err != nil {
+		return Spec{}, err
 	}
 	return n, nil
 }

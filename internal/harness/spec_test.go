@@ -9,7 +9,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"dpmr/internal/dpmr"
 	"dpmr/internal/faultinject"
 	"dpmr/internal/workloads"
 )
@@ -447,5 +449,106 @@ func TestGoldenCacheResetsOnGeometryChange(t *testing.T) {
 	}
 	if g3, _ := r.Golden(w); g3 != g2 {
 		t.Error("golden cache not memoized within one geometry")
+	}
+}
+
+// hostileCampaign is the campaign Spec of one worker-killing request:
+// art under immediate-free with fifty million runs per tuple.
+func hostileCampaign() Spec {
+	s := CampaignSpec(faultinject.ImmediateFree, workloads.All()[:1], []Variant{Stdapp()})
+	s.Runs = 50_000_000
+	return s
+}
+
+// TestSpecBounds: Normalized refuses every count and size past its
+// named bound with the bound's named error, accepts each bound itself,
+// and refuses the fifty-million-run campaign quickly — before anything
+// is sized from it.
+func TestSpecBounds(t *testing.T) {
+	dpmrVariant := NewVariant(dpmr.SDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{})
+	cases := []struct {
+		name string
+		spec func() Spec
+		err  error
+	}{
+		{"runs 50M", hostileCampaign, ErrRuns},
+		{"runs at bound", func() Spec { s := hostileCampaign(); s.Runs = MaxRuns; return s }, nil},
+		{"runs above bound", func() Spec { s := hostileCampaign(); s.Runs = MaxRuns + 1; return s }, ErrRuns},
+		{"threads 100000", func() Spec { s := smallConcurrent(); s.Threads = 100_000; return s }, ErrThreads},
+		{"threads at bound", func() Spec { s := smallConcurrent(); s.Threads = MaxThreads; return s }, nil},
+		{"heap -1", func() Spec { s := smallCampaign(); s.Mem = defaultMem(); s.Mem.HeapBytes = -1; return s }, ErrMemBytes},
+		{"heap 2^50", func() Spec { s := smallCampaign(); s.Mem = defaultMem(); s.Mem.HeapBytes = 1 << 50; return s }, ErrMemBytes},
+		{"heap at bound", func() Spec { s := smallCampaign(); s.Mem = defaultMem(); s.Mem.HeapBytes = MaxMemBytes; return s }, nil},
+		{"stack 0", func() Spec { s := smallCampaign(); s.Mem = defaultMem(); s.Mem.StackBytes = 0; return s }, ErrMemBytes},
+		{"globals above bound", func() Spec { s := smallCampaign(); s.Mem = defaultMem(); s.Mem.GlobalBytes = MaxMemBytes + 1; return s }, ErrMemBytes},
+		{"concurrent plan above bound", func() Spec {
+			s := smallConcurrent()
+			s.Runs = MaxRuns
+			s.Variants = VariantSpecs(repeatVariant(dpmrVariant, 200)...)
+			return s
+		}, ErrPlannedTrials},
+	}
+	for _, c := range cases {
+		_, err := c.spec().Normalized()
+		if !errors.Is(err, c.err) {
+			t.Errorf("%s: err %v, want %v", c.name, err, c.err)
+		}
+	}
+	// A campaign's lower bound assumes one site per workload; the plan
+	// checks the exact count, here 9 bzip2 sites × 10,000 runs × 21
+	// variants, before allocating it.
+	wide := CampaignSpec(faultinject.ImmediateFree, workloads.All()[1:2], repeatVariant(dpmrVariant, 20))
+	wide.Runs = MaxRuns
+	if _, err := wide.Normalized(); err != nil {
+		t.Fatalf("wide campaign: %v", err)
+	}
+	if _, err := NewRunner().PlanTrials(wide); !errors.Is(err, ErrPlannedTrials) {
+		t.Errorf("PlanTrials of the wide campaign: err %v, want %v", err, ErrPlannedTrials)
+	}
+	start := time.Now()
+	if _, err := NewRunner().PlanTrials(hostileCampaign()); !errors.Is(err, ErrRuns) {
+		t.Fatalf("PlanTrials of the 50M-run campaign: err %v, want %v", err, ErrRuns)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("refusing the 50M-run campaign took %v", d)
+	}
+}
+
+// repeatVariant is stdapp followed by n copies of v.
+func repeatVariant(v Variant, n int) []Variant {
+	vs := []Variant{Stdapp()}
+	for i := 0; i < n; i++ {
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// TestSpecFingerprintsPinned: the bounds leave every valid Spec's
+// canonical form alone, so fingerprints computed before they existed
+// still name the same experiments — among them the first Spec of the
+// benchmark's fleet stream on seed 1 and a concurrent Spec of its
+// concurrent stream on seed 7.
+func TestSpecFingerprintsPinned(t *testing.T) {
+	cases := []struct {
+		name, json, fp string
+	}{
+		{"perfbench fleet seed 1", `{"kind":"campaign","workloads":["bzip2","mcf"],"variants":[{},{"dpmr":true,"design":"sds","diversity":"pad-malloc 256","policy":"all loads"},{"dpmr":true,"design":"sds","diversity":"no-diversity","policy":"all loads"},{"dpmr":true,"design":"sds","diversity":"pad-malloc 1024","policy":"all loads"}],"inject":"heap-array-resize","runs":2,"maxSites":3,"timeoutFactor":20,"mem":{"GlobalBytes":65536,"HeapBytes":4194304,"StackBytes":262144,"DisableCache":false}}`,
+			"1712342992efc40b6c08b467957f342b7a4573b7586527a8c71be8522bd3cbc0"},
+		{"perfbench concurrent seed 7", `{"kind":"concurrent","workloads":["csteal"],"variants":[{},{"dpmr":true,"design":"sds","diversity":"rearrange-heap","policy":"temporal 7/8"}],"runs":4,"threads":4,"schedSeed":382353,"timeoutFactor":20,"mem":{"GlobalBytes":65536,"HeapBytes":4194304,"StackBytes":262144,"DisableCache":false}}`,
+			"bd3b4311a2d0be9fac29cb1c3eaa2dfa5879ba1227da30a23f06c6eb5927ae9c"},
+		{"quick fig3.7", `{"kind":"experiment","exp":"fig3.7","quick":true}`,
+			"3143577fcc47d9c44c89ad610f21024cc06d3233c5f94b40b2cadde973d5fffd"},
+	}
+	for _, c := range cases {
+		s, err := DecodeSpec(strings.NewReader(c.json))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fp, err := s.Fingerprint(); err != nil || fp != c.fp {
+			t.Errorf("%s: fingerprint %s (%v), pinned %s", c.name, fp, err, c.fp)
+		}
+	}
+	if fp, _ := smallCampaign().Fingerprint(); fp != "ddfb75f27300e40084154a111acd593e41b958ecb9641ca6a6636cde2709f00f" {
+		t.Errorf("smallCampaign fingerprint %s moved", fp)
 	}
 }

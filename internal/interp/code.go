@@ -233,7 +233,7 @@ func (p *Program) Yielding() bool { return p.yielding }
 // would only fault on dynamically) are reported as errors; callers are
 // expected to fall back to the reference interpreter, which remains
 // semantically authoritative.
-func Compile(m *ir.Module) (*Program, error) { return compile(m, false) }
+func Compile(m *ir.Module) (*Program, error) { return compile(m, false, packFrame) }
 
 // CompileYielding is Compile for concurrent use: every load, store,
 // atomic and fence becomes a yielding opcode that invokes Config.Yield
@@ -242,9 +242,11 @@ func Compile(m *ir.Module) (*Program, error) { return compile(m, false) }
 // load or a store no longer match such code, so every yield point keeps
 // a dispatch of its own; the other rules still apply. NewVM binds a
 // yielding program under a Yield hook, where it refuses a plain one.
-func CompileYielding(m *ir.Module) (*Program, error) { return compile(m, true) }
+func CompileYielding(m *ir.Module) (*Program, error) { return compile(m, true, packFrame) }
 
-func compile(m *ir.Module, yielding bool) (p *Program, err error) {
+// compile lowers m, packing each function's frame with pack (packFrame
+// outside tests).
+func compile(m *ir.Module, yielding bool, pack func(*compiledFunc)) (p *Program, err error) {
 	if m == nil {
 		return nil, fmt.Errorf("interp: Compile of nil module")
 	}
@@ -290,7 +292,7 @@ func compile(m *ir.Module, yielding bool) (p *Program, err error) {
 		if f.External {
 			continue
 		}
-		p.compileFunc(p.funcs[i], f)
+		p.compileFunc(p.funcs[i], f, pack)
 	}
 	return p, nil
 }
@@ -300,7 +302,7 @@ func needsGuard(b *ir.Block) bool {
 	return len(b.Instrs) == 0 || !ir.IsTerminator(b.Instrs[len(b.Instrs)-1])
 }
 
-func (p *Program) compileFunc(cf *compiledFunc, f *ir.Func) {
+func (p *Program) compileFunc(cf *compiledFunc, f *ir.Func, pack func(*compiledFunc)) {
 	// Pass 1: lay blocks out contiguously and record each block's first pc
 	// so branches resolve to instruction indices.
 	start := make(map[*ir.Block]int32, len(f.Blocks))
@@ -340,7 +342,7 @@ func (p *Program) compileFunc(cf *compiledFunc, f *ir.Func) {
 	cf.code = code
 	// Pass 4: live-range frame narrowing (liveness.go) — pack registers to
 	// live width so the executor clears and carves smaller frames.
-	packFrame(cf)
+	pack(cf)
 	// Pass 5: re-prove the frame- and code-bounds invariants the unchecked
 	// executor relies on (validate.go); failure aborts compilation and the
 	// caller tree-walks.

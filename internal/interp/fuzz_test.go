@@ -50,7 +50,8 @@ var periodicFuzzSeeds = []string{
 const fuzzStepLimit = 50_000
 
 // compileDifferential runs text under the tree-walker and the compiled
-// engine and reports a fatal error on any Result divergence. It then
+// engine and reports a fatal error on any Result divergence, or on a
+// frame packing that differs from the dense liveness oracle. It then
 // does the same for the yielding program (CompileYielding) against the
 // walker, both under a Yield hook that records the VM's clocks at every
 // yield, the compiled VM parking at each one: the yields too must fall at
@@ -70,6 +71,13 @@ func compileDifferential(t *testing.T, text string) bool {
 	cfg := interp.Config{StepLimit: fuzzStepLimit}
 	ref := interp.Run(m, cfg)
 	m.Freeze()
+	// The block liveness must pack every function exactly as the dense
+	// per-pc oracle does, including in modules validation later rejects.
+	for _, yielding := range []bool{false, true} {
+		if diff, _ := interp.DensePackingDiff(m, yielding); diff != "" {
+			t.Fatalf("packFrame diverges from the dense liveness oracle (yielding %v): %s\n--- module ---\n%s", yielding, diff, text)
+		}
+	}
 	prog, err := interp.Compile(m)
 	if err != nil {
 		// Compile may reject a module (production falls back to the

@@ -5,8 +5,9 @@
 // at any point; since the executor zeroes the whole frame on every call
 // (exec.go's clear) and frames stack in the per-VM arena, the dead width
 // is pure per-call cost. This pass computes register liveness over the
-// fused flat code, derives one conservative [lo, hi] interval per
-// register, assigns intervals to frame slots linear-scan style, and
+// basic blocks of the fused flat code, derives one conservative [lo, hi]
+// interval per register, assigns intervals to frame slots linear-scan
+// style, and
 // rewrites every register reference — instruction fields, call argument
 // lists, parameter ids — to the packed slots.
 //
@@ -177,13 +178,40 @@ func (s bitset) orWith(o bitset) bool {
 	return changed
 }
 
-func (s bitset) empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
+// liveRanges holds one conservative [lo, hi] pc interval per register:
+// every pc where the register is referenced or live-in, with -1 standing
+// for the function entry. Registers never touched keep lo = hi = unsetPC.
+type liveRanges struct {
+	lo, hi []int32
+}
+
+const unsetPC = int32(-2)
+
+func newLiveRanges(regs int32) liveRanges {
+	lr := liveRanges{lo: make([]int32, regs), hi: make([]int32, regs)}
+	for r := range lr.lo {
+		lr.lo[r], lr.hi[r] = unsetPC, unsetPC
+	}
+	return lr
+}
+
+func (lr liveRanges) touch(r, pc int32) {
+	if lr.lo[r] == unsetPC || pc < lr.lo[r] {
+		lr.lo[r] = pc
+	}
+	if lr.hi[r] == unsetPC || pc > lr.hi[r] {
+		lr.hi[r] = pc
+	}
+}
+
+// touchAll touches every register of s at pc.
+func (lr liveRanges) touchAll(s bitset, pc int32) {
+	for wi, w := range s {
+		for w != 0 {
+			lr.touch(int32(wi*64+bits.TrailingZeros64(w)), pc)
+			w &= w - 1
 		}
 	}
-	return true
 }
 
 // packFrame rewrites cf's code, call argument lists, and parameter ids so
@@ -191,126 +219,163 @@ func (s bitset) empty() bool {
 // cf.numRegs to the packed width. External functions have no code and are
 // left untouched.
 func packFrame(cf *compiledFunc) {
-	n := len(cf.code)
-	if n == 0 || cf.numRegs == 0 {
+	if len(cf.code) == 0 || cf.numRegs == 0 {
 		return
 	}
+	if lr, entryLive, ok := blockRanges(cf); ok {
+		packSlots(cf, lr, entryLive)
+	}
+}
+
+// basicBlock is one straight-line run of reachable code: control enters
+// only at start and leaves only from end, and succs indexes the blocks
+// end can reach.
+type basicBlock struct {
+	start, end int32
+	succs      []int32
+}
+
+// blockRanges computes cf's live ranges and the registers live into its
+// entry by solving liveness per basic block rather than per pc. Within a
+// block the ranges need no per-pc sets: a register live at some pc of
+// the block stays live, walking backwards, until a reference of it or
+// the block's start, and walking forwards until a reference or the
+// block's end. So touching each register live into a block at its first
+// pc, each one live out of it at its last pc, and every reference at its
+// own pc spans exactly the pcs a per-pc solution would. ok is false when
+// an instruction names a register beyond cf.numRegs: the frame is then
+// left unpacked.
+func blockRanges(cf *compiledFunc) (lr liveRanges, entryLive bitset, ok bool) {
+	code := cf.code
+	n := len(code)
 	regs := int32(cf.numRegs)
 
-	// Reachability from entry: unreachable slots (fused constituents, dead
-	// code) contribute nothing to liveness and are remapped with a fallback
-	// afterwards.
-	reachable := make([]bool, n)
+	// One walk from the entry finds the reachable pcs and the block
+	// leaders: a pc leads unless its one predecessor falls through to it
+	// as that predecessor's only successor. Unreachable slots (fused
+	// constituents, dead code) take no part in liveness and are remapped
+	// with a fallback afterwards.
+	const (
+		reached uint8 = 1 << iota
+		entered       // some predecessor already reaches it
+		leader
+	)
+	state := make([]uint8, n)
+	state[0] = reached | leader
 	var succBuf []int32
 	stack := []int32{0}
 	for len(stack) > 0 {
 		pc := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if pc < 0 || int(pc) >= n || reachable[pc] {
-			continue
+		succBuf = successors(code, int(pc), succBuf[:0])
+		straight := len(succBuf) == 1 && succBuf[0] == pc+int32(instrLength(code[pc].op))
+		for _, s := range succBuf {
+			if s < 0 || int(s) >= n {
+				continue
+			}
+			if !straight || state[s]&entered != 0 {
+				state[s] |= leader
+			}
+			state[s] |= entered
+			if state[s]&reached == 0 {
+				state[s] |= reached
+				stack = append(stack, s)
+			}
 		}
-		reachable[pc] = true
-		succBuf = successors(cf.code, int(pc), succBuf[:0])
-		stack = append(stack, succBuf...)
+	}
+	blockOf := make([]int32, n)
+	nb := 0
+	for pc, st := range state {
+		if st&(reached|leader) == reached|leader {
+			blockOf[pc] = int32(nb)
+			nb++
+		}
 	}
 
-	// Per-pc use/def sets from the execution-ordered references: a use only
-	// counts if the register was not already defined earlier in the same
-	// instruction (fused ops read their own fresh writes). All bitsets come
-	// from one backing allocation — this pass runs per compiled function
-	// and its footprint shows up in campaign build cost.
+	// Per-block use and def sets, from each instruction's references in
+	// execution order: a use counts only if no earlier reference of the
+	// block (fused ops read their own fresh writes) defined the register.
+	// Every reference also touches its own pc. All bitsets share one
+	// backing allocation.
 	words := (int(regs) + 63) / 64
-	backing := make([]uint64, 3*n*words)
-	carve := func(pc, bank int) bitset { return bitset(backing[(bank*n+pc)*words : (bank*n+pc+1)*words]) }
-	uses := make([]bitset, n)
-	defs := make([]bitset, n)
+	backing := make([]uint64, 3*nb*words)
+	carve := func(b, bank int) bitset { return bitset(backing[(bank*nb+b)*words : (bank*nb+b+1)*words]) }
+	blocks := make([]basicBlock, 0, nb)
+	lr = newLiveRanges(regs)
 	var refBuf []regRef
 	for pc := 0; pc < n; pc++ {
-		if !reachable[pc] {
+		if state[pc]&(reached|leader) != reached|leader {
 			continue
 		}
-		u, d := carve(pc, 0), carve(pc, 1)
-		refBuf = appendRefs(refBuf[:0], &cf.code[pc], cf.calls)
-		for _, ref := range refBuf {
-			if ref.reg >= regs {
-				// A register id out of the declared range would make the
-				// mapping tables unsound; bail out, keeping the unpacked
-				// (always-correct) frame.
-				return
+		b := len(blocks)
+		use, defs := carve(b, 0), carve(b, 1)
+		p := int32(pc)
+		for {
+			refBuf = appendRefs(refBuf[:0], &code[p], cf.calls)
+			for _, ref := range refBuf {
+				if ref.reg >= regs {
+					return liveRanges{}, nil, false
+				}
+				lr.touch(ref.reg, p)
+				if ref.def {
+					defs.add(ref.reg)
+				} else if !defs.has(ref.reg) {
+					use.add(ref.reg)
+				}
 			}
-			if ref.def {
-				d.add(ref.reg)
-			} else if !d.has(ref.reg) {
-				u.add(ref.reg)
+			succBuf = successors(code, int(p), succBuf[:0])
+			next := p + int32(instrLength(code[p].op))
+			if len(succBuf) == 1 && succBuf[0] == next && int(next) < n && state[next]&leader == 0 {
+				p = next
+				continue
+			}
+			break
+		}
+		bb := basicBlock{start: int32(pc), end: p}
+		for _, s := range succBuf {
+			if s >= 0 && int(s) < n {
+				bb.succs = append(bb.succs, blockOf[s])
 			}
 		}
-		uses[pc], defs[pc] = u, d
+		blocks = append(blocks, bb)
 	}
 
-	// Backward liveness to fixpoint: liveIn = uses ∪ (∪ liveIn(succ) − defs).
-	liveIn := make([]bitset, n)
-	for pc := range liveIn {
-		liveIn[pc] = carve(pc, 2)
+	// Backward liveness to fixpoint over blocks:
+	// liveIn = use ∪ (∪ liveIn(succ) − def).
+	liveOut := func(b int, out bitset) {
+		clear(out)
+		for _, s := range blocks[b].succs {
+			out.orWith(carve(int(s), 2))
+		}
 	}
 	out := newBitset(int(regs))
 	for changed := true; changed; {
 		changed = false
-		for pc := n - 1; pc >= 0; pc-- {
-			if !reachable[pc] {
-				continue
-			}
-			clear(out)
-			succBuf = successors(cf.code, pc, succBuf[:0])
-			for _, s := range succBuf {
-				if int(s) < n && s >= 0 {
-					out.orWith(liveIn[s])
-				}
-			}
+		for b := nb - 1; b >= 0; b-- {
+			liveOut(b, out)
+			use, defs := carve(b, 0), carve(b, 1)
 			for i := range out {
-				out[i] = (out[i] &^ defs[pc][i]) | uses[pc][i]
+				out[i] = (out[i] &^ defs[i]) | use[i]
 			}
-			if liveIn[pc].orWith(out) {
+			if carve(b, 2).orWith(out) {
 				changed = true
 			}
 		}
 	}
+	for b, bb := range blocks {
+		lr.touchAll(carve(b, 2), bb.start)
+		liveOut(b, out)
+		lr.touchAll(out, bb.end)
+	}
+	return lr, carve(0, 2), true
+}
 
-	// Conservative intervals: [lo, hi] spans every pc where the register is
-	// referenced or live-in. Entry liveness and parameters anchor at -1.
-	const unset = int32(-2)
-	lo := make([]int32, regs)
-	hi := make([]int32, regs)
-	for r := range lo {
-		lo[r], hi[r] = unset, unset
-	}
-	touch := func(r, pc int32) {
-		if lo[r] == unset || pc < lo[r] {
-			lo[r] = pc
-		}
-		if hi[r] == unset || pc > hi[r] {
-			hi[r] = pc
-		}
-	}
-	for _, p := range cf.params {
-		touch(p, -1)
-	}
-	entryLive := newBitset(int(regs))
-	entryLive.copyFrom(liveIn[0])
-	for pc := 0; pc < n; pc++ {
-		if !reachable[pc] {
-			continue
-		}
-		for wi, w := range liveIn[pc] {
-			for w != 0 {
-				touch(int32(wi*64+bits.TrailingZeros64(w)), int32(pc))
-				w &= w - 1
-			}
-		}
-		refBuf = appendRefs(refBuf[:0], &cf.code[pc], cf.calls)
-		for _, ref := range refBuf {
-			touch(ref.reg, int32(pc))
-		}
-	}
+// packSlots anchors the parameters and the registers live into the entry
+// at -1, assigns the live ranges lr to frame slots linear-scan style, and
+// rewrites cf to the packed slots when that narrows the frame.
+func packSlots(cf *compiledFunc, lr liveRanges, entryLive bitset) {
+	regs := int32(cf.numRegs)
+	lo, hi := lr.lo, lr.hi
 	// needZero: live into entry without being a parameter — the walker
 	// gives such reads 0 from the fresh frame, so the packed slot must be
 	// virgin (never written by a parameter or an earlier tenant).
@@ -318,8 +383,7 @@ func packFrame(cf *compiledFunc) {
 	needZero.copyFrom(entryLive)
 	for _, p := range cf.params {
 		needZero.remove(p)
-		touch(p, -1)
-		lo[p] = -1
+		lr.touch(p, -1)
 	}
 	for wi, w := range needZero {
 		for w != 0 {
@@ -332,7 +396,7 @@ func packFrame(cf *compiledFunc) {
 	// tenant's interval has ended (virgin slots only for needZero regs).
 	order := make([]int32, 0, regs)
 	for r := int32(0); r < regs; r++ {
-		if lo[r] != unset {
+		if lo[r] != unsetPC {
 			order = append(order, r)
 		}
 	}
@@ -395,7 +459,7 @@ func packFrame(cf *compiledFunc) {
 			cf.calls[i].args[k] = mapReg(cf.calls[i].args[k])
 		}
 	}
-	for pc := 0; pc < n; pc++ {
+	for pc := range cf.code {
 		remapInstr(&cf.code[pc], mapReg)
 	}
 	cf.numRegs = packed

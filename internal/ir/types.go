@@ -10,6 +10,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -94,8 +95,11 @@ func IsPointer(t Type) bool {
 
 // TypesEqual reports structural equality (nominal for named aggregates).
 func TypesEqual(a, b Type) bool {
+	if a == b {
+		return true
+	}
 	if a == nil || b == nil {
-		return a == nil && b == nil
+		return false
 	}
 	return a.Key() == b.Key()
 }
@@ -123,8 +127,22 @@ func (t *IntType) Size() int {
 	}
 	return t.Bits / 8
 }
-func (t *IntType) Align() int     { return t.Size() }
-func (t *IntType) Key() string    { return fmt.Sprintf("i%d", t.Bits) }
+func (t *IntType) Align() int { return t.Size() }
+func (t *IntType) Key() string {
+	switch t.Bits {
+	case 1:
+		return "i1"
+	case 8:
+		return "i8"
+	case 16:
+		return "i16"
+	case 32:
+		return "i32"
+	case 64:
+		return "i64"
+	}
+	return "i" + strconv.Itoa(t.Bits)
+}
 func (t *IntType) String() string { return t.Key() }
 
 // FloatType is a floating point number of Bits ∈ {32, 64}.
@@ -136,10 +154,18 @@ var (
 	F64 = &FloatType{Bits: 64}
 )
 
-func (t *FloatType) Kind() Kind     { return KindFloat }
-func (t *FloatType) Size() int      { return t.Bits / 8 }
-func (t *FloatType) Align() int     { return t.Bits / 8 }
-func (t *FloatType) Key() string    { return fmt.Sprintf("f%d", t.Bits) }
+func (t *FloatType) Kind() Kind { return KindFloat }
+func (t *FloatType) Size() int  { return t.Bits / 8 }
+func (t *FloatType) Align() int { return t.Bits / 8 }
+func (t *FloatType) Key() string {
+	switch t.Bits {
+	case 32:
+		return "f32"
+	case 64:
+		return "f64"
+	}
+	return "f" + strconv.Itoa(t.Bits)
+}
 func (t *FloatType) String() string { return t.Key() }
 
 // VoidType is the void type. It has no size and may only appear as a
