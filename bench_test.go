@@ -119,8 +119,7 @@ func BenchmarkTimeoutTrial(b *testing.B) {
 		compile bool
 	}{{"compiled", true}, {"reference", false}} {
 		b.Run(engine.name, func(b *testing.B) {
-			r := harness.NewRunner()
-			r.Compile = engine.compile
+			r := harness.Options{Reference: !engine.compile}.Apply()
 			run := func() *interp.Result {
 				o, err := r.RunOnce(w, harness.Stdapp(), site, 0)
 				if err != nil {
@@ -439,8 +438,7 @@ func BenchmarkCampaign(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A fresh Runner per iteration so the module cache is
 				// cold: the benchmark covers both engine stages.
-				r := harness.NewRunner()
-				r.Parallel = workers
+				r := harness.Options{Parallel: workers}.Apply()
 				cr, err := r.RunCampaign(context.Background(), campaign)
 				if err != nil {
 					b.Fatal(err)
@@ -459,7 +457,7 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 
 	// Reference ablation: the same campaign on the tree-walking reference
-	// interpreter (Compile off). The parallelN/referenceN trials/sec ratio
+	// interpreter (Options.Reference). The parallelN/referenceN trials/sec ratio
 	// is the speedup the compiled bytecode buys; results are byte-identical
 	// (the differential test asserts it), only the clock differs.
 	for _, workers := range []int{1, 8} {
@@ -467,9 +465,7 @@ func BenchmarkCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("reference%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r := harness.NewRunner()
-				r.Parallel = workers
-				r.Compile = false
+				r := harness.Options{Parallel: workers, Reference: true}.Apply()
 				if _, err := r.RunCampaign(context.Background(), campaign); err != nil {
 					b.Fatal(err)
 				}
@@ -487,8 +483,7 @@ func BenchmarkCampaign(b *testing.B) {
 			const n = 3
 			parts := make([]*harness.PartialResult, n)
 			for s := 0; s < n; s++ {
-				r := harness.NewRunner()
-				r.Shard = harness.ShardSpec{Index: s, Count: n}
+				r := harness.Options{Shard: harness.ShardSpec{Index: s, Count: n}}.Apply()
 				p, err := r.RunCampaignPartial(context.Background(), campaign)
 				if err != nil {
 					b.Fatal(err)
@@ -508,28 +503,6 @@ func BenchmarkCampaign(b *testing.B) {
 		}
 	})
 
-	// Pipelined AOT: background workers build and compile upcoming
-	// modules ahead of the execution frontier, overlapping stage-1
-	// module construction with stage-2 trials. The delta against
-	// parallel2 isolates what the overlap buys on this core count
-	// (stage 1 is ~18% of the serial campaign); results stay
-	// byte-identical at any Precompile value.
-	for _, workers := range []int{2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("precompile%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := harness.NewRunner()
-				r.Parallel = workers
-				r.Precompile = workers
-				if _, err := r.RunCampaign(context.Background(), campaign); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportTrialsPerSec(b, trials)
-		})
-	}
-
 	// Journal ablation: the same serial campaign made crash-safe — every
 	// completed span fsynced to the journal and the progressive report
 	// atomically rewritten as it lands. The delta against parallel1 is
@@ -547,7 +520,7 @@ func BenchmarkCampaign(b *testing.B) {
 			_, _, err = harness.NewRunner().RunJournaled(context.Background(), campaign, j, prior,
 				harness.DefaultResumeSpans, func(res harness.Result, done, total int) {
 					if werr := journal.WriteReport(dir, func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%s: %d of %d trials\n", res.Campaign.Kind, done, total)
+						_, err := fmt.Fprintf(w, "%s: %d of %d trials\n", res.Campaign().Kind, done, total)
 						return err
 					}); werr != nil {
 						b.Fatal(werr)
@@ -686,9 +659,7 @@ func reportTrialsPerSec(b *testing.B, trials int) {
 // would stream.
 func shardWorker() coord.Func {
 	return func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-		r := harness.NewRunner()
-		r.Shard = shard
-		p, err := r.RunCampaignPartial(ctx, spec)
+		p, err := harness.Options{Shard: shard}.Apply().RunCampaignPartial(ctx, spec)
 		if err != nil {
 			return nil, err
 		}

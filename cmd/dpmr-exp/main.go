@@ -16,10 +16,10 @@
 //	dpmr-exp -exp fig3.7 -quick -dump-spec > fig3.7.json
 //	dpmr-exp -spec fig3.7.json       # byte-identical to the flag-driven run
 //
-// The remaining flags (-parallel, -compile, -progress, -shard, -coord…)
-// only tune execution and can never change what runs, the plan, or its
-// fingerprint. -progress writes to stderr, so report pipelines reading
-// stdout stay clean.
+// The remaining flags (-parallel, -progress, -shard, -coord…) assemble
+// a harness.Options, the execution policy: they only tune execution and
+// can never change what runs, the plan, or its fingerprint. -progress
+// writes to stderr, so report pipelines reading stdout stay clean.
 //
 // Every experiment shards across processes: each shard runs a contiguous
 // slice of the canonical trial plan (injection campaigns and overhead
@@ -60,7 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"dpmr/internal/coord"
@@ -97,8 +96,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		shard      = fs.String("shard", "", "run shard i/N of the experiment and write a partial result (requires a single experiment)")
 		outPath    = fs.String("out", "", "partial-result output file with -shard (default stdout)")
 		merge      = fs.Bool("merge", false, "merge partial-result files, directories, or globs (the positional arguments) and render the report")
-		compile    = fs.Bool("compile", true, "execute campaign and overhead trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (output is byte-identical, only speed differs; concurrent trials always run compiled)")
-		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off; output is byte-identical, only speed differs)")
 		journalDir = fs.String("journal", "", "journal completed trial spans to this `dir` and write a progressive report there (requires a single experiment)")
 		resumeJnl  = fs.Bool("resume", false, "resume the experiment from an existing -journal directory, re-running only the missing trials")
 		remote     = fs.String("remote", "", "submit the experiment to the dpmrd campaign service at this `addr` (TCP host:port or Unix socket path) and merge its streamed shards")
@@ -145,7 +142,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		return 0
 	}
-	opts := harness.Options{Parallel: *parallel, Reference: !*compile, Precompile: *precomp}
+	if *parallel < 1 {
+		// Options reads 0 as its serial default; the flag has no default
+		// to fall back on, so a non-positive count is refused.
+		return runFail(stderr, fmt.Errorf("-parallel %d: campaigns need at least 1 worker", *parallel))
+	}
+	opts := harness.Options{Parallel: *parallel}
 	if *progress {
 		label := spec.Exp
 		if *merge {
@@ -251,11 +253,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			}
 			out = f
 		}
-		err := runSession(ctx, spec, out, stderr, *progress,
-			harness.WithParallel(*parallel),
-			harness.WithReference(!*compile), harness.WithPrecompile(*precomp),
-			harness.WithShard(shardSpec))
-		if err != nil {
+		shardOpts := opts
+		shardOpts.Shard = shardSpec
+		if err := runSession(ctx, spec, out, shardOpts); err != nil {
 			if f != nil {
 				f.Close()
 			}
@@ -331,29 +331,21 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		return 0
 	}
-	err = runSession(ctx, spec, stdout, stderr, *progress,
-		harness.WithParallel(*parallel),
-		harness.WithReference(!*compile), harness.WithPrecompile(*precomp))
-	if err != nil {
+	if err := runSession(ctx, spec, stdout, opts); err != nil {
 		return runFail(stderr, err)
 	}
 	return 0
 }
 
-// runSession starts a streaming Session for the spec, renders its event
-// stream to stderr when progress is on, and waits for completion — the
+// runSession runs a streaming Session of the spec to completion, its
+// report going to report and its progress to opts.Events — the
 // context-first path unsharded and sharded single-experiment runs share.
-func runSession(ctx context.Context, spec harness.Spec, report io.Writer, stderr io.Writer,
-	progress bool, opts ...harness.Option) error {
-	s, err := harness.Start(ctx, spec, append(opts, harness.WithReport(report))...)
+func runSession(ctx context.Context, spec harness.Spec, report io.Writer, opts harness.Options) error {
+	s, err := harness.Start(ctx, spec, report, opts)
 	if err != nil {
 		return err
 	}
-	var sink func(harness.Event)
-	if progress {
-		sink = harness.RenderProgress(stderr, spec.Exp)
-	}
-	_, err = s.Drain(sink)
+	_, err = s.Drain(nil)
 	return err
 }
 
@@ -363,28 +355,7 @@ func runSession(ctx context.Context, spec harness.Spec, report io.Writer, stderr
 // carries only execution policy.
 func runCoordinated(ctx context.Context, spec harness.Spec, cf coord.CLIFlags, opts harness.Options,
 	progress bool, stdout, stderr io.Writer) int {
-	// Per-trial progress from N concurrent workers would interleave;
-	// workers run quiet and the coordinator reports shard-level events.
-	workerOpts := opts
-	workerOpts.Events = nil
-
-	fleet := coord.FleetOptions{
-		Spec:    spec,
-		Workers: cf.Workers, Shards: cf.Shards, Lease: cf.Lease,
-		Chaos: cf.Chaos, Stderr: stderr,
-		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, workerOpts)
-		},
-	}
-	if cf.Spawn {
-		fleet.SpawnArgv = workerArgv(opts)
-	}
-	if progress {
-		fleet.Log = func(format string, args ...any) {
-			fmt.Fprintf(stderr, "coord: "+format+"\n", args...)
-		}
-	}
-	payloads, err := coord.RunFleet(ctx, fleet)
+	payloads, err := coord.RunFleet(ctx, cf.Fleet(spec, opts, progress, stderr))
 	if err != nil {
 		return runFail(stderr, err)
 	}
@@ -421,18 +392,6 @@ func runRemote(ctx context.Context, spec harness.Spec, addr string, opts harness
 		return runFail(stderr, err)
 	}
 	return 0
-}
-
-// workerArgv is the flag line of a spawned worker: pure execution
-// policy. The experiment description travels in each coord.Assignment,
-// so nothing here can change the plan or its fingerprint.
-func workerArgv(opts harness.Options) []string {
-	return []string{
-		"-worker",
-		"-parallel", strconv.Itoa(max(opts.Parallel, 1)),
-		"-compile=" + strconv.FormatBool(!opts.Reference),
-		"-precompile", strconv.Itoa(opts.Precompile),
-	}
 }
 
 // expandPartialArgs turns -merge's positional arguments into the partial

@@ -67,7 +67,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 
 	"dpmr/internal/coord"
 	coordnet "dpmr/internal/coord/net"
@@ -115,8 +114,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		merge      = fs.Bool("merge", false, "merge campaign partial-result files (the positional arguments; with -campaign)")
 		journalDir = fs.String("journal", "", "journal completed trial spans to this `dir` and write a progressive report there (with -campaign)")
 		resume     = fs.Bool("resume", false, "resume the campaign from an existing -journal directory, re-running only the missing trials")
-		compile    = fs.Bool("compile", true, "execute as compiled module bytecode; -compile=false forces the tree-walking reference interpreter for single runs and campaign trials (output is byte-identical, only speed differs; concurrent trials always run compiled)")
-		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off; output is byte-identical, only speed differs; with -campaign)")
 		opStats    = fs.String("opstats", "", "write the executed opcode-pair/triple histogram as JSON to `file` (\"-\" = stdout; single runs only, runs on the reference interpreter)")
 		remote     = fs.String("remote", "", "submit the campaign to the dpmrd campaign service at this `addr` and merge the streamed shard results locally (with -campaign)")
 		threads    = fs.Int("threads", 3, "VM count of a concurrent workload group (with a concurrent -campaign)")
@@ -343,8 +340,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		// worker reuse its base modules and goldens, while injected
 		// modules leave after their last trial. The spec arrives with
 		// each assignment — argv carries none of it.
-		workerOpts := harness.Options{Parallel: *parallel, Reference: !*compile,
-			Precompile: *precomp, Runner: harness.NewRunner()}
+		workerOpts := harness.Options{Parallel: *parallel, Runner: harness.NewRunner()}
 		err := coord.Serve(stdin, stdout, func(spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
 			return harness.ShardPayload(ctx, spec, shard, workerOpts)
 		})
@@ -354,10 +350,17 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return 0
 	}
 	if *campaign {
+		if *parallel < 1 {
+			// Options reads 0 as its serial default; the flag has no default
+			// to fall back on, so a non-positive count is refused.
+			return execFail(stderr, fmt.Errorf("-parallel %d: campaigns need at least 1 worker", *parallel))
+		}
+		opts := harness.Options{Parallel: *parallel, Shard: shardSpec}
+		if *progress {
+			opts.Events = harness.RenderProgress(stderr, "campaign")
+		}
 		return runCampaign(ctx, campaignArgs{
-			spec: spec, parallel: *parallel, precompile: *precomp,
-			progress: *progress, compile: *compile,
-			shardSpec: shardSpec, sharded: *shard != "", outPath: *outPath,
+			spec: spec, opts: opts, progress: *progress, outPath: *outPath,
 			merge: *merge, mergeFiles: fs.Args(),
 			journalDir: *journalDir, resume: *resume,
 			remote:     *remote,
@@ -410,7 +413,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	var prog *interp.Program
-	if *compile && *opStats == "" {
+	if *opStats == "" {
 		m.Freeze()
 		// A compile failure is not fatal — the run simply proceeds on the
 		// reference tree-walker with identical results, matching the
@@ -465,15 +468,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 }
 
 // campaignArgs bundles the -campaign mode's resolved inputs: the
-// declarative Spec plus the execution-policy flag values.
+// declarative Spec plus its execution policy, whose Shard is the -shard
+// flag and whose Events render -progress.
 type campaignArgs struct {
 	spec            harness.Spec
-	parallel        int
-	precompile      int
+	opts            harness.Options
 	progress, merge bool
-	compile         bool
-	sharded         bool
-	shardSpec       harness.ShardSpec
 	outPath         string
 	mergeFiles      []string
 	journalDir      string
@@ -483,21 +483,10 @@ type campaignArgs struct {
 	stdout, stderr  io.Writer
 }
 
-// sessionOptions is the campaign's execution policy as Session options.
-func (a campaignArgs) sessionOptions() []harness.Option {
-	return []harness.Option{
-		harness.WithParallel(a.parallel),
-		harness.WithReference(!a.compile),
-		harness.WithPrecompile(a.precompile),
-	}
-}
-
 // mergeAndPrint merges shard payloads with the Spec's merge and prints
 // the summary — the tail the -merge, -coord, and -remote arms share.
 func mergeAndPrint(a campaignArgs, payloads [][]byte, how string) int {
-	r := harness.NewRunner()
-	r.Parallel = a.parallel
-	res, err := r.MergePayloads(a.spec, payloads)
+	res, err := harness.NewRunner().MergePayloads(a.spec, payloads)
 	if err != nil {
 		return execFail(a.stderr, err)
 	}
@@ -519,21 +508,16 @@ func execFail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// runSession starts a streaming Session for the campaign, renders its
-// event stream to stderr when -progress is on (via the renderer the
-// binaries share), and waits — the context-first path the sharded and
-// unsharded arms share. A nonzero code means the failure was already
-// reported.
-func runSession(ctx context.Context, a campaignArgs, extra ...harness.Option) (harness.Result, int) {
-	s, err := harness.Start(ctx, a.spec, append(a.sessionOptions(), extra...)...)
+// runSession runs a streaming Session of the campaign to completion,
+// its progress going to the options' event sink — the context-first
+// path the sharded and unsharded arms share. A nonzero code means the
+// failure was already reported.
+func runSession(ctx context.Context, a campaignArgs) (harness.Result, int) {
+	s, err := harness.Start(ctx, a.spec, nil, a.opts)
 	if err != nil {
 		return harness.Result{}, usageFail(a.stderr, err)
 	}
-	var sink func(harness.Event)
-	if a.progress {
-		sink = harness.RenderProgress(a.stderr, "campaign")
-	}
-	res, err := s.Drain(sink)
+	res, err := s.Drain(nil)
 	if err != nil {
 		return harness.Result{}, execFail(a.stderr, err)
 	}
@@ -567,15 +551,13 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 	case a.journalDir != "":
 		return runJournaled(ctx, a)
 	case a.coordFlags.Enabled():
-		fleet := a.fleet()
-		fleet.Shards = a.coordFlags.Shards
-		payloads, err := coord.RunFleet(ctx, fleet)
+		payloads, err := coord.RunFleet(ctx, a.fleet())
 		if err != nil {
 			return runFail(err)
 		}
 		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards via %d workers", len(payloads), a.coordFlags.Workers))
-	case a.sharded:
-		res, code := runSession(ctx, a, harness.WithShard(a.shardSpec))
+	case !a.opts.Shard.IsZero():
+		res, code := runSession(ctx, a)
 		if code != 0 {
 			return code
 		}
@@ -602,7 +584,7 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 				return runFail(err)
 			}
 		}
-		fmt.Fprintf(a.stderr, "shard %s: trials [%d, %d) of %d\n", a.shardSpec, lo, hi, total)
+		fmt.Fprintf(a.stderr, "shard %s: trials [%d, %d) of %d\n", a.opts.Shard, lo, hi, total)
 		return 0
 	case a.merge:
 		payloads := make([][]byte, len(a.mergeFiles))
@@ -620,7 +602,7 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 	if code != 0 {
 		return code
 	}
-	res.Render(a.stdout, fmt.Sprintf("%d workers", a.parallel))
+	res.Render(a.stdout, fmt.Sprintf("%d workers", a.opts.Parallel))
 	fmt.Fprintf(a.stdout, "modules:    %d built, peak %d resident, %d evicted\n",
 		res.Stats.Builds, res.Stats.Peak, res.Stats.Evicted)
 	return 0
@@ -629,47 +611,9 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 // fleet is the coordinator configuration the -coord arms share. Every
 // assignment carries the Spec, so spawned `dpmr-run -worker` processes
 // take only execution policy on argv, and in-process workers run
-// concurrently, each assignment on a fresh Runner (ShardPayload with no
-// Options.Runner).
+// concurrently, each assignment on a fresh Runner.
 func (a campaignArgs) fleet() coord.FleetOptions {
-	cf := a.coordFlags
-	workerOpts := harness.Options{Parallel: a.parallel, Reference: !a.compile, Precompile: a.precompile}
-	fleet := coord.FleetOptions{
-		Spec:    a.spec,
-		Workers: cf.Workers, Lease: cf.Lease,
-		Chaos: cf.Chaos, Stderr: a.stderr,
-		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, workerOpts)
-		},
-	}
-	if cf.Spawn {
-		fleet.SpawnArgv = []string{
-			"-worker",
-			"-parallel", strconv.Itoa(a.parallel),
-			"-compile=" + strconv.FormatBool(a.compile),
-			"-precompile", strconv.Itoa(a.precompile),
-		}
-	}
-	if a.progress {
-		fleet.Log = func(format string, args ...any) {
-			fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
-		}
-	}
-	return fleet
-}
-
-// journalRunner builds the Runner a journaled campaign executes on: the
-// journal path drives the Runner directly (not a Session), so execution
-// policy and the optional progress sink are set on it here.
-func (a campaignArgs) journalRunner() *harness.Runner {
-	r := harness.NewRunner()
-	r.Parallel = a.parallel
-	r.Compile = a.compile
-	r.Precompile = a.precompile
-	if a.progress {
-		r.Events = harness.RenderProgress(a.stderr, "campaign")
-	}
-	return r
+	return a.coordFlags.Fleet(a.spec, a.opts, a.progress, a.stderr)
 }
 
 // writeJournaledSummary renders the journaled summary: the standard
@@ -704,7 +648,7 @@ func runJournaled(ctx context.Context, a campaignArgs) int {
 	defer j.Close()
 	var snapErr error
 	var total int
-	res, executed, err := a.journalRunner().RunJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
+	res, executed, err := a.opts.Apply().RunJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
 		func(snapshot harness.Result, done, planTotal int) {
 			total = planTotal
 			if werr := writeReport(a.journalDir, snapshot, done, planTotal); werr != nil && snapErr == nil {
@@ -743,7 +687,7 @@ func runCoordinatedJournaled(ctx context.Context, a campaignArgs) int {
 		return usageFail(a.stderr, err)
 	}
 	defer j.Close()
-	c, err := a.journalRunner().Resume(a.spec, prior)
+	c, err := a.opts.Apply().Resume(a.spec, prior)
 	if err != nil {
 		return execFail(a.stderr, err)
 	}

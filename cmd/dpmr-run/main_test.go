@@ -228,10 +228,10 @@ func TestCampaignWorkerModeServes(t *testing.T) {
 	}
 }
 
-// TestCompileFlagOutputIdentical asserts -compile=false (tree-walking
-// reference) and the default compiled execution print byte-identical
-// reports for a single run.
-func TestCompileFlagOutputIdentical(t *testing.T) {
+// TestOpStatsOutputIdentical asserts a single run on the tree-walking
+// reference interpreter (-opstats profiles the walker) prints the
+// byte-identical report of the default compiled execution.
+func TestOpStatsOutputIdentical(t *testing.T) {
 	runWith := func(extra ...string) string {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-workload", "mcf", "-dpmr"}, extra...)
@@ -241,7 +241,7 @@ func TestCompileFlagOutputIdentical(t *testing.T) {
 		return stdout.String()
 	}
 	compiled := runWith()
-	reference := runWith("-compile=false")
+	reference := runWith("-opstats", filepath.Join(t.TempDir(), "ops.json"))
 	if compiled != reference {
 		t.Errorf("compiled and reference single-run outputs differ:\n%s\nvs\n%s", compiled, reference)
 	}

@@ -18,13 +18,15 @@
 // Submitted Specs past the harness bounds (MaxRuns, MaxThreads,
 // MaxMemBytes, MaxPlannedTrials) are refused by name.
 //
-// With -journal, campaign submissions are journaled per Spec
-// fingerprint: a client that disconnects mid-campaign and resubmits the
-// identical Spec resumes from the completed spans instead of starting
-// over. A severed worker socket is just an expired lease — the
-// coordinator re-leases the shard, the worker redials and rejoins, and
-// the client-side fingerprint + exact-tiling merge keeps the final
-// report byte-identical regardless of how many times that happened.
+// With -journal, campaign, overhead and concurrent submissions are
+// journaled per Spec fingerprint: a client that disconnects mid-run and
+// resubmits the identical Spec resumes from the completed spans instead
+// of starting over. Experiment submissions run several plans per shard
+// and are not journaled. A severed worker socket is just an expired
+// lease — the coordinator re-leases the shard, the worker redials and
+// rejoins, and the client-side fingerprint + exact-tiling merge keeps
+// the final report byte-identical regardless of how many times that
+// happened.
 // -chaos severs worker sockets mid-shard on purpose, as a standing
 // drill of exactly that path.
 //
@@ -62,7 +64,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		listen     = fs.String("listen", "", "serve the campaign service on this TCP host:port or Unix socket path")
 		connect    = fs.String("connect", "", "join the fleet of the daemon at this address as a worker instead of serving")
 		workers    = fs.Int("workers", 0, "in-process worker slots the daemon contributes to its own fleet (-listen mode)")
-		journal    = fs.String("journal", "", "journal campaign submissions under this `dir` (per Spec fingerprint) so a disconnected client's resubmission resumes")
+		journal    = fs.String("journal", "", "journal campaign, overhead and concurrent submissions under this `dir` (per Spec fingerprint) so a disconnected client's resubmission resumes")
 		lease      = fs.Duration("lease", 5*time.Minute, "per-shard lease; an assignment outliving it is speculatively re-leased, and a dead fleet fails submissions instead of hanging them")
 		keepalive  = fs.Duration("keepalive", 30*time.Second, "ping idle worker sockets at this interval and drop the unresponsive (0 disables)")
 		katimeout  = fs.Duration("keepalive-timeout", 0, "how long an idle worker may take to answer a keepalive ping before it is dropped (0 = the -keepalive interval)")
@@ -70,8 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		chaos      = fs.Int("chaos", 0, "fault drill: sever this many worker sockets mid-shard (-listen mode)")
 		verbose    = fs.Bool("v", false, "log scheduling and fleet diagnostics to stderr")
 		parallel   = fs.Int("parallel", 1, "campaign worker goroutines per fleet slot (output is identical at any count)")
-		compile    = fs.Bool("compile", true, "execute campaign and overhead trials as compiled module bytecode; -compile=false forces the tree-walking reference interpreter (concurrent trials always run compiled)")
-		precomp    = fs.Int("precompile", 0, "background AOT workers building upcoming modules ahead of the execution frontier (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else if sched != "" {
 		fmt.Fprintf(stderr, "dpmrd: failpoints armed from %s: %s\n", failpt.EnvVar, sched)
 	}
-	opts := harness.Options{Parallel: *parallel, Reference: !*compile, Precompile: *precomp}
+	opts := harness.Options{Parallel: *parallel}
 	logf := func(string, ...any) {}
 	if *verbose {
 		logf = func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }

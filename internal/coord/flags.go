@@ -1,14 +1,20 @@
 package coord
 
 // The -coord* flag family shared by the CLIs. Registering and validating
-// the flags here — next to FleetOptions — keeps the two binaries'
-// coordinator surfaces from drifting apart: a new fleet knob or a new
-// dependency rule lands in one place.
+// the flags here — next to FleetOptions — and building the fleet from
+// them keeps the two binaries' coordinator surfaces from drifting apart:
+// a new fleet knob, a new dependency rule or a new worker flag lands in
+// one place.
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
+	"strconv"
 	"time"
+
+	"dpmr/internal/harness"
 )
 
 // CLIFlags is the parsed -coord* flag family. Register it on a FlagSet,
@@ -79,3 +85,37 @@ func (c *CLIFlags) Validate(fs *flag.FlagSet) error {
 
 // Enabled reports whether a coordinator run was requested.
 func (c *CLIFlags) Enabled() bool { return c.Workers != 0 }
+
+// Fleet is the FleetOptions a -coord run of spec uses: in-process
+// workers run each shard under opts, and spawned workers get workerArgv
+// of opts. Workers run quiet, since per-trial events from several of them
+// would interleave; with progress the scheduler's shard-level
+// diagnostics go to stderr.
+func (c *CLIFlags) Fleet(spec harness.Spec, opts harness.Options, progress bool, stderr io.Writer) FleetOptions {
+	opts.Events = nil
+	fleet := FleetOptions{
+		Spec:    spec,
+		Workers: c.Workers, Shards: c.Shards, Lease: c.Lease,
+		Chaos: c.Chaos, Stderr: stderr,
+		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+			return harness.ShardPayload(ctx, spec, shard, opts)
+		},
+	}
+	if c.Spawn {
+		fleet.SpawnArgv = workerArgv(opts)
+	}
+	if progress {
+		fleet.Log = func(format string, args ...any) {
+			fmt.Fprintf(stderr, "coord: "+format+"\n", args...)
+		}
+	}
+	return fleet
+}
+
+// workerArgv is the flag line of a spawned -worker process: the
+// execution policy of opts and nothing else. The Spec travels in each
+// Assignment, so nothing here can change the plan or its fingerprint.
+// The worker count is the one policy value the CLIs expose as a flag.
+func workerArgv(opts harness.Options) []string {
+	return []string{"-worker", "-parallel", strconv.Itoa(max(opts.Parallel, 1))}
+}

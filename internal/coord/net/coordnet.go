@@ -22,6 +22,7 @@
 package coordnet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -159,11 +160,17 @@ func readFrame(r io.Reader, v any) error {
 	if n > maxFrame {
 		return fmt.Errorf("coordnet: %d-byte frame exceeds the %d-byte limit", n, maxFrame)
 	}
-	data := make([]byte, n)
-	if m, err := io.ReadFull(r, data); err != nil {
+	// The body grows as bytes arrive rather than being allocated at the
+	// header's word, so a hostile header costs no more than the bytes
+	// actually sent.
+	var data bytes.Buffer
+	if m, err := io.CopyN(&data, r, int64(n)); err != nil {
+		if m > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return fmt.Errorf("coordnet: frame truncated after %d of %d bytes: %w", m, n, err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	if err := json.Unmarshal(data.Bytes(), v); err != nil {
 		return fmt.Errorf("coordnet: decoding frame: %w", err)
 	}
 	return nil

@@ -11,12 +11,12 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,24 +214,56 @@ func TestMultiplexedClientsIsolated(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
-// TestClientDisconnectResume: a client that vanishes mid-campaign
-// cancels its submission (releasing the fleet to other tenants) but
-// loses nothing durable — the daemon journaled every completed span, so
-// resubmitting the identical Spec resumes from the journal and the
-// final merge is byte-identical to a run that was never interrupted.
+// TestClientDisconnectResume: a client that vanishes mid-run cancels
+// its submission (releasing the fleet to other tenants) but loses
+// nothing durable — the daemon journaled every completed span, so
+// resubmitting the identical Spec replays the journal, executes only
+// the trials it leaves uncovered, and merges a report byte-identical to
+// a local run that was never interrupted. Every kind with a plan is
+// journaled: campaign, overhead and concurrent.
 func TestClientDisconnectResume(t *testing.T) {
-	spec := testCampaignSpec()
-	golden, err := harness.NewRunner().RunCampaign(context.Background(), spec)
+	overhead := harness.OverheadSpec(workloads.All(), []harness.Variant{
+		harness.Stdapp(),
+		harness.NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{}),
+		harness.NewVariant(dpmr.MDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{}),
+	})
+	concurrent := harness.ConcurrentSpec([]string{"chash", "cpipe"}, []harness.Variant{
+		harness.Stdapp(),
+		harness.NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{}),
+	})
+	concurrent.Runs = 4
+	for _, spec := range []harness.Spec{testCampaignSpec(), overhead, concurrent} {
+		spec := spec
+		t.Run(string(spec.Kind), func(t *testing.T) {
+			testDisconnectResume(t, spec)
+		})
+	}
+}
+
+func testDisconnectResume(t *testing.T, spec harness.Spec) {
+	var local bytes.Buffer
+	s, err := harness.Start(context.Background(), spec, nil, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Render(&local, "resumed")
 	before := runtime.NumGoroutine()
 
 	logs := make(chan string, 256)
 	root := t.TempDir()
+	var executed atomic.Int64
 	_, addr, shutdown := daemon(t, coordnet.ServerConfig{
 		LocalWorkers: 1,
 		JournalRoot:  root,
+		WorkerOptions: harness.Options{Events: func(ev harness.Event) {
+			if _, ok := ev.(harness.TrialDone); ok {
+				executed.Add(1)
+			}
+		}},
 		Log: func(format string, args ...any) {
 			select {
 			case logs <- strings.TrimSpace(format):
@@ -263,40 +295,98 @@ func TestClientDisconnectResume(t *testing.T) {
 		}
 	}
 
-	// The journal must have survived the disconnect.
+	// The journal must have survived the disconnect, holding at least
+	// the span whose event the client saw.
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl := filepath.Join(root, fp[:16], journal.FileName)
-	if _, err := os.Stat(jnl); err != nil {
+	j, rp, err := journal.Open(filepath.Join(root, fp[:16]), fp)
+	if err != nil {
 		t.Fatalf("no journal survived the disconnect: %v", err)
 	}
+	c, err := harness.NewRunner().Resume(spec, rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Done() == 0 {
+		t.Fatal("the disconnected submission journaled no span")
+	}
 
-	// Resubmit the identical Spec: the daemon resumes from the journal.
+	// Resubmit the identical Spec: the daemon replays the journal and
+	// executes only its gaps.
+	executed.Store(0)
 	payloads, err := coordnet.Submit(context.Background(), addr, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*harness.PartialResult, len(payloads))
+	if got, want := executed.Load(), int64(c.Total-c.Done()); got != want {
+		t.Errorf("resubmission executed %d trials, want the %d the journal left uncovered", got, want)
+	}
+	merged, err := harness.NewRunner().MergePayloads(spec, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed bytes.Buffer
+	merged.Render(&resumed, "resumed")
+	if !bytes.Equal(local.Bytes(), resumed.Bytes()) {
+		t.Errorf("resumed report differs from the local run:\n--- local ---\n%s--- resumed ---\n%s", local.Bytes(), resumed.Bytes())
+	}
+	// The report rounds; the aggregates must match at full precision.
+	if want, got := typedAggregates(t, spec, payloads); !reflect.DeepEqual(want, got) {
+		t.Errorf("resumed aggregate differs from the uninterrupted run:\n--- uninterrupted ---\n%#v\n--- resumed ---\n%#v", want, got)
+	}
+
+	shutdown()
+	checkGoroutines(t, before)
+}
+
+// typedAggregates returns a fresh uninterrupted run's aggregate of the
+// Spec and the typed merge of payloads, through the kind's Run*/Merge*
+// entry points.
+func typedAggregates(t *testing.T, spec harness.Spec, payloads [][]byte) (want, got any) {
+	t.Helper()
+	ctx := context.Background()
+	var err error
+	switch spec.Kind {
+	case harness.SpecCampaign:
+		parts := decodeAll(t, payloads, harness.DecodePartial)
+		if want, err = harness.NewRunner().RunCampaign(ctx, spec); err == nil {
+			got, err = harness.NewRunner().MergeCampaign(spec, parts)
+		}
+	case harness.SpecOverhead:
+		parts := decodeAll(t, payloads, harness.DecodeOverheadPartial)
+		if want, err = harness.NewRunner().RunOverhead(ctx, spec); err == nil {
+			got, err = harness.NewRunner().MergeOverhead(spec, parts)
+		}
+	case harness.SpecConcurrent:
+		parts := decodeAll(t, payloads, harness.DecodePartial)
+		if want, err = harness.NewRunner().RunConcurrent(ctx, spec); err == nil {
+			got, err = harness.NewRunner().MergeConcurrent(spec, parts)
+		}
+	default:
+		t.Fatalf("no typed aggregate for a %s Spec", spec.Kind)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want, got
+}
+
+func decodeAll[P any](t *testing.T, payloads [][]byte, decode func(io.Reader) (P, error)) []P {
+	t.Helper()
+	parts := make([]P, len(payloads))
 	for i, payload := range payloads {
-		p, err := harness.DecodePartial(bytes.NewReader(payload))
+		p, err := decode(bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts[i] = p
 	}
-	resumed, err := harness.NewRunner().MergeCampaign(spec, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(golden, resumed) {
-		t.Errorf("resumed campaign differs from uninterrupted run:\n--- uninterrupted ---\n%#v\n--- resumed ---\n%#v",
-			golden, resumed)
-	}
-
-	shutdown()
-	checkGoroutines(t, before)
+	return parts
 }
 
 // TestWorkerRejoinAfterSever: a worker whose socket the daemon severs

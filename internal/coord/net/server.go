@@ -190,13 +190,16 @@ type ServerConfig struct {
 	// contributes to the fleet, each with a persistent Runner. 0 means
 	// the fleet is remote joiners only.
 	LocalWorkers int
-	// WorkerOptions is the execution policy (parallelism, compilation,
-	// prefetch) for the daemon's local workers.
+	// WorkerOptions is the execution policy of the daemon's local
+	// workers. Its Runner is not shared: each slot runs on a persistent
+	// Runner of its own.
 	WorkerOptions harness.Options
-	// JournalRoot, when set, journals every campaign-kind submission
-	// under JournalRoot/<spec fingerprint prefix>/ — a client that
-	// disconnects mid-campaign and resubmits the identical Spec resumes
-	// from the journaled spans instead of starting over.
+	// JournalRoot, when set, journals every campaign, overhead and
+	// concurrent submission under JournalRoot/<spec fingerprint prefix>/
+	// — a client that disconnects mid-run and resubmits the identical
+	// Spec resumes from the journaled spans instead of starting over.
+	// Experiment submissions, which run several plans, are not
+	// journaled.
 	JournalRoot string
 	// Lease bounds one shard assignment (see coord.Config.Lease); it is
 	// also what unsticks a submission whose whole fleet died — every
@@ -448,7 +451,7 @@ func (s *Server) execute(ctx context.Context, spec harness.Spec, fp string, emit
 		// until a worker joins, bounded by the lease/attempt limits.
 		workers = 1
 	}
-	if spec.Kind == harness.SpecCampaign && s.cfg.JournalRoot != "" {
+	if spec.Kind != harness.SpecExperiment && s.cfg.JournalRoot != "" {
 		if s.claimJournal(fp) {
 			defer s.releaseJournal(fp)
 			return s.executeJournaled(ctx, spec, fp, workers, emit)
@@ -493,11 +496,12 @@ func (s *Server) releaseJournal(fp string) {
 	delete(s.claims, fp)
 }
 
-// executeJournaled runs a campaign Spec through its per-fingerprint
-// journal dir: spans already journaled (by an earlier submission the
-// client abandoned) replay instead of re-running, the remaining gaps are
-// leased to the fleet as explicit spans, and every first-completed span
-// is made durable before the coordinator moves past it. The final
+// executeJournaled runs a campaign, overhead or concurrent Spec through
+// its per-fingerprint journal dir: spans already journaled (by an
+// earlier submission the client abandoned) replay instead of re-running,
+// the remaining gaps are leased to the fleet as explicit spans, and
+// every first-completed span is made durable before the coordinator
+// moves past it. The final
 // payload set tiles the full plan, so the client-side fingerprint merge
 // validates it exactly like any sharded run.
 func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp string, workers int, emit func(harness.Event)) ([][]byte, error) {
@@ -554,7 +558,7 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 			Lease:   s.cfg.Lease,
 			Spawn:   s.spawnProxy,
 			OnResult: func(shard int, payload []byte) error {
-				if _, err := harness.AppendCampaignPayload(j, payload); err != nil {
+				if _, err := cr.Append(j, payload); err != nil {
 					return err
 				}
 				emit(shardMergedEvent(payload, spans[shard]))
@@ -655,10 +659,13 @@ func (p *poolProxy) Run(ctx context.Context, spec harness.Spec, shard harness.Sh
 func (p *poolProxy) Close() error { return nil }
 
 // workerPayloadRunner is the shard executor a fleet-joining worker
-// process uses: a persistent Runner with the process's execution policy,
-// shared across every assignment the daemon sends.
+// process uses: a persistent Runner — opts.Runner, or a fresh one — with
+// the process's execution policy, shared across every assignment the
+// daemon sends.
 func workerPayloadRunner(opts harness.Options) func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-	opts.Runner = harness.NewRunner()
+	if opts.Runner == nil {
+		opts.Runner = harness.NewRunner()
+	}
 	return func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
 		return harness.ShardPayload(ctx, spec, shard, opts)
 	}

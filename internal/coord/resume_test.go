@@ -166,7 +166,7 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(direct, merged.Campaign) {
+			if !reflect.DeepEqual(direct, merged.Campaign()) {
 				t.Error("coordinated resume merged result differs from the uninterrupted run")
 			}
 

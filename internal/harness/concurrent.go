@@ -15,11 +15,10 @@ package harness
 // loads, stores, atomics and fences call the scheduler's yield hook where
 // the tree-walker would, and sched.Run drives every thread of a group on
 // the trial's goroutine. A module that fails to compile fails its trials
-// with the compile error. Runner.Compile (WithReference, CLI
-// -compile=false) governs campaign and overhead trials only. The walker
-// stays the oracle in sched's tests, which hold the compiled groups to
-// walker groups result for result; the harness pins the report digests
-// both engines produced.
+// with the compile error. Options.Reference governs campaign and
+// overhead trials only. The walker stays the oracle in sched's tests,
+// which hold the compiled groups to walker groups result for result; the
+// harness pins the report digests both engines produced.
 
 import (
 	"context"
@@ -100,13 +99,17 @@ func planConcurrent(spec Spec) (*concurrentPlan, error) {
 	return p, nil
 }
 
+// concurrentKey is the cache key of (workload, variant) built for the
+// given thread count. The thread count is folded in because
+// Build(threads) bakes the worker count into the module.
+func concurrentKey(w workloads.ConcurrentWorkload, v Variant, threads int) moduleKey {
+	return moduleKey{workload: w.Name + "#t" + strconv.Itoa(threads), variant: v.Label()}
+}
+
 // concurrentModule returns the cached executable module of (workload,
 // variant) built for the given thread count, and its yielding program.
-// The thread count is folded into the cache key because Build(threads)
-// bakes the worker count into the module.
 func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, threads int) (*ir.Module, *interp.Program, error) {
-	key := moduleKey{workload: w.Name + "#t" + strconv.Itoa(threads), variant: v.Label()}
-	return r.cache.get(key, func() (*ir.Module, *interp.Program, error) {
+	return r.cache.get(concurrentKey(w, v, threads), func() (*ir.Module, *interp.Program, error) {
 		m, err := v.transform(w.Build(threads))
 		if err != nil {
 			return nil, nil, err
@@ -121,8 +124,10 @@ func (r *Runner) concurrentModule(w workloads.ConcurrentWorkload, v Variant, thr
 }
 
 // runConcurrentGolden runs w's golden group into g, its memo entry, on
-// the first call and returns the memoized outcome on every call.
-func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorkload, threads int, schedSeed int64, pool *mem.Pool) (*interp.Result, error) {
+// the first call and returns the memoized outcome on every call. The
+// golden group's stdapp module leaves the cache at once unless a trial
+// in live still needs it.
+func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorkload, threads int, schedSeed int64, pool *mem.Pool, live lastUse) (*interp.Result, error) {
 	g.once.Do(func() {
 		m, prog, err := r.concurrentModule(w, Stdapp(), threads)
 		if err != nil {
@@ -133,8 +138,9 @@ func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorklo
 			Threads:       threads,
 			Seed:          schedSeed,
 			TraceDisabled: true,
-			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, Prog: prog, SpacePool: pool},
+			VM:            interp.Config{Externs: extlib.Base(), Mem: r.memConfig, Prog: prog, SpacePool: pool},
 		})
+		live.release(r, concurrentKey(w, Stdapp(), threads))
 		c := res.Combined
 		if c.Kind != interp.ExitNormal || c.Code != 0 {
 			g.err = fmt.Errorf("harness: concurrent golden %s (%d threads, schedule %d) failed: %v code %d (%s)",
@@ -151,8 +157,8 @@ func (r *Runner) runConcurrentGolden(g *goldenInfo, w workloads.ConcurrentWorklo
 // its memo entry) plus the consistency checker's verdict over the
 // recorded trace. The shared space and the trace recorder come from
 // pool, and both go back to it.
-func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int, schedSeed int64, pool *mem.Pool) (Outcome, error) {
-	golden, err := r.runConcurrentGolden(g, t.w, threads, schedSeed, pool)
+func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int, schedSeed int64, pool *mem.Pool, live lastUse) (Outcome, error) {
+	golden, err := r.runConcurrentGolden(g, t.w, threads, schedSeed, pool, live)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -165,9 +171,9 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 		Seed:    schedSeed + int64(t.rn),
 		VM: interp.Config{
 			Externs:   t.v.externs(),
-			Mem:       r.MemConfig,
+			Mem:       r.memConfig,
 			Seed:      int64(t.rn) + 1,
-			StepLimit: stepBudget(golden.Steps, r.TimeoutFactor), // group steps sum over threads
+			StepLimit: stepBudget(golden.Steps, r.timeoutFactor), // group steps sum over threads
 			Prog:      prog,
 			SpacePool: pool,
 		},
@@ -179,12 +185,13 @@ func (r *Runner) runConcurrentOnce(t concurrentTrial, g *goldenInfo, threads int
 }
 
 // execConcurrentTrials runs the concurrent trials [lo, hi) and returns
-// their classifications (see execRows). The space pool and each
-// workload's golden memo entry are resolved once, up front, so trials
-// take no Runner lock. Golden groups are memoized in the Runner's golden
-// map under the thread count and schedule seed, so a memory-geometry
-// change invalidates them exactly like sequential goldens.
-func (r *Runner) execConcurrentTrials(ctx context.Context, plan *concurrentPlan, lo, hi int) ([]TrialOutcome, error) {
+// their classifications (see execRows); each module leaves the cache
+// after its last trial in live. The space pool and each workload's
+// golden memo entry are resolved once, up front, so trials take no
+// Runner lock. Golden groups are memoized in the Runner's golden map
+// under the thread count and schedule seed, so a memory-geometry change
+// invalidates them exactly like sequential goldens.
+func (r *Runner) execConcurrentTrials(ctx context.Context, plan *concurrentPlan, lo, hi int, live lastUse) ([]TrialOutcome, error) {
 	pool := r.spaces()
 	goldens := make(map[string]*goldenInfo, len(plan.workloads))
 	for _, t := range plan.trials[lo:hi] {
@@ -194,7 +201,8 @@ func (r *Runner) execConcurrentTrials(ctx context.Context, plan *concurrentPlan,
 	}
 	return execRows(ctx, r, lo, hi, func(i int) (TrialOutcome, error) {
 		t := plan.trials[i]
-		o, err := r.runConcurrentOnce(t, goldens[t.w.Name], plan.threads, plan.schedSeed, pool)
+		o, err := r.runConcurrentOnce(t, goldens[t.w.Name], plan.threads, plan.schedSeed, pool, live)
+		live.done(r, concurrentKey(t.w, t.v, plan.threads))
 		return o.Trial(), err
 	}, func(i int) string {
 		t := plan.trials[i]
@@ -312,7 +320,7 @@ func RenderConcurrent(w io.Writer, cr *ConcurrentResult) {
 // refusal.
 func (r *Runner) RunConcurrent(ctx context.Context, spec Spec) (*ConcurrentResult, error) {
 	res, err := r.runWhole(ctx, spec, SpecConcurrent, "RunConcurrent")
-	return res.Concurrent, err
+	return res.concurrent(), err
 }
 
 // RunConcurrentPartial executes only the Runner's shard of the
@@ -329,7 +337,7 @@ func (r *Runner) RunConcurrentPartial(ctx context.Context, spec Spec) (*PartialR
 // concurrent run, with MergeCampaign's validation and events.
 func (r *Runner) MergeConcurrent(spec Spec, parts []*PartialResult) (*ConcurrentResult, error) {
 	res, err := mergeTyped(r, spec, SpecConcurrent, "MergeConcurrent", parts)
-	return res.Concurrent, err
+	return res.concurrent(), err
 }
 
 // concurrentKind is the concurrent campaign's pipeline (see kind).
@@ -344,19 +352,22 @@ func (k *concurrentKind) plan(_ *Runner, spec Spec) (string, int, error) {
 	return p.fingerprint, len(p.trials), nil
 }
 
-func (k *concurrentKind) exec(ctx context.Context, r *Runner, lo, hi int) (partial, error) {
-	outcomes, err := r.execConcurrentTrials(ctx, k.p, lo, hi)
+func (k *concurrentKind) exec(ctx context.Context, r *Runner, lo, hi int, live lastUse) (partial, error) {
+	outcomes, err := r.execConcurrentTrials(ctx, k.p, lo, hi, live)
 	return &PartialResult{Lo: lo, Hi: lo + len(outcomes), Outcomes: outcomes}, err
 }
 
-func (k *concurrentKind) aggregate(res *Result, parts []partial) {
-	res.Concurrent = aggregateConcurrent(k.p, outcomeRows(len(k.p.trials), parts))
+func (k *concurrentKind) module(i int) (moduleKey, bool) {
+	t := k.p.trials[i]
+	return concurrentKey(t.w, t.v, k.p.threads), true
 }
 
-func (k *concurrentKind) keep(res *Result, p partial) { res.ConcurrentPartial = p.(*PartialResult) }
+func (k *concurrentKind) aggregate(parts []partial) any {
+	return aggregateConcurrent(k.p, outcomeRows(len(k.p.trials), parts))
+}
 
 func (k *concurrentKind) decode(r io.Reader) (partial, error) { return widen(DecodePartial(r)) }
 
-func (k *concurrentKind) render(w io.Writer, res *Result, _ string) {
-	RenderConcurrent(w, res.Concurrent)
+func (k *concurrentKind) render(w io.Writer, agg any, _ string) {
+	RenderConcurrent(w, agg.(*ConcurrentResult))
 }

@@ -28,7 +28,7 @@ func renderConc(cr *ConcurrentResult) string {
 func concurrentAt(t *testing.T, parallel int) *ConcurrentResult {
 	t.Helper()
 	r := NewRunner()
-	r.Parallel = parallel
+	r.parallel = parallel
 	cr, err := r.RunConcurrent(context.Background(), smallConcurrent())
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +101,8 @@ func TestConcurrentShardsMergeByteIdentical(t *testing.T) {
 		var parts []*PartialResult
 		for idx := 0; idx < count; idx++ {
 			r := NewRunner()
-			r.Parallel = 2
-			r.Shard = ShardSpec{Index: idx, Count: count}
+			r.parallel = 2
+			r.shard = ShardSpec{Index: idx, Count: count}
 			p, err := r.RunConcurrentPartial(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("shard %d/%d: %v", idx, count, err)
@@ -136,7 +136,7 @@ func TestConcurrentShardsMergeByteIdentical(t *testing.T) {
 // other kind — full-plan runs surface both the partial and the aggregate,
 // and the aggregate matches a direct RunConcurrent.
 func TestConcurrentSession(t *testing.T) {
-	s, err := Start(context.Background(), smallConcurrent(), WithParallel(2))
+	s, err := Start(context.Background(), smallConcurrent(), nil, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +144,15 @@ func TestConcurrentSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ConcurrentPartial == nil || res.Concurrent == nil {
+	if res.partialResult() == nil || res.concurrent() == nil {
 		t.Fatalf("session result incomplete: partial %v aggregate %v",
-			res.ConcurrentPartial != nil, res.Concurrent != nil)
+			res.partialResult() != nil, res.concurrent() != nil)
 	}
-	p := res.ConcurrentPartial
+	p := res.partialResult()
 	if p.Lo != 0 || p.Hi != p.Total || len(p.Outcomes) != p.Total {
 		t.Fatalf("full-plan partial spans [%d, %d) of %d", p.Lo, p.Hi, p.Total)
 	}
-	if got, want := renderConc(res.Concurrent), renderConc(concurrentAt(t, 1)); got != want {
+	if got, want := renderConc(res.concurrent()), renderConc(concurrentAt(t, 1)); got != want {
 		t.Errorf("session report differs from direct run:\n--- direct ---\n%s--- session ---\n%s",
 			want, got)
 	}
@@ -167,9 +167,9 @@ func TestConcurrentJournaledMatchesDirect(t *testing.T) {
 	want := renderConc(concurrentAt(t, 2))
 	j, dir, fp := newTestJournal(t, spec)
 	r := NewRunner()
-	r.Parallel = 2
+	r.parallel = 2
 	res, executed, err := r.RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
-	got := res.Concurrent
+	got := res.concurrent()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestConcurrentJournaledMatchesDirect(t *testing.T) {
 	j2, rp := reopenJournal(t, dir, fp)
 	defer j2.Close()
 	res2, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
-	again := res2.Concurrent
+	again := res2.concurrent()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func differentialVariants() []Variant {
 // golden reports, shard partials, and merge fingerprints.
 func TestCompiledMatchesReference(t *testing.T) {
 	variants := differentialVariants()
-	memCfg := NewRunner().MemConfig
+	memCfg := NewRunner().memConfig
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -120,7 +120,7 @@ func TestCampaignCompiledMatchesReference(t *testing.T) {
 	spec.Runs = 1
 	run := func(compile bool) *CampaignResult {
 		r := NewRunner()
-		r.Compile = compile
+		r.compile = compile
 		cr, err := r.RunCampaign(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -163,8 +163,8 @@ func TestTimeoutTrialCompiledMatchesReference(t *testing.T) {
 		t.Run(v.Label(), func(t *testing.T) {
 			run := func(compile bool) Outcome {
 				r := NewRunner()
-				r.Compile = compile
-				r.TimeoutFactor = 2
+				r.compile = compile
+				r.timeoutFactor = 2
 				o, err := r.RunOnce(w, v, &site, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -194,7 +194,7 @@ func TestOverheadCompiledMatchesReference(t *testing.T) {
 	}
 	run := func(compile bool) *OverheadResult {
 		r := NewRunner()
-		r.Compile = compile
+		r.compile = compile
 		or, err := r.RunOverhead(context.Background(), OverheadSpec(ws, variants))
 		if err != nil {
 			t.Fatal(err)
@@ -209,9 +209,9 @@ func TestOverheadCompiledMatchesReference(t *testing.T) {
 // TestConcurrentCompiledMatchesReference: a concurrent campaign renders
 // the report bytes pinned below at 2 and 4 threads with DPMR variants in
 // the plan, unsharded and sharded 0/2 + 1/2 then merged, under both
-// WithReference settings, which no longer switch the engine of
+// Options.Reference settings, which no longer switch the engine of
 // concurrent groups. The digests were taken when those groups still
-// tree-walked under WithReference and both engines rendered these bytes;
+// tree-walked under Reference and both engines rendered these bytes;
 // internal/sched holds the compiled groups to the walker itself.
 func TestConcurrentCompiledMatchesReference(t *testing.T) {
 	ctx := context.Background()
@@ -227,9 +227,10 @@ func TestConcurrentCompiledMatchesReference(t *testing.T) {
 		})
 		spec.Threads = threads
 		for _, reference := range []bool{false, true} {
-			run := func(opts ...Option) Result {
+			run := func(opts Options) Result {
 				t.Helper()
-				s, err := Start(ctx, spec, append(opts, WithParallel(2), WithReference(reference))...)
+				opts.Parallel, opts.Reference = 2, reference
+				s, err := Start(ctx, spec, nil, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +241,7 @@ func TestConcurrentCompiledMatchesReference(t *testing.T) {
 				return res
 			}
 			r := NewRunner()
-			reports := map[string]string{"unsharded": renderConc(run(WithRunner(r)).Concurrent)}
+			reports := map[string]string{"unsharded": renderConc(run(Options{Runner: r}).concurrent())}
 			// Either way the module is cached with its yielding program.
 			w, err := workloads.ConcurrentByName("chash")
 			if err != nil {
@@ -251,7 +252,7 @@ func TestConcurrentCompiledMatchesReference(t *testing.T) {
 			}
 			var parts []*PartialResult
 			for idx := 0; idx < 2; idx++ {
-				parts = append(parts, run(WithShard(ShardSpec{Index: idx, Count: 2})).ConcurrentPartial)
+				parts = append(parts, run(Options{Shard: ShardSpec{Index: idx, Count: 2}}).partialResult())
 			}
 			merged, err := NewRunner().MergeConcurrent(spec, parts)
 			if err != nil {

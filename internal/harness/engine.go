@@ -3,7 +3,7 @@
 // variant) module is built — parsed, fault-injected, DPMR-transformed,
 // optimized — exactly once per Runner, no matter how many of the
 // sites × variants × runs trials execute it or from how many goroutines.
-// The pool fans trial indices out across Parallel workers; callers
+// The pool fans trial indices out across the policy's workers; callers
 // aggregate the indexed results in canonical order afterwards, which is
 // what keeps parallel campaigns byte-identical to serial ones. The pool
 // is context-aware: cancellation stops dispatch and drains in-flight
@@ -28,8 +28,7 @@ import (
 // Event is a typed progress notification streamed while an experiment
 // executes: TrialDone and Progress per completed trial, ShardMerged per
 // merged partial result, CacheStats as a counters snapshot. Subscribe
-// through Session.Events, or set Runner.Events / Options.Events for a
-// low-level callback sink.
+// through Session.Events, or set Options.Events for a callback sink.
 type Event interface{ event() }
 
 // TrialDone reports one completed trial: Done of Total have finished.
@@ -75,9 +74,9 @@ type moduleKey struct {
 	variant  string // Variant label
 }
 
-// moduleEntry is one cache slot: the frozen module plus (with
-// Runner.Compile) its pre-decoded interp.Program, compiled once alongside
-// the build and shared by every trial of the module. Eviction drops the
+// moduleEntry is one cache slot: the frozen module plus (unless the
+// policy is Reference) its pre-decoded interp.Program, compiled once
+// alongside the build and shared by every trial of the module. Eviction drops the
 // entry whole, so a module and its program always leave the cache
 // together. The sync.Once gives per-key build deduplication without
 // holding the cache lock during the (expensive) build.
@@ -89,11 +88,11 @@ type moduleEntry struct {
 }
 
 // CacheStats counts module-cache activity over a Runner's lifetime.
-// Injected modules leave the cache after their last trial (see
-// execTrials), so Peak tracks only the modules whose trials are still
-// pending, and between runs Resident is the uninjected modules that seed
-// builds. CacheStats is also an Event: sessions emit a final snapshot
-// when an experiment completes.
+// Every module but the bases leaves the cache after its last trial (see
+// lastUse), so Peak tracks only the modules whose trials are still
+// pending, and between runs Resident is the bases that seed builds.
+// CacheStats is also an Event: sessions emit a final snapshot when an
+// experiment completes.
 type CacheStats struct {
 	// Builds counts successful module builds. A module evicted before its
 	// trials in a run finished would be rebuilt within that run, so a
@@ -146,9 +145,9 @@ func (c *moduleCache) get(key moduleKey, build func() (*ir.Module, *interp.Progr
 }
 
 // evict releases key's module. Callers must guarantee no trial still needs
-// the module: the campaign engine only evicts a key once the per-key
-// pending-trial count reaches zero, which also means the entry's build has
-// completed (the evicting goroutine just ran a trial through get).
+// the module: lastUse only evicts a key once its pending-trial count
+// reaches zero, which also means the entry's build has completed (the
+// evicting goroutine just ran a trial, or the golden group, through get).
 func (c *moduleCache) evict(key moduleKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,45 +207,46 @@ func execRows[E any](ctx context.Context, r *Runner, lo, hi int, row func(i int)
 	return rows, nil
 }
 
+// lastUse counts, per evictable module, the trials still to run in
+// the ranges one run executes — a single range, or every span of a
+// journaled loop — and releases each module from the cache after its
+// last one, so a persistent Runner holds only the bases between runs
+// and, because a site's trials are contiguous in the canonical plan,
+// peak residency stays bounded at large site counts. Counting over the
+// whole run rather than one range at a time keeps a module whose trials
+// straddle two spans resident between them. The counters make release
+// order-independent, and therefore safe at any worker count. A later run
+// that needs the module again rebuilds it.
+type lastUse map[moduleKey]*int64
+
+// done records that one trial of module k finished, releasing k after
+// the last.
+func (u lastUse) done(r *Runner, k moduleKey) {
+	if c := u[k]; c != nil && atomic.AddInt64(c, -1) == 0 {
+		r.cache.evict(k)
+	}
+}
+
+// release drops module k unless a counted trial still needs it: for a
+// module built outside the counted trials, such as a concurrent golden
+// group's.
+func (u lastUse) release(r *Runner, k moduleKey) {
+	if c := u[k]; c == nil || atomic.LoadInt64(c) == 0 {
+		r.cache.evict(k)
+	}
+}
+
 // execTrials runs the campaign trials [lo, hi) and returns their
 // classifications. Only the serializable classification fields survive:
 // the raw interpreter result is dropped per trial, releasing each output
-// buffer instead of pinning all of them until the campaign ends.
-//
-// execTrials also releases each injected module once its last trial in
-// [lo, hi) completes, so a persistent Runner holds no injected module
-// between runs and, because a site's trials are contiguous in the
-// canonical plan, peak residency stays bounded at large site counts. The
-// per-key pending counters make this order-independent (and therefore
-// safe at any worker count): a module is only evicted when no trial that
-// uses it remains. A later range that needs the module again rebuilds
-// it.
-func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int) ([]TrialOutcome, error) {
-	trials := plan.trials[lo:hi]
-	pending := make(map[moduleKey]*int64)
-	for _, t := range trials {
-		k := t.key()
-		if k.site == "" {
-			// Uninjected modules (base builds, overhead runs) seed
-			// other builds and are shared beyond this trial list;
-			// only per-(site, variant) modules are evictable.
-			continue
-		}
-		if pending[k] == nil {
-			pending[k] = new(int64)
-		}
-		*pending[k]++
-	}
-	notifyUse, joinPrefetch := r.startPrefetch(ctx, trials, pending)
-	defer joinPrefetch()
+// buffer instead of pinning all of them until the campaign ends. Each
+// injected module leaves the cache after its last trial in live.
+func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int, live lastUse) ([]TrialOutcome, error) {
 	pool := r.spaces()
 	return execRows(ctx, r, lo, hi, func(i int) (TrialOutcome, error) {
-		notifyUse(i - lo)
 		t := plan.trials[i]
 		o, err := r.runOnce(t.w, t.v, t.inj, t.rn, pool)
-		if c := pending[t.key()]; c != nil && atomic.AddInt64(c, -1) == 0 {
-			r.cache.evict(t.key())
-		}
+		live.done(r, t.key())
 		return o.Trial(), err
 	}, func(i int) string {
 		t := plan.trials[i]
@@ -254,102 +254,9 @@ func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int)
 	})
 }
 
-// startPrefetch launches the pipelined AOT compilation stage: Precompile
-// background workers walk the trial list's distinct modules in first-use
-// order and push each through the module cache (build + compile) ahead
-// of the execution frontier, so stage-1 work overlaps stage-2 trials
-// instead of serializing ahead of each site's first trial. The window is
-// bounded in distinct modules, keeping last-trial eviction's residency
-// bound intact: at most aheadWindow modules sit built-but-unreached at
-// any time, admitted as the returned notify func observes each module's
-// first trial being dispatched. The sync.Once under moduleCache.get
-// makes prefetched and demand builds indistinguishable — whoever arrives
-// second reuses the same entry, so no entry is ever half-populated.
-//
-// Cancellation stops admission and the workers drain without building;
-// the returned join blocks until every prefetch goroutine has exited, so
-// none outlives execTrials. With Precompile <= 0 both returned funcs are
-// no-ops.
-func (r *Runner) startPrefetch(ctx context.Context, trials []trial, pending map[moduleKey]*int64) (notify func(i int), join func()) {
-	workers := r.Precompile
-	if workers <= 0 {
-		return func(int) {}, func() {}
-	}
-	type item struct {
-		t trial
-		k moduleKey
-	}
-	var order []item
-	firstUse := make([]bool, len(trials))
-	seen := make(map[moduleKey]bool)
-	for i, t := range trials {
-		k := t.key()
-		if !seen[k] {
-			seen[k] = true
-			order = append(order, item{t: t, k: k})
-			firstUse[i] = true
-		}
-	}
-	ahead := 2*workers + 2
-	// Buffered to every token that can ever be sent, so notify never
-	// blocks a trial worker even after the windower has exited.
-	used := make(chan struct{}, len(order))
-	buildCh := make(chan item)
-	var wg sync.WaitGroup
-	// Windower: admit module j only once fewer than ahead admitted modules
-	// are still unreached by the execution frontier.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(buildCh)
-		usedCount := 0
-		for j, it := range order {
-			for j-usedCount >= ahead {
-				select {
-				case <-ctx.Done():
-					return
-				case <-used:
-					usedCount++
-				}
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case buildCh <- it:
-			}
-		}
-	}()
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range buildCh {
-				if ctx.Err() != nil {
-					continue // drain admitted items without building
-				}
-				if c := pending[it.k]; c != nil && atomic.LoadInt64(c) == 0 {
-					// Every trial of this module already completed (and
-					// evicted it); building now would resurrect the entry
-					// past its eviction.
-					continue
-				}
-				_, _, _ = r.module(it.t.w, it.t.v, it.t.inj)
-				if c := pending[it.k]; c != nil && atomic.LoadInt64(c) == 0 {
-					// The last trial finished while the build was in
-					// flight and its eviction raced the (re)insert;
-					// release the module again.
-					r.cache.evict(it.k)
-				}
-			}
-		}()
-	}
-	notify = func(i int) {
-		if firstUse[i] {
-			used <- struct{}{}
-		}
-	}
-	return notify, wg.Wait
-}
+// execHook, when set, observes every Runner as it starts executing a
+// trial range: the seam the policy tests watch.
+var execHook func(*Runner)
 
 // fanOut runs fn(0..n-1) across the Runner's worker pool and returns the
 // number of indices completed. Each index is processed at most once; fn
@@ -376,7 +283,10 @@ func (r *Runner) fanOut(ctx context.Context, n int, fn func(i int)) int {
 		fn(i)
 		return time.Since(start)
 	}
-	workers := r.Parallel
+	if execHook != nil {
+		execHook(r)
+	}
+	workers := r.parallel
 	if workers > n {
 		workers = n
 	}

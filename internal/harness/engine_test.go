@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func quickExp(id string) Spec {
 func campaignAt(t *testing.T, parallel int) (*CampaignResult, *Runner) {
 	t.Helper()
 	r := NewRunner()
-	r.Parallel = parallel
+	r.parallel = parallel
 	cr, err := r.RunCampaign(context.Background(), smallCampaign())
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestGeneratedReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestOverheadDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(parallel int) *OverheadResult {
 		r := NewRunner()
-		r.Parallel = parallel
+		r.parallel = parallel
 		or, err := r.RunOverhead(context.Background(), OverheadSpec(workloads.All()[:2], []Variant{
 			Stdapp(),
 			NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{}),
@@ -119,7 +120,7 @@ func TestOverheadDeterministicAcrossWorkerCounts(t *testing.T) {
 // goroutines at once.
 func TestCampaignConcurrent(t *testing.T) {
 	r := NewRunner()
-	r.Parallel = 8
+	r.parallel = 8
 	var mu sync.Mutex
 	var trialDone, progress, lastTotal int
 	maxDone := 0
@@ -166,7 +167,7 @@ func TestModuleCacheBuildsEachModuleOnce(t *testing.T) {
 	w := workloads.All()[0]
 	sites := len(sampleSites(faultinject.Enumerate(w.Build(), faultinject.ImmediateFree), spec.MaxSites))
 	r := NewRunner()
-	r.Parallel = 4
+	r.parallel = 4
 	if _, err := r.RunCampaign(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	var results []*CampaignResult
 	for _, parallel := range []int{1, 8} {
 		r := NewRunner()
-		r.Parallel = parallel
+		r.parallel = parallel
 		cr, err := r.RunCampaign(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -254,30 +255,33 @@ func TestEvictionKeepsSerialResidencyConstant(t *testing.T) {
 	}
 }
 
-// withoutClock re-encodes a campaign payload with its wall-clock
-// ElapsedMS zeroed: every other byte is a function of the Spec and the
+// withoutClock re-encodes a payload of any kind without its wall-clock
+// elapsedMS field: every other byte is a function of the Spec and the
 // shard.
 func withoutClock(t *testing.T, payload []byte) []byte {
 	t.Helper()
-	p, err := DecodePartial(bytes.NewReader(payload))
+	var p map[string]any
+	if err := json.Unmarshal(payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	delete(p, "elapsedMS")
+	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.ElapsedMS = 0
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return data
 }
 
 // TestPersistentRunnerResidency is the module lifetime of a long-lived
-// worker: one Runner serving many campaign Specs through ShardPayload,
-// as the daemon's local workers and WorkerLoop do. After every Spec only
-// the bases remain resident, the high-water mark never exceeds the
-// largest a fresh Runner reaches on any one of the Specs, and every
-// payload is byte-identical to a fresh Runner's, apart from its
-// wall-clock field.
+// worker: one Runner serving many campaign, concurrent and overhead
+// Specs through ShardPayload, as the daemon's local workers and
+// WorkerLoop do. After
+// every Spec only the bases remain resident, the high-water mark never
+// exceeds the largest a fresh Runner reaches on any one of the Specs,
+// and every payload is byte-identical to a fresh Runner's, apart from
+// its wall-clock field. The concurrent Specs span three thread counts,
+// and one of them plans no stdapp trial, so its golden group's module
+// is used by no trial at all.
 func TestPersistentRunnerResidency(t *testing.T) {
 	ws := workloads.All()[:2]
 	var specs []Spec
@@ -294,6 +298,21 @@ func TestPersistentRunnerResidency(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range []struct {
+		threads int
+		vs      []Variant
+	}{
+		{2, []Variant{Stdapp(), NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{})}},
+		{3, []Variant{NewVariant(dpmr.MDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{})}},
+		{4, []Variant{Stdapp(), NewVariant(dpmr.MDS, dpmr.NoDiversity{}, dpmr.AllLoads{})}},
+	} {
+		s := ConcurrentSpec([]string{"chash", "cpipe"}, c.vs)
+		s.Runs = 1
+		s.Threads = c.threads
+		specs = append(specs, s)
+	}
+	specs = append(specs, OverheadSpec(ws, []Variant{Stdapp(),
+		NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{}), NewVariant(dpmr.MDS, dpmr.RearrangeHeap{}, dpmr.AllLoads{})}))
 	shards := []ShardSpec{{}, {Index: 0, Count: 2}, {Index: 1, Count: 2}}
 	persistent := NewRunner()
 	opts := Options{Parallel: 1, Runner: persistent}

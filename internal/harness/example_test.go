@@ -62,7 +62,7 @@ func ExampleStart() {
 	spec.Runs = 1
 	spec.MaxSites = 1
 
-	s, err := harness.Start(context.Background(), spec, harness.WithParallel(2))
+	s, err := harness.Start(context.Background(), spec, nil, harness.Options{Parallel: 2})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -79,7 +79,7 @@ func ExampleStart() {
 		return
 	}
 	fmt.Printf("trials: %d of %d\n", last.Done, last.Total)
-	fmt.Println("aggregated:", res.Campaign != nil)
+	fmt.Println("aggregated:", res.Campaign() != nil)
 	fmt.Println("modules built:", res.Stats.Builds > 0)
 	// Output:
 	// trials: 1 of 1

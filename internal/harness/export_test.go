@@ -1,0 +1,9 @@
+package harness
+
+// ObservePolicy calls f with the execution policy of every Runner that
+// starts a trial range, until the returned restore func runs. Calls may
+// come from several goroutines at once.
+func ObservePolicy(f func(Options)) (restore func()) {
+	execHook = func(r *Runner) { f(Options{Parallel: r.parallel, Reference: !r.compile}) }
+	return func() { execHook = nil }
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -217,6 +218,47 @@ func FuzzDecodeSpec(f *testing.F) {
 			if size <= 0 || size > MaxMemBytes {
 				t.Fatalf("normalized Spec has mem size %d", size)
 			}
+		}
+	})
+}
+
+// FuzzDecodeEvent fuzzes the event decoder a -remote client runs on
+// every frame the daemon streams back. Arbitrary bytes must decode to
+// exactly one event or be refused — never a panic — and whatever decodes
+// must render through the CLIs' progress sink and survive a second trip
+// over the wire unchanged.
+func FuzzDecodeEvent(f *testing.F) {
+	for _, ev := range []Event{
+		TrialDone{Done: 3, Total: 40, Elapsed: 1500},
+		Progress{Done: 40, Total: 40, Stats: CacheStats{Builds: 4, Evicted: 1, Resident: 3, Peak: 4}},
+		ShardMerged{Shard: SpanShard(5, 9), Lo: 5, Hi: 9, Total: 40, Elapsed: 2000},
+		CacheStats{Builds: 12, Evicted: 12, Peak: 3},
+	} {
+		data, err := EncodeEvent(ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, seed := range []string{`{}`, `{"trialDone":{},"progress":{}}`, `{"shardMerged":{"Shard":{"index":-1,"count":0,"lo":9,"hi":2}}}`, `null`, `{"progress":`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ev, err := DecodeEvent(data)
+		if err != nil {
+			return
+		}
+		RenderProgress(io.Discard, "fuzz")(ev)
+		wire, err := EncodeEvent(ev)
+		if err != nil {
+			t.Fatalf("a decoded event does not encode: %v", err)
+		}
+		back, err := DecodeEvent(wire)
+		if err != nil {
+			t.Fatalf("the encoding of a decoded event does not decode: %v\n%s", err, wire)
+		}
+		if !reflect.DeepEqual(back, ev) {
+			t.Fatalf("event changed across a wire round trip:\n%#v\n%#v", ev, back)
 		}
 	})
 }

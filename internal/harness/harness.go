@@ -10,12 +10,14 @@
 //   - Spec (spec.go) is the declarative, JSON-serializable experiment
 //     description — the single input to plan construction and the sole
 //     source of every plan fingerprint.
+//   - Options (report.go) is the execution policy, the *how*: worker
+//     count, reference interpreter, shard, event sink and warm Runner.
+//     Every entry point that runs trials takes one, and Options.Apply is
+//     the one place it reaches a Runner.
 //   - Session (session.go) is the context-first execution handle:
-//     Start(ctx, spec, opts...) with functional options for worker
-//     counts, compilation, and sharding, streaming typed events
-//     (TrialDone, Progress, ShardMerged, CacheStats) while the
-//     experiment runs.
-//   - Runner (below) is the mid-level two-stage campaign engine both
+//     Start(ctx, spec, report, opts) streams typed events (TrialDone,
+//     Progress, ShardMerged, CacheStats) while the experiment runs.
+//   - Runner (below) is the mid-level two-stage campaign engine they
 //     are built on.
 //   - The kind interface (kind.go) is implemented once per plan kind —
 //     campaign (below), overhead, and concurrent — in four steps: plan
@@ -137,79 +139,49 @@ func PolicyVariants(design dpmr.Design) []Variant {
 }
 
 // Runner executes experiments. The zero value is not usable; construct
-// with NewRunner.
+// with NewRunner, or with Options.Apply for a non-default execution
+// policy.
 //
 // A Runner is a two-stage campaign engine. Stage 1 (build) produces each
 // distinct (workload, site, variant) module exactly once — built,
 // fault-injected, DPMR-transformed, optimized, and frozen — in a cache
 // shared by every trial that executes that module. Stage 2 (execute)
-// fans the trial grid out across Parallel worker goroutines; each trial
-// runs its own VM over the shared read-only module (per-VM RNG, output,
-// and address space), and outcomes are aggregated in canonical trial
-// order so results are byte-identical at any worker count.
+// fans the trial grid out across the policy's worker goroutines; each
+// trial runs its own VM over the shared read-only module (per-VM RNG,
+// output, and address space), and outcomes are aggregated in canonical
+// trial order so results are byte-identical at any worker count.
 //
 // The campaign entry points (RunCampaign, RunCampaignPartial,
 // RunOverhead, …) take a Spec: the Spec's declarative fields (runs,
 // timeout factor, memory geometry) are applied to the Runner before the
 // plan is built, so the plan — and its fingerprint — is a pure function
-// of the Spec. The Runner's remaining fields tune only *how* trials
-// execute.
+// of the Spec. How trials execute is the Options that Apply set.
 type Runner struct {
-	// Runs per (W, C, D, I) tuple; each run RN seeds the VM differently.
-	// Overwritten from the Spec by the campaign entry points.
-	Runs int
-	// TimeoutFactor multiplies golden steps into the step budget
-	// ("approximately 20 times the normal running time", §3.6).
-	// Overwritten from the Spec by the campaign entry points.
-	TimeoutFactor uint64
-	// MemConfig sizes experiment address spaces. Overwritten from the
-	// Spec by the campaign entry points.
-	MemConfig mem.Config
 	// Optimize runs the post-transform optimizer stage on every variant
 	// build, golden included (Figure 3.5 applies an optimize stage to all
 	// compilation paths). Off by default so recorded numbers stay stable;
-	// the optimizer ablation bench flips it.
+	// the optimizer ablation bench flips it. It changes the build, not the
+	// execution policy, which is why it is not an Options field.
 	Optimize bool
-	// Parallel is the number of worker goroutines campaign drivers fan
-	// trials out across. 1 runs serially; any value produces identical
-	// results, Parallel only changes wall-clock time. Campaign drivers
-	// reject values < 1 rather than silently running serially.
-	Parallel int
-	// Shard selects a contiguous slice of the canonical flat trial plan
-	// for RunCampaignPartial: shard Index of Count. The zero value means
-	// the whole plan. The slicing is host-independent, so Count processes
-	// each running one shard cover every trial exactly once and
-	// MergeCampaign reassembles a result byte-identical to an unsharded
-	// run.
-	Shard ShardSpec
-	// Compile lowers every frozen campaign and overhead module to the
-	// interpreter's pre-decoded register bytecode (interp.Compile) as part
-	// of the stage-1 build; the module's trials then execute the compiled
-	// program instead of tree-walking the IR. Results are bit-identical
-	// either way (asserted by the compiled-vs-reference differential
-	// tests), so the flag only trades a one-time compile per module for
-	// much cheaper per-trial dispatch. On by default via NewRunner; turn
-	// it off to run the tree-walker as the reference implementation (CLI
-	// -compile=false). Concurrent Specs ignore it: their groups always run
-	// a yielding program (interp.CompileYielding).
-	Compile bool
-	// Precompile, when positive, launches that many background AOT
-	// workers per trial batch: they walk the batch's distinct modules in
-	// first-use order and push each through the build+compile cache ahead
-	// of the execution frontier, overlapping stage-1 module construction
-	// with stage-2 trial execution. Results are byte-identical at any
-	// value (the cache's once-per-key build discipline makes prefetched
-	// and demand builds indistinguishable); the prefetch window is
-	// bounded, so last-trial eviction's peak-residency bound degrades by
-	// at most 2*Precompile+2 modules. 0 (the default) disables
-	// prefetching.
-	Precompile int
 	// Events, when non-nil, receives the engine's typed event stream:
 	// TrialDone and Progress after each completed trial, ShardMerged per
 	// merged partial. Calls are serialized (never concurrent) but arrive
-	// in completion order, not trial order. Session wraps this sink in a
-	// channel subscription; set it directly only for low-level embedding.
+	// in completion order, not trial order. Options.Apply sets it from
+	// Options.Events; set it directly only for low-level embedding.
 	Events func(Event)
+
+	// The Spec's declarative parameters, applied by applySpec.
+	timeoutFactor uint64
+	memConfig     mem.Config
+
+	// The execution policy, set by Options.Apply: the worker count
+	// (campaign drivers reject values < 1), the shard of the plan the
+	// partial entry points run (zero = the whole plan), and whether
+	// campaign and overhead modules are lowered to bytecode (see
+	// compileModule).
+	parallel int
+	shard    ShardSpec
+	compile  bool
 
 	mu         sync.Mutex // guards golden
 	progressMu sync.Mutex // serializes Events callbacks
@@ -226,11 +198,10 @@ type goldenInfo struct {
 // NewRunner returns a Runner with the paper-matching defaults.
 func NewRunner() *Runner {
 	return &Runner{
-		Runs:          2,
-		TimeoutFactor: 20,
-		MemConfig:     defaultMem(),
-		Parallel:      1,
-		Compile:       true,
+		timeoutFactor: 20,
+		memConfig:     defaultMem(),
+		parallel:      1,
+		compile:       true,
 		golden:        make(map[string]*goldenInfo),
 		cache:         newModuleCache(),
 	}
@@ -246,13 +217,12 @@ func NewRunner() *Runner {
 // a different address-space layout. Built modules are geometry-
 // independent and stay cached.
 func (r *Runner) applySpec(spec Spec) {
-	r.Runs = spec.Runs
-	r.TimeoutFactor = spec.TimeoutFactor
-	if r.MemConfig != spec.Mem {
+	r.timeoutFactor = spec.TimeoutFactor
+	if r.memConfig != spec.Mem {
 		r.mu.Lock()
 		r.golden = make(map[string]*goldenInfo)
 		r.mu.Unlock()
-		r.MemConfig = spec.Mem
+		r.memConfig = spec.Mem
 	}
 }
 
@@ -267,20 +237,20 @@ func (r *Runner) notify(ev Event) {
 }
 
 // spaces returns the process-wide address-space pool for the Runner's
-// current MemConfig (mem.SharedPool). Trial VMs draw their spaces from it
+// current memory geometry (mem.SharedPool). Trial VMs draw their spaces from it
 // and return them after each run, so a campaign allocates roughly
-// Parallel spaces total instead of one per trial, and a fresh Runner of
+// one space per worker total instead of one per trial, and a fresh Runner of
 // the same geometry reuses the spaces earlier ones returned; a reset
 // space replays runs identically to a fresh one (mem.Space.Reset), so
 // results are unaffected.
-func (r *Runner) spaces() *mem.Pool { return mem.SharedPool(r.MemConfig) }
+func (r *Runner) spaces() *mem.Pool { return mem.SharedPool(r.memConfig) }
 
 // compileModule lowers a frozen module for the fast interpreter path. A
 // compile failure is not fatal — the module's trials simply run on the
 // reference tree-walker, which is always semantically authoritative — so
 // malformed-but-executable IR behaves exactly as it always has.
 func (r *Runner) compileModule(m *ir.Module) *interp.Program {
-	if !r.Compile {
+	if !r.compile {
 		return nil
 	}
 	prog, err := interp.Compile(m)
@@ -306,7 +276,7 @@ func (r *Runner) Golden(w workloads.Workload) (*interp.Result, error) {
 			m.Freeze()
 			prog = r.compileModule(m)
 		}
-		res := interp.Run(m, interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, Prog: prog, SpacePool: r.spaces()})
+		res := interp.Run(m, interp.Config{Externs: extlib.Base(), Mem: r.memConfig, Prog: prog, SpacePool: r.spaces()})
 		if res.Kind != interp.ExitNormal || res.Code != 0 {
 			g.err = fmt.Errorf("harness: golden %s failed: %v code %d (%s)", w.Name, res.Kind, res.Code, res.Reason)
 			return
@@ -330,7 +300,7 @@ func (r *Runner) goldenEntry(key string) *goldenInfo {
 }
 
 // module returns the cached executable module for (workload, variant,
-// injection) and its compiled program (nil with Compile off), building
+// injection) and its compiled program (nil on the reference interpreter), building
 // both on first use (stage 1 of the engine). The returned module is
 // frozen and, like the program, may back concurrent VMs.
 func (r *Runner) module(w workloads.Workload, v Variant, inj *faultinject.Site) (*ir.Module, *interp.Program, error) {
@@ -451,9 +421,9 @@ func (r *Runner) runOnce(w workloads.Workload, v Variant, inj *faultinject.Site,
 	}
 	res := interp.Run(m, interp.Config{
 		Externs:   v.externs(),
-		Mem:       r.MemConfig,
+		Mem:       r.memConfig,
 		Seed:      int64(rn) + 1,
-		StepLimit: stepBudget(golden.Steps, r.TimeoutFactor), // DPMR variants are slower per step budget
+		StepLimit: stepBudget(golden.Steps, r.timeoutFactor), // DPMR variants are slower per step budget
 		Prog:      prog,
 		SpacePool: pool,
 	})
@@ -708,10 +678,10 @@ func aggregate(plan *campaignPlan, outcomes []TrialOutcome) *CampaignResult {
 // otherwise silently misinterpret: a non-positive worker count, or a
 // shard outside [0, Count).
 func (r *Runner) validate() error {
-	if r.Parallel < 1 {
-		return fmt.Errorf("harness: Parallel = %d: campaigns need at least 1 worker", r.Parallel)
+	if r.parallel < 1 {
+		return fmt.Errorf("harness: Parallel = %d: campaigns need at least 1 worker", r.parallel)
 	}
-	return r.Shard.Validate()
+	return r.shard.Validate()
 }
 
 // cancelled reports whether err is the context's cancellation (rather
@@ -729,7 +699,7 @@ func cancelled(ctx context.Context, err error) bool {
 // RunCampaignPartial and MergeCampaign for sharded execution.
 func (r *Runner) RunCampaign(ctx context.Context, spec Spec) (*CampaignResult, error) {
 	res, err := r.runWhole(ctx, spec, SpecCampaign, "RunCampaign")
-	return res.Campaign, err
+	return res.Campaign(), err
 }
 
 // campaignKind is the injection campaign's pipeline (see kind).
@@ -744,23 +714,29 @@ func (k *campaignKind) plan(r *Runner, spec Spec) (string, int, error) {
 	return p.fingerprint, len(p.trials), nil
 }
 
-func (k *campaignKind) exec(ctx context.Context, r *Runner, lo, hi int) (partial, error) {
-	outcomes, err := r.execTrials(ctx, k.p, lo, hi)
+func (k *campaignKind) exec(ctx context.Context, r *Runner, lo, hi int, live lastUse) (partial, error) {
+	outcomes, err := r.execTrials(ctx, k.p, lo, hi, live)
 	return &PartialResult{Lo: lo, Hi: lo + len(outcomes), Outcomes: outcomes}, err
 }
 
-func (k *campaignKind) aggregate(res *Result, parts []partial) {
-	res.Campaign = aggregate(k.p, outcomeRows(len(k.p.trials), parts))
+func (k *campaignKind) module(i int) (moduleKey, bool) {
+	t := k.p.trials[i]
+	// Uninjected campaign trials run the bases, which seed every other
+	// build; only per-(site, variant) modules leave after their last
+	// trial.
+	return t.key(), t.inj != nil
 }
 
-func (k *campaignKind) keep(res *Result, p partial) { res.CampaignPartial = p.(*PartialResult) }
+func (k *campaignKind) aggregate(parts []partial) any {
+	return aggregate(k.p, outcomeRows(len(k.p.trials), parts))
+}
 
 func (k *campaignKind) decode(r io.Reader) (partial, error) { return widen(DecodePartial(r)) }
 
 // render prints one coverage block per (workload, variant) cell — for
 // the CLI's single-workload, single-variant campaign exactly one block.
-func (k *campaignKind) render(w io.Writer, res *Result, how string) {
-	cr := res.Campaign
+func (k *campaignKind) render(w io.Writer, agg any, how string) {
+	cr := agg.(*CampaignResult)
 	for _, variant := range cr.Variants {
 		for _, wname := range cr.Workloads {
 			c := cr.Cell(variant, wname)

@@ -21,16 +21,19 @@ type kind interface {
 	plan(r *Runner, spec Spec) (fingerprint string, trials int, err error)
 	// exec runs trials [lo, hi) on r's worker pool in one call and
 	// returns their rows as a partial with Lo and Hi set: on
-	// cancellation the completed prefix, together with ctx's error.
-	exec(ctx context.Context, r *Runner, lo, hi int) (partial, error)
-	// aggregate folds non-overlapping parts into res in canonical order;
-	// trials no part covers count as zero-valued stand-ins.
-	aggregate(res *Result, parts []partial)
+	// cancellation the completed prefix, together with ctx's error. Each
+	// trial reports its module to live once it finishes.
+	exec(ctx context.Context, r *Runner, lo, hi int, live lastUse) (partial, error)
+	// module names the module trial i executes, and whether it may leave
+	// the cache after the run's last trial of it.
+	module(i int) (moduleKey, bool)
+	// aggregate folds non-overlapping parts into the kind's result in
+	// canonical order; trials no part covers count as zero-valued
+	// stand-ins.
+	aggregate(parts []partial) any
 	// render writes an aggregated result's summary block; how names the
 	// execution in a campaign's header line.
-	render(w io.Writer, res *Result, how string)
-	// keep files one run's partial into res.
-	keep(res *Result, p partial)
+	render(w io.Writer, agg any, how string)
 	// decode reads one serialized partial of the kind.
 	decode(r io.Reader) (partial, error)
 }
@@ -144,16 +147,20 @@ func (r *Runner) plan(spec Spec, want SpecKind, what string) (*planned, error) {
 }
 
 // run executes shard of the plan on r — the zero shard runs the whole
-// plan as shard 0/1 — and returns its partial. Cancelling ctx drains
-// in-flight trials and returns the completed-prefix partial (Hi trimmed
-// to the last finished trial) together with ctx's error.
-func (pl *planned) run(ctx context.Context, r *Runner, shard ShardSpec) (partial, error) {
+// plan as shard 0/1 — and returns its partial. live counts the run's
+// pending trials per module; nil counts this shard's alone. Cancelling
+// ctx drains in-flight trials and returns the completed-prefix partial
+// (Hi trimmed to the last finished trial) together with ctx's error.
+func (pl *planned) run(ctx context.Context, r *Runner, shard ShardSpec, live lastUse) (partial, error) {
 	if shard.IsZero() {
 		shard = ShardSpec{Index: 0, Count: 1}
 	}
+	if live == nil {
+		live = pl.lastUse(shard)
+	}
 	lo, hi := shard.shardRange(pl.total)
 	start := time.Now()
-	p, err := pl.exec(ctx, r, lo, hi)
+	p, err := pl.exec(ctx, r, lo, hi, live)
 	if err != nil && !cancelled(ctx, err) {
 		return nil, err
 	}
@@ -161,13 +168,28 @@ func (pl *planned) run(ctx context.Context, r *Runner, shard ShardSpec) (partial
 	return p, err
 }
 
+// lastUse counts the trials of every evictable module in shards.
+func (pl *planned) lastUse(shards ...ShardSpec) lastUse {
+	live := make(lastUse)
+	for _, s := range shards {
+		lo, hi := s.shardRange(pl.total)
+		for i := lo; i < hi; i++ {
+			if k, ok := pl.module(i); ok {
+				if live[k] == nil {
+					live[k] = new(int64)
+				}
+				*live[k]++
+			}
+		}
+	}
+	return live
+}
+
 // result aggregates parts over zero-valued stand-ins for the trials they
 // leave uncovered: the whole result when they tile the plan, a
 // structurally complete progressive view when they do not.
 func (pl *planned) result(parts ...partial) Result {
-	res := Result{Spec: pl.spec}
-	pl.aggregate(&res, parts)
-	return res
+	return Result{Spec: pl.spec, agg: pl.aggregate(parts)}
 }
 
 // merge reassembles the full result from the partials of a sharded run.
@@ -231,15 +253,15 @@ func (r *Runner) runShard(ctx context.Context, spec Spec, want SpecKind, what st
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := pl.run(ctx, r, r.Shard)
+	p, err := pl.run(ctx, r, r.shard, nil)
 	return pl, p, err
 }
 
 // runWhole executes the Spec's whole plan and aggregates it; a Runner
 // with a proper shard is refused rather than silently truncated.
 func (r *Runner) runWhole(ctx context.Context, spec Spec, want SpecKind, what string) (Result, error) {
-	if r.Shard.Validate() == nil && !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return Result{}, fmt.Errorf("harness: %s with Shard %s: a shard covers only part of the plan; use %sPartial and merge the shards", what, r.Shard, what)
+	if r.shard.Validate() == nil && !r.shard.IsZero() && r.shard != (ShardSpec{Index: 0, Count: 1}) {
+		return Result{}, fmt.Errorf("harness: %s with Shard %s: a shard covers only part of the plan; use %sPartial and merge the shards", what, r.shard, what)
 	}
 	pl, p, err := r.runShard(ctx, spec, want, what)
 	if err != nil {
@@ -303,10 +325,9 @@ func ShardPayload(ctx context.Context, spec Spec, shard ShardSpec, opts Options)
 	if n.kind() == nil {
 		err = GenerateSharded(ctx, n, shard, &buf, opts)
 	} else {
-		r := opts.runner()
-		r.Shard = shard
+		opts.Shard = shard
 		var p partial
-		if _, p, err = r.runShard(ctx, n, "", "ShardPayload"); err == nil {
+		if _, p, err = opts.Apply().runShard(ctx, n, "", "ShardPayload"); err == nil {
 			err = encodePartial(&buf, p)
 		}
 	}
@@ -321,8 +342,8 @@ func ShardPayload(ctx context.Context, spec Spec, shard ShardSpec, opts Options)
 // a campaign's header line. Experiment results render nothing here:
 // their report went to the session's report writer.
 func (res Result) Render(w io.Writer, how string) {
-	if k := res.Spec.kind(); k != nil {
-		k.render(w, &res, how)
+	if k := res.Spec.kind(); k != nil && res.agg != nil {
+		k.render(w, res.agg, how)
 	}
 }
 

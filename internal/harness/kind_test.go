@@ -109,3 +109,14 @@ func TestJournaledSnapshotParity(t *testing.T) {
 		})
 	}
 }
+
+// The typed view of a Result's partial the tests read.
+func (res Result) partialResult() *PartialResult {
+	p, _ := res.part.(*PartialResult)
+	return p
+}
+
+func (res Result) overheadPartial() *OverheadPartial {
+	p, _ := res.part.(*OverheadPartial)
+	return p
+}

@@ -35,6 +35,9 @@ type overheadTrial struct {
 	v Variant // v.DPMR == false ⇒ the workload's golden run
 }
 
+// key returns the module-cache key of the trial's uninjected build.
+func (t overheadTrial) key() moduleKey { return trial{w: t.w, v: t.v}.key() }
+
 // overheadPlan is the canonical flat measurement layout of an overhead
 // experiment. Like campaignPlan it is a pure function of its normalized
 // Spec, so contiguous index ranges are a host-independent sharding unit
@@ -84,10 +87,11 @@ func planOverhead(spec Spec) (*overheadPlan, error) {
 }
 
 // execOverheadTrials measures the trials [lo, hi) and returns their
-// cycle counts (see execRows). Golden measurements go through the
-// Runner's memoized golden cache, so a workload's golden executes once
-// no matter how many ratios (or shards on this Runner) need it.
-func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo, hi int) ([]uint64, error) {
+// cycle counts (see execRows); each DPMR module leaves the cache after
+// its last trial in live. Golden measurements go through the Runner's
+// memoized golden cache, so a workload's golden executes once no matter
+// how many ratios (or shards on this Runner) need it.
+func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo, hi int, live lastUse) ([]uint64, error) {
 	pool := r.spaces()
 	return execRows(ctx, r, lo, hi, func(i int) (uint64, error) {
 		t := plan.trials[i]
@@ -104,11 +108,12 @@ func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo,
 		}
 		res := interp.Run(m, interp.Config{
 			Externs:   extlib.Wrapped(t.v.Design),
-			Mem:       r.MemConfig,
+			Mem:       r.memConfig,
 			Seed:      1,
 			Prog:      prog,
 			SpacePool: pool,
 		})
+		live.done(r, t.key())
 		if res.Kind != interp.ExitNormal {
 			return 0, fmt.Errorf("%v (%s)", res.Kind, res.Reason)
 		}
@@ -157,7 +162,7 @@ func aggregateOverhead(plan *overheadPlan, cycles []uint64) *OverheadResult {
 // RunOverheadPartial and MergeOverhead for sharded execution.
 func (r *Runner) RunOverhead(ctx context.Context, spec Spec) (*OverheadResult, error) {
 	res, err := r.runWhole(ctx, spec, SpecOverhead, "RunOverhead")
-	return res.Overhead, err
+	return res.overhead(), err
 }
 
 // OverheadPartial is one shard's output of a sharded overhead
@@ -214,7 +219,7 @@ func (r *Runner) RunOverheadPartial(ctx context.Context, spec Spec) (*OverheadPa
 // run, with MergeCampaign's validation and events.
 func (r *Runner) MergeOverhead(spec Spec, parts []*OverheadPartial) (*OverheadResult, error) {
 	res, err := mergeTyped(r, spec, SpecOverhead, "MergeOverhead", parts)
-	return res.Overhead, err
+	return res.overhead(), err
 }
 
 // overheadKind is the overhead measurement's pipeline (see kind).
@@ -229,24 +234,29 @@ func (k *overheadKind) plan(_ *Runner, spec Spec) (string, int, error) {
 	return p.fingerprint, len(p.trials), nil
 }
 
-func (k *overheadKind) exec(ctx context.Context, r *Runner, lo, hi int) (partial, error) {
-	cycles, err := r.execOverheadTrials(ctx, k.p, lo, hi)
+func (k *overheadKind) exec(ctx context.Context, r *Runner, lo, hi int, live lastUse) (partial, error) {
+	cycles, err := r.execOverheadTrials(ctx, k.p, lo, hi, live)
 	return &OverheadPartial{Lo: lo, Hi: lo + len(cycles), Cycles: cycles}, err
 }
 
-func (k *overheadKind) aggregate(res *Result, parts []partial) {
+// module names a DPMR trial's module; the golden trials run the base,
+// which stays.
+func (k *overheadKind) module(i int) (moduleKey, bool) {
+	t := k.p.trials[i]
+	return t.key(), t.v.DPMR
+}
+
+func (k *overheadKind) aggregate(parts []partial) any {
 	cycles := make([]uint64, len(k.p.trials))
 	for _, p := range parts {
 		q := p.(*OverheadPartial)
 		copy(cycles[q.Lo:q.Hi], q.Cycles)
 	}
-	res.Overhead = aggregateOverhead(k.p, cycles)
+	return aggregateOverhead(k.p, cycles)
 }
-
-func (k *overheadKind) keep(res *Result, p partial) { res.OverheadPartial = p.(*OverheadPartial) }
 
 func (k *overheadKind) decode(r io.Reader) (partial, error) { return widen(DecodeOverheadPartial(r)) }
 
-func (k *overheadKind) render(w io.Writer, res *Result, _ string) {
-	renderOverhead(w, res.Overhead, Variant.Label)
+func (k *overheadKind) render(w io.Writer, agg any, _ string) {
+	renderOverhead(w, agg.(*OverheadResult), Variant.Label)
 }

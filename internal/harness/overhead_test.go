@@ -32,8 +32,8 @@ func runOverheadShards(t *testing.T, n int) []*OverheadPartial {
 	parts := make([]*OverheadPartial, n)
 	for i := 0; i < n; i++ {
 		r := NewRunner()
-		r.Parallel = 2
-		r.Shard = ShardSpec{Index: i, Count: n}
+		r.parallel = 2
+		r.shard = ShardSpec{Index: i, Count: n}
 		p, err := r.RunOverheadPartial(context.Background(), OverheadSpec(ws, vs))
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
@@ -130,7 +130,7 @@ func TestMergeOverheadRejects(t *testing.T) {
 func TestRunOverheadRejectsShard(t *testing.T) {
 	ws, vs := smallOverhead()
 	r := NewRunner()
-	r.Shard = ShardSpec{Index: 1, Count: 2}
+	r.shard = ShardSpec{Index: 1, Count: 2}
 	if _, err := r.RunOverhead(context.Background(), OverheadSpec(ws, vs)); err == nil || !strings.Contains(err.Error(), "RunOverheadPartial") {
 		t.Errorf("sharded RunOverhead: err = %v, want a pointer to RunOverheadPartial", err)
 	}

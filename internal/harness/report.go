@@ -11,34 +11,38 @@ import (
 	"dpmr/internal/faultinject"
 )
 
-// Options tunes *how* experiment regeneration executes. What to run —
+// Options is the execution policy: *how* a Spec runs. What to run —
 // workloads, runs, site caps, the experiment id — lives in the Spec;
-// Options carries only execution policy, so a worker process and the
-// coordinator that spawned it can hold different Options while sharing
-// one Spec (and therefore one plan fingerprint).
+// nothing set here can change the plan or its fingerprint, so a worker
+// process and the coordinator that spawned it can hold different Options
+// while sharing one Spec. Every entry point that executes trials — Start,
+// ShardPayload, Generate and its sharded, merged and journaled forms, the
+// coordinator's workers — takes an Options, and Apply is the one place
+// it reaches a Runner.
 type Options struct {
-	// Parallel is the campaign worker count (0 = default 1 = serial).
-	// Output is byte-identical at any worker count.
+	// Parallel is the worker count trials fan out across (0 = 1 =
+	// serial). Output is byte-identical at any count.
 	Parallel int
-	// Reference forces campaign and overhead trials onto the
-	// tree-walking reference interpreter instead of the compiled module
-	// bytecode (CLI -compile=false); concurrent groups always run
-	// compiled. Output is byte-identical either way; the switch exists
-	// for A/B measurement and debugging.
+	// Reference runs campaign and overhead trials on the tree-walking
+	// reference interpreter instead of compiled module bytecode.
+	// Concurrent groups always run compiled. Output is byte-identical
+	// either way; the switch keeps the walker available as the oracle
+	// for differential tests and reference benchmarks.
 	Reference bool
-	// Precompile launches that many background AOT workers that build
-	// and compile upcoming modules ahead of the execution frontier (see
-	// Runner.Precompile). 0 disables prefetching; output is
-	// byte-identical at any value.
-	Precompile int
+	// Shard restricts a Session to one shard of the Spec's canonical
+	// plan. Campaign, overhead and concurrent sessions then carry the
+	// shard's partial; experiment sessions write an ExperimentPartial to
+	// the report writer. ShardPayload and GenerateSharded take the shard
+	// as an argument instead. The zero value is the whole plan.
+	Shard ShardSpec
 	// Events, when non-nil, receives the engine's typed event stream
-	// (TrialDone, Progress, ShardMerged). Session installs its channel
-	// sink here; direct callers may install a callback.
+	// (TrialDone, Progress, ShardMerged) synchronously; a Session also
+	// queues it for Session.Events.
 	Events func(Event)
 	// Runner, when non-nil, executes the experiments instead of a fresh
 	// NewRunner per generator invocation. A persistent worker serving
-	// several shard assignments of one plan sets this so the module and
-	// golden caches stay warm across assignments.
+	// several shard assignments sets this so base modules and goldens
+	// stay warm across assignments.
 	Runner *Runner
 
 	// reroute, when set, replaces running one campaign or overhead
@@ -49,16 +53,19 @@ type Options struct {
 	reroute func(ctx context.Context, r *Runner, spec Spec) (Result, error)
 }
 
-func (o Options) runner() *Runner {
+// Apply sets the options' execution policy on their Runner — a fresh
+// NewRunner when Runner is nil — and returns it.
+func (o Options) Apply() *Runner {
 	r := o.Runner
 	if r == nil {
 		r = NewRunner()
 	}
-	if o.Parallel != 0 {
-		r.Parallel = o.Parallel
+	r.parallel = o.Parallel
+	if r.parallel == 0 {
+		r.parallel = 1
 	}
-	r.Compile = !o.Reference
-	r.Precompile = o.Precompile
+	r.compile = !o.Reference
+	r.shard = o.Shard
 	r.Events = o.Events
 	return r
 }
@@ -100,6 +107,9 @@ func Generate(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
 	n, err := spec.normalizedAs(SpecExperiment, "Generate")
 	if err != nil {
 		return err
+	}
+	if opts.reroute == nil && !opts.Shard.IsZero() {
+		return fmt.Errorf("harness: Generate with Shard %s: a shard renders no report; use GenerateSharded and GenerateMerged", opts.Shard)
 	}
 	gen, ok := generators()[n.Exp]
 	if !ok {
@@ -212,15 +222,15 @@ func labelPolicy(v Variant) string    { return v.PolicyLabel() }
 func coverageGen(title string, design dpmr.Design, kind faultinject.Kind,
 	variantsOf func(dpmr.Design) []Variant, conditional bool, lbl labelFunc) genFunc {
 	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-		res, err := opts.sub(ctx, opts.runner(), campaignSpec(spec, kind, variantsOf(design)))
+		res, err := opts.sub(ctx, opts.Apply(), campaignSpec(spec, kind, variantsOf(design)))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, title)
 		if conditional {
-			renderConditional(w, res.Campaign, lbl)
+			renderConditional(w, res.Campaign(), lbl)
 		} else {
-			renderCoverage(w, res.Campaign, lbl)
+			renderCoverage(w, res.Campaign(), lbl)
 		}
 		return nil
 	}
@@ -254,12 +264,12 @@ func renderConditional(w io.Writer, cr *CampaignResult, lbl labelFunc) {
 
 func overheadGen(title string, variantsOf func() []Variant, lbl labelFunc) genFunc {
 	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-		res, err := opts.sub(ctx, opts.runner(), spec.derive(SpecOverhead, variantsOf()))
+		res, err := opts.sub(ctx, opts.Apply(), spec.derive(SpecOverhead, variantsOf()))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, title)
-		renderOverhead(w, res.Overhead, lbl)
+		renderOverhead(w, res.overhead(), lbl)
 		return nil
 	}
 }
@@ -281,14 +291,14 @@ func renderOverhead(w io.Writer, or *OverheadResult, lbl labelFunc) {
 
 func latencyGen(title string, design dpmr.Design, variantsOf func(dpmr.Design) []Variant, lbl labelFunc) genFunc {
 	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
-		r := opts.runner()
+		r := opts.Apply()
 		fmt.Fprintln(w, title)
 		for _, kind := range []faultinject.Kind{faultinject.HeapArrayResize, faultinject.ImmediateFree} {
 			res, err := opts.sub(ctx, r, campaignSpec(spec, kind, variantsOf(design)))
 			if err != nil {
 				return err
 			}
-			cr := res.Campaign
+			cr := res.Campaign()
 			fmt.Fprintf(w, "-- %s --\n", kind)
 			fmt.Fprintf(w, "%-20s", "variant")
 			for _, name := range cr.Workloads {
@@ -315,7 +325,7 @@ func latencyGen(title string, design dpmr.Design, variantsOf func(dpmr.Design) [
 func sideBySideGen(title string, variantsOf func(dpmr.Design) []Variant, lbl labelFunc) genFunc {
 	return func(ctx context.Context, spec Spec, w io.Writer, opts Options) error {
 		fmt.Fprintln(w, title)
-		r := opts.runner()
+		r := opts.Apply()
 		sdsRes, err := opts.sub(ctx, r, spec.derive(SpecOverhead, variantsOf(dpmr.SDS)))
 		if err != nil {
 			return err
@@ -324,7 +334,7 @@ func sideBySideGen(title string, variantsOf func(dpmr.Design) []Variant, lbl lab
 		if err != nil {
 			return err
 		}
-		sds, mds := sdsRes.Overhead, mdsRes.Overhead
+		sds, mds := sdsRes.overhead(), mdsRes.overhead()
 		fmt.Fprintf(w, "%-26s", "variant")
 		for _, name := range sds.Workloads {
 			fmt.Fprintf(w, " %8s", name)
@@ -417,8 +427,8 @@ func GenerateSharded(ctx context.Context, spec Spec, shard ShardSpec, out io.Wri
 		return err
 	}
 	ep := &ExperimentPartial{Exp: n.Exp, Shard: shard}
+	opts.Shard = shard
 	opts.reroute = func(ctx context.Context, r *Runner, sub Spec) (Result, error) {
-		r.Shard = shard
 		pl, p, err := r.runShard(ctx, sub, "", "GenerateSharded")
 		if err != nil {
 			return Result{}, err

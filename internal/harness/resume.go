@@ -223,10 +223,13 @@ func OpenJournal(dir string, resume bool, spec Spec) (*journal.Journal, *journal
 	return j, nil, err
 }
 
-// AppendCampaignPayload journals one serialized campaign partial — the
-// record the coordinator's OnResult hook writes for each first-completed
-// shard. The payload's own fingerprint and range become the record
-// envelope, so the journal's overlap guard sees the true trial span.
+// AppendCampaignPayload journals one serialized campaign or concurrent
+// partial without a plan to check it against: the payload's own
+// fingerprint and range become the record envelope, so the journal's
+// overlap guard sees the true trial span. The coordinator's OnResult
+// hooks use Resume.Append, which decodes against the plan and serves
+// every kind; this is the plan-free form the perfbench journal replay
+// prices.
 func AppendCampaignPayload(j *journal.Journal, payload []byte) (*PartialResult, error) {
 	p, err := DecodePartial(bytes.NewReader(payload))
 	if err != nil {
@@ -448,11 +451,13 @@ func (c *Resume) run(ctx context.Context, j *journal.Journal, spans int, snap fu
 	}
 	emit()
 	executed := 0
-	for _, span := range c.Spans(spans) {
+	cut := c.Spans(spans)
+	live := c.pl.lastUse(cut...)
+	for _, span := range cut {
 		if err := failpt.Err(siteSpan); err != nil {
 			return Result{}, executed, err
 		}
-		p, err := c.pl.run(ctx, c.r, span)
+		p, err := c.pl.run(ctx, c.r, span, live)
 		if err != nil && (p == nil || !cancelled(ctx, err)) {
 			return Result{}, executed, err
 		}
@@ -482,7 +487,7 @@ func (c *Resume) run(ctx context.Context, j *journal.Journal, spans int, snap fu
 // journalState holds the resume of every journaled sub-plan of an
 // experiment, keyed by plan fingerprint — the state a progressive report
 // renders from. The dedicated snapshot Runner keeps snapshot rendering
-// from disturbing the live Runner's configuration (Options.runner
+// from disturbing the live Runner's configuration (Options.Apply
 // installs event sinks and policy on whichever Runner it is given).
 type journalState struct {
 	plans    map[string]*Resume

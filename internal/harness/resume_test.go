@@ -54,15 +54,19 @@ func reopenJournal(t *testing.T, dir, fp string) (*journal.Journal, *journal.Rep
 // TestJournaledCampaignMatchesDirect: a fresh journaled run produces the
 // identical CampaignResult as a direct RunCampaign, executes exactly the
 // plan's trial count, and a second pass over the now-complete journal
-// replays everything — zero trials re-executed, same result again.
+// replays everything — zero trials re-executed, same result again. The
+// span loop counts each module's pending trials over all of its spans,
+// so a module whose trials straddle a span boundary stays resident into
+// the next span: the journaled run builds exactly the modules the direct
+// run does.
 func TestJournaledCampaignMatchesDirect(t *testing.T) {
 	spec := smallCampaign()
-	direct, _ := campaignAt(t, 1)
+	direct, dr := campaignAt(t, 1)
 
 	j, dir, fp := newTestJournal(t, spec)
 	r := NewRunner()
 	gotRes, executed, err := r.RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
-	got := gotRes.Campaign
+	got := gotRes.Campaign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +75,10 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct, got) {
 		t.Error("journaled campaign result differs from direct RunCampaign")
+	}
+	if got, want := r.CacheStats(), dr.CacheStats(); got.Builds != want.Builds || got.Resident != want.Resident {
+		t.Errorf("journaled run built %d modules and kept %d, direct run %d and %d",
+			got.Builds, got.Resident, want.Builds, want.Resident)
 	}
 
 	c, err := NewRunner().Resume(spec, nil)
@@ -85,7 +93,7 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 	j2, rp := reopenJournal(t, dir, fp)
 	defer j2.Close()
 	againRes, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
-	again := againRes.Campaign
+	again := againRes.Campaign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +158,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 				t.Errorf("journal covers %d trials, cancelled run reported %d executed", c.Done(), executed1)
 			}
 			gotRes, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
-			got := gotRes.Campaign
+			got := gotRes.Campaign()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +223,7 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 		}
 		defer j.Close()
 		gotRes, _, err := NewRunner().RunJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
-		got := gotRes.Campaign
+		got := gotRes.Campaign()
 		if err != nil {
 			if !errors.Is(err, journal.ErrCorrupt) {
 				t.Fatalf("resume from damaged journal failed with unnamed error: %v", err)
@@ -336,14 +344,14 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 		}
 		j, rp := reopenJournal(t, dir, fp)
 		r := NewRunner()
-		r.Parallel = workers
+		r.parallel = workers
 		c, err := r.Resume(spec, rp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spans = append(spans, c.Spans(DefaultResumeSpans))
 		gotRes, _, err := r.RunJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
-		got := gotRes.Campaign
+		got := gotRes.Campaign()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 package harness
 
 // Session is the context-first execution layer over Spec: Start takes
-// the declarative *what* (a Spec) plus functional options for the *how*
-// (worker count, compilation, sharding) and runs the
-// experiment in the background, streaming typed events — TrialDone,
-// Progress, ShardMerged, CacheStats — through a subscription channel
-// while it executes. Cancelling the context stops dispatch,
+// the declarative *what* (a Spec) plus the execution policy, the *how*
+// (Options: worker count, reference interpreter, shard, warm Runner),
+// and runs the experiment in the background, streaming typed events —
+// TrialDone, Progress, ShardMerged, CacheStats — through a subscription
+// channel while it executes. Cancelling the context stops dispatch,
 // drains in-flight trials, and Wait returns the completed-prefix
 // partial result together with the context's error, so a cancelled
 // campaign's finished work is never discarded.
@@ -17,96 +17,42 @@ import (
 	"sync"
 )
 
-// sessionConfig is the resolved *how* of a Session, accumulated by the
-// functional options.
-type sessionConfig struct {
-	runner      *Runner
-	parallel    int
-	parallelSet bool
-	reference   bool
-	precompile  int
-	shard       ShardSpec
-	report      io.Writer
-}
-
-// Option configures how a Session executes. Options carry only
-// execution policy — nothing an Option sets can change what runs, the
-// plan, or its fingerprint; that is the Spec's job.
-type Option func(*sessionConfig)
-
-// WithParallel fans trials across n worker goroutines (default 1 =
-// serial). Results are byte-identical at any count; non-positive counts
-// are rejected when the session runs.
-func WithParallel(n int) Option {
-	return func(c *sessionConfig) { c.parallel, c.parallelSet = n, true }
-}
-
-// WithReference executes campaign and overhead trials on the
-// tree-walking reference interpreter instead of compiled module
-// bytecode. Output is byte-identical either way; the switch exists for
-// A/B measurement. Concurrent groups always run compiled.
-func WithReference(on bool) Option { return func(c *sessionConfig) { c.reference = on } }
-
-// WithPrecompile launches n background AOT workers that build and
-// compile upcoming modules ahead of the execution frontier, overlapping
-// stage-1 module construction with stage-2 trial execution (see
-// Runner.Precompile). Results are byte-identical at any n; 0 disables
-// prefetching.
-func WithPrecompile(n int) Option { return func(c *sessionConfig) { c.precompile = n } }
-
-// WithShard restricts the session to shard Index of Count of the Spec's
-// canonical trial plan. Campaign and overhead sessions then produce a
-// partial result (Result.CampaignPartial / Result.OverheadPartial);
-// experiment sessions write an ExperimentPartial JSON document to the
-// report writer.
-func WithShard(shard ShardSpec) Option { return func(c *sessionConfig) { c.shard = shard } }
-
-// WithRunner executes the session on r instead of a fresh NewRunner, so
-// consecutive sessions of one plan reuse its warm module and golden
-// caches (a persistent worker). The session still applies its other
-// options — and the Spec's declarative fields — to r.
-func WithRunner(r *Runner) Option { return func(c *sessionConfig) { c.runner = r } }
-
-// WithReport directs an experiment session's rendered report (or, with
-// WithShard, its ExperimentPartial JSON) to w. Campaign and overhead
-// sessions return structured results instead and ignore it.
-func WithReport(w io.Writer) Option { return func(c *sessionConfig) { c.report = w } }
-
 // Result is what a Session produces, and what RunJournaled,
-// MergePayloads and Resume return; which fields are set depends on the
-// Spec's kind and on sharding:
+// MergePayloads and Resume return: the Spec, the aggregate of a whole
+// plan, and the partial a session ran.
 //
-//   - campaign:   CampaignPartial, plus Campaign when the whole plan ran
-//   - overhead:   OverheadPartial, plus Overhead when the whole plan ran
-//   - concurrent: ConcurrentPartial, plus Concurrent when the whole
-//     plan ran
-//   - experiment: nothing here — the report went to WithReport's writer
-//
-// A cancelled campaign, overhead, or concurrent session still carries
-// the completed-prefix partial of its shard. Merges and snapshots set
-// only the aggregate.
+// A campaign, overhead or concurrent session carries its shard's
+// partial — on cancellation the completed prefix — and the aggregate
+// when the whole plan ran. Merges and snapshots carry only the
+// aggregate. An experiment session carries neither: its report went to
+// the session's report writer.
 type Result struct {
 	// Spec is the normalized Spec the session ran.
 	Spec Spec
-	// Campaign is the aggregated result of a whole-plan campaign run.
-	Campaign *CampaignResult
-	// CampaignPartial holds the shard's (or cancelled run's prefix of)
-	// per-trial outcomes.
-	CampaignPartial *PartialResult
-	// Overhead is the aggregated result of a whole-plan overhead run.
-	Overhead *OverheadResult
-	// OverheadPartial holds the shard's (or cancelled run's prefix of)
-	// cycle measurements.
-	OverheadPartial *OverheadPartial
-	// Concurrent is the aggregated result of a whole-plan concurrent run.
-	Concurrent *ConcurrentResult
-	// ConcurrentPartial holds the shard's (or cancelled run's prefix of)
-	// per-trial outcomes of a concurrent run.
-	ConcurrentPartial *PartialResult
 	// Stats is the final module-cache snapshot.
 	Stats CacheStats
 
-	part partial // the kind's partial field above, for EncodePartial
+	agg  any     // *CampaignResult, *OverheadResult or *ConcurrentResult
+	part partial // the partial a session ran, for EncodePartial
+}
+
+// Campaign returns the aggregate of a whole-plan campaign result, or
+// nil.
+func (res Result) Campaign() *CampaignResult {
+	cr, _ := res.agg.(*CampaignResult)
+	return cr
+}
+
+// overhead and concurrent are the package's typed views of the other
+// two aggregates; like Campaign they return nil for another kind.
+func (res Result) overhead() *OverheadResult {
+	or, _ := res.agg.(*OverheadResult)
+	return or
+}
+
+func (res Result) concurrent() *ConcurrentResult {
+	cr, _ := res.agg.(*ConcurrentResult)
+	return cr
 }
 
 // Session is a running experiment: a handle to subscribe to its event
@@ -125,40 +71,38 @@ type Session struct {
 	evCh     chan Event
 }
 
-// Start validates and normalizes the Spec, applies the options, and
-// launches the experiment in the background. The returned Session's
+// Start validates and normalizes the Spec and launches the experiment
+// in the background under the execution policy opts. An experiment
+// Spec's report — or, with opts.Shard, its ExperimentPartial JSON — goes
+// to report (nil discards it); campaign, overhead and concurrent
+// sessions return structured results instead. The returned Session's
 // event stream (Events) reports per-trial progress while it runs; Wait
 // blocks for the outcome.
 //
 // Cancelling ctx stops trial dispatch and drains in-flight trials —
 // no worker goroutine outlives the session — and Wait then returns the
 // completed-prefix partial result together with ctx's error.
-func Start(ctx context.Context, spec Spec, opts ...Option) (*Session, error) {
+func Start(ctx context.Context, spec Spec, report io.Writer, opts Options) (*Session, error) {
 	n, err := spec.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	var cfg sessionConfig
-	for _, o := range opts {
-		o(&cfg)
+	if report == nil {
+		report = io.Discard
 	}
-	if cfg.report == nil {
-		cfg.report = io.Discard
+	if opts.Runner == nil {
+		opts.Runner = NewRunner()
 	}
-	r := cfg.runner
-	if r == nil {
-		r = NewRunner()
-	}
-	if cfg.parallelSet {
-		r.Parallel = cfg.parallel
-	}
-	r.Compile = !cfg.reference
-	r.Precompile = cfg.precompile
-	r.Shard = cfg.shard
 	s := &Session{spec: n, done: make(chan struct{})}
 	s.evCond = sync.NewCond(&s.evMu)
-	r.Events = s.emit
-	go s.run(ctx, r, cfg)
+	sink := opts.Events
+	opts.Events = func(ev Event) {
+		if sink != nil {
+			sink(ev)
+		}
+		s.emit(ev)
+	}
+	go s.run(ctx, report, opts)
 	return s, nil
 }
 
@@ -268,31 +212,24 @@ func (s *Session) pump(ch chan Event) {
 }
 
 // run executes the experiment and resolves the session.
-func (s *Session) run(ctx context.Context, r *Runner, cfg sessionConfig) {
+func (s *Session) run(ctx context.Context, report io.Writer, opts Options) {
 	s.result.Spec = s.spec
-	if s.spec.kind() == nil {
-		o := Options{Reference: cfg.reference, Events: s.emit, Runner: r}
-		if cfg.parallel != 0 {
-			o.Parallel = cfg.parallel
-		}
-		if cfg.shard.IsZero() {
-			s.err = Generate(ctx, s.spec, cfg.report, o)
-		} else {
-			r.Shard = ShardSpec{} // GenerateSharded re-shards per sub-plan
-			s.err = GenerateSharded(ctx, s.spec, cfg.shard, cfg.report, o)
-		}
-	} else {
-		pl, p, err := r.runShard(ctx, s.spec, "", "Start")
+	switch {
+	case s.spec.kind() != nil:
+		pl, p, err := opts.Apply().runShard(ctx, s.spec, "", "Start")
 		s.err = err
 		if p != nil {
 			s.result.part = p
-			pl.keep(&s.result, p)
 			if sp := p.span(); err == nil && sp.lo == 0 && sp.hi == sp.total {
-				pl.aggregate(&s.result, []partial{p})
+				s.result.agg = pl.aggregate([]partial{p})
 			}
 		}
+	case opts.Shard.IsZero():
+		s.err = Generate(ctx, s.spec, report, opts)
+	default:
+		s.err = GenerateSharded(ctx, s.spec, opts.Shard, report, opts)
 	}
-	s.result.Stats = r.CacheStats()
+	s.result.Stats = opts.Runner.CacheStats()
 	s.emit(s.result.Stats)
 	s.finish()
 }

@@ -17,7 +17,7 @@ import (
 func TestSessionCampaignMatchesRunner(t *testing.T) {
 	direct, _ := campaignAt(t, 2)
 
-	s, err := Start(context.Background(), smallCampaign(), WithParallel(2))
+	s, err := Start(context.Background(), smallCampaign(), nil, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +38,15 @@ func TestSessionCampaignMatchesRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Campaign == nil || res.CampaignPartial == nil {
+	if res.Campaign() == nil || res.partialResult() == nil {
 		t.Fatalf("whole-plan campaign session result incomplete: %+v", res)
 	}
-	if !reflect.DeepEqual(direct.Cells, res.Campaign.Cells) ||
-		!reflect.DeepEqual(direct.Conditional, res.Campaign.Conditional) {
+	if !reflect.DeepEqual(direct.Cells, res.Campaign().Cells) ||
+		!reflect.DeepEqual(direct.Conditional, res.Campaign().Conditional) {
 		t.Error("session campaign result differs from Runner.RunCampaign")
 	}
-	if res.CampaignPartial.Lo != 0 || res.CampaignPartial.Hi != res.CampaignPartial.Total {
-		t.Errorf("whole-plan partial covers [%d, %d) of %d", res.CampaignPartial.Lo, res.CampaignPartial.Hi, res.CampaignPartial.Total)
+	if res.partialResult().Lo != 0 || res.partialResult().Hi != res.partialResult().Total {
+		t.Errorf("whole-plan partial covers [%d, %d) of %d", res.partialResult().Lo, res.partialResult().Hi, res.partialResult().Total)
 	}
 	if trialDone != total || lastDone != total || trialDone != progress {
 		t.Errorf("event stream incomplete: %d TrialDone, %d Progress, last done %d, total %d",
@@ -72,7 +72,7 @@ func TestSessionOverheadAndShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Start(ctx, spec, WithParallel(2))
+	s, err := Start(ctx, spec, nil, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,12 @@ func TestSessionOverheadAndShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(direct, res.Overhead) {
+	if !reflect.DeepEqual(direct, res.overhead()) {
 		t.Error("session overhead result differs from Runner.RunOverhead")
 	}
 
 	shard := ShardSpec{Index: 1, Count: 3}
-	s2, err := Start(ctx, smallCampaign(), WithShard(shard))
+	s2, err := Start(ctx, smallCampaign(), nil, Options{Shard: shard})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +93,17 @@ func TestSessionOverheadAndShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Campaign != nil {
+	if res2.Campaign() != nil {
 		t.Error("sharded session must not aggregate a whole-plan result")
 	}
-	p := res2.CampaignPartial
+	p := res2.partialResult()
 	if p == nil || p.Shard != shard || p.Hi-p.Lo != len(p.Outcomes) {
 		t.Fatalf("sharded session partial wrong: %+v", p)
 	}
 }
 
 // TestSessionExperimentReport: an experiment Session renders the same
-// bytes Generate writes, into the WithReport writer.
+// bytes Generate writes, into the report writer.
 func TestSessionExperimentReport(t *testing.T) {
 	ctx := context.Background()
 	spec := quickExp("fig3.16")
@@ -112,7 +112,7 @@ func TestSessionExperimentReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	s, err := Start(ctx, spec, WithParallel(2), WithReport(&got))
+	s, err := Start(ctx, spec, &got, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSessionExperimentReport(t *testing.T) {
 
 // TestSessionRejectsInvalidSpec: Start validates synchronously.
 func TestSessionRejectsInvalidSpec(t *testing.T) {
-	if _, err := Start(context.Background(), Spec{Kind: "banana"}); err == nil {
+	if _, err := Start(context.Background(), Spec{Kind: "banana"}, nil, Options{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestSessionCancelReturnsCompletedPrefix(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := Start(ctx, smallCampaign(), WithParallel(2))
+	s, err := Start(ctx, smallCampaign(), nil, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSessionCancelReturnsCompletedPrefix(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait error = %v, want context.Canceled", err)
 	}
-	p := res.CampaignPartial
+	p := res.partialResult()
 	if p == nil {
 		t.Fatal("cancelled session lost its completed prefix")
 	}
@@ -203,8 +203,8 @@ func TestCancelledShardsStillMerge(t *testing.T) {
 	parts := make([]*PartialResult, 0, n)
 	for i := 0; i < n; i++ {
 		r := NewRunner()
-		r.Parallel = 2
-		r.Shard = ShardSpec{Index: i, Count: n}
+		r.parallel = 2
+		r.shard = ShardSpec{Index: i, Count: n}
 		ctx := bg
 		var cancel context.CancelFunc
 		if i == 1 {
@@ -229,8 +229,8 @@ func TestCancelledShardsStillMerge(t *testing.T) {
 			// Re-run the lost shard to completion (the recovery path the
 			// coordinator automates).
 			r2 := NewRunner()
-			r2.Parallel = 2
-			r2.Shard = ShardSpec{Index: i, Count: n}
+			r2.parallel = 2
+			r2.shard = ShardSpec{Index: i, Count: n}
 			p, err = r2.RunCampaignPartial(bg, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -278,7 +278,7 @@ func TestOverheadCancelReturnsPrefix(t *testing.T) {
 // duration stamp.
 func TestCancelledSessionEmitsFinalStats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := Start(ctx, smallCampaign(), WithParallel(2))
+	s, err := Start(ctx, smallCampaign(), nil, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestShardMergedCarriesElapsed(t *testing.T) {
 	var parts []*PartialResult
 	for i := 0; i < 2; i++ {
 		r := NewRunner()
-		r.Shard = ShardSpec{Index: i, Count: 2}
+		r.shard = ShardSpec{Index: i, Count: 2}
 		p, err := r.RunCampaignPartial(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -354,7 +354,7 @@ func TestShardMergedCarriesElapsed(t *testing.T) {
 // TestSessionEventsAfterFinish: subscribing after completion still
 // replays the buffered stream and closes.
 func TestSessionEventsAfterFinish(t *testing.T) {
-	s, err := Start(context.Background(), smallCampaign(), WithParallel(4))
+	s, err := Start(context.Background(), smallCampaign(), nil, Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

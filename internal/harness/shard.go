@@ -190,5 +190,5 @@ func (r *Runner) RunCampaignPartial(ctx context.Context, spec Spec) (*PartialRes
 // name. One ShardMerged event is emitted per partial, in range order.
 func (r *Runner) MergeCampaign(spec Spec, parts []*PartialResult) (*CampaignResult, error) {
 	res, err := mergeTyped(r, spec, SpecCampaign, "MergeCampaign", parts)
-	return res.Campaign, err
+	return res.Campaign(), err
 }

@@ -19,8 +19,8 @@ func runShards(t *testing.T, n int) []*PartialResult {
 	parts := make([]*PartialResult, n)
 	for i := 0; i < n; i++ {
 		r := NewRunner()
-		r.Parallel = 2
-		r.Shard = ShardSpec{Index: i, Count: n}
+		r.parallel = 2
+		r.shard = ShardSpec{Index: i, Count: n}
 		p, err := r.RunCampaignPartial(context.Background(), smallCampaign())
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
@@ -243,8 +243,8 @@ func TestRunnerValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRunner()
-			r.Parallel = tc.parallel
-			r.Shard = tc.shard
+			r.parallel = tc.parallel
+			r.shard = tc.shard
 			if _, err := r.RunCampaign(ctx, smallCampaign()); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("RunCampaign: err = %v, want %q", err, tc.wantErr)
 			}
@@ -255,13 +255,13 @@ func TestRunnerValidation(t *testing.T) {
 	}
 	// A sharded Runner must not silently truncate RunCampaign.
 	r := NewRunner()
-	r.Shard = ShardSpec{Index: 1, Count: 2}
+	r.shard = ShardSpec{Index: 1, Count: 2}
 	if _, err := r.RunCampaign(ctx, smallCampaign()); err == nil || !strings.Contains(err.Error(), "RunCampaignPartial") {
 		t.Errorf("sharded RunCampaign: err = %v, want a pointer to RunCampaignPartial", err)
 	}
 	// RunOverhead shares the worker validation.
 	r2 := NewRunner()
-	r2.Parallel = 0
+	r2.parallel = 0
 	ws, vs := smallOverhead()
 	if _, err := r2.RunOverhead(ctx, OverheadSpec(ws, vs)); err == nil || !strings.Contains(err.Error(), "at least 1 worker") {
 		t.Errorf("RunOverhead: err = %v, want worker validation", err)
@@ -346,13 +346,13 @@ func TestSpanShardsMergeIdentical(t *testing.T) {
 	var parts []*PartialResult
 	for i := 0; i+1 < len(cuts); i++ {
 		r := NewRunner()
-		r.Shard = SpanShard(cuts[i], cuts[i+1])
+		r.shard = SpanShard(cuts[i], cuts[i+1])
 		p, err := r.RunCampaignPartial(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.Lo != cuts[i] || p.Hi != cuts[i+1] {
-			t.Fatalf("span %s produced range [%d, %d)", r.Shard, p.Lo, p.Hi)
+			t.Fatalf("span %s produced range [%d, %d)", r.shard, p.Lo, p.Hi)
 		}
 		parts = append(parts, p)
 	}

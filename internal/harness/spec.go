@@ -3,7 +3,7 @@ package harness
 // Spec is the declarative experiment layer: one serializable value that
 // says *what* to run — the paper's experiment tuple (W, C, D, I, RN)
 // plus the experiment kind — separated from *how* it runs (worker
-// counts, compilation, sharding: Session options and Runner knobs). A
+// counts, reference interpreter, sharding: the Options). A
 // Spec is the single input to plan construction and the sole source of
 // the SHA-256 plan fingerprint, so two processes holding the
 // same Spec compute the same plan, the same trial ranges, and the same

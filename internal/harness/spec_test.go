@@ -287,7 +287,7 @@ func TestPlanFingerprintTracksSpecFingerprint(t *testing.T) {
 	partialOf := func(s Spec) *PartialResult {
 		t.Helper()
 		r := NewRunner()
-		r.Shard = ShardSpec{Index: 0, Count: 4}
+		r.shard = ShardSpec{Index: 0, Count: 4}
 		p, err := r.RunCampaignPartial(ctx, s)
 		if err != nil {
 			t.Fatal(err)
