@@ -701,16 +701,12 @@ func BenchmarkCoordinator(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				co, err := coord.New(coord.Config{
+				payloads, err := coord.Run(context.Background(), coord.Config{
 					Spec:    campaign,
 					Shards:  2 * workers,
 					Workers: workers,
 					Spawn:   func(int) (coord.Worker, error) { return worker, nil },
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				payloads, err := co.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -732,17 +728,13 @@ func BenchmarkCoordinator(b *testing.B) {
 				}
 				return shardWorker()(ctx, spec, shard)
 			})
-			co, err := coord.New(coord.Config{
+			payloads, err := coord.Run(context.Background(), coord.Config{
 				Spec:    campaign,
 				Shards:  4,
 				Workers: 2,
 				Lease:   50 * time.Millisecond,
 				Spawn:   func(int) (coord.Worker, error) { return slow, nil },
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			payloads, err := co.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -828,16 +820,12 @@ func BenchmarkRemoteFleet(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("func%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				co, err := coord.New(coord.Config{
+				payloads, err := coord.Run(context.Background(), coord.Config{
 					Spec:    campaign,
 					Shards:  2 * workers,
 					Workers: workers,
 					Spawn:   func(int) (coord.Worker, error) { return worker, nil },
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				payloads, err := co.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

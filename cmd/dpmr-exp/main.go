@@ -274,11 +274,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		// worker reuse its base modules and goldens, while injected
 		// modules leave after their last trial. The spec arrives with
 		// each assignment — argv carries none of it.
-		workerOpts := opts
-		workerOpts.Events = nil
-		workerOpts.Runner = harness.NewRunner()
+		opts.Events = nil
+		local := coord.NewLocal(opts)
 		err := coord.Serve(stdin, stdout, func(spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, workerOpts)
+			return local.Payload(ctx, spec, shard)
 		})
 		if err != nil {
 			return runFail(stderr, err)
@@ -355,7 +354,7 @@ func runSession(ctx context.Context, spec harness.Spec, report io.Writer, opts h
 // carries only execution policy.
 func runCoordinated(ctx context.Context, spec harness.Spec, cf coord.CLIFlags, opts harness.Options,
 	progress bool, stdout, stderr io.Writer) int {
-	payloads, err := coord.RunFleet(ctx, cf.Fleet(spec, opts, progress, stderr))
+	payloads, err := coord.Run(ctx, cf.Fleet(spec, opts, progress, stderr))
 	if err != nil {
 		return runFail(stderr, err)
 	}

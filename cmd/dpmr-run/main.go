@@ -340,9 +340,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		// worker reuse its base modules and goldens, while injected
 		// modules leave after their last trial. The spec arrives with
 		// each assignment — argv carries none of it.
-		workerOpts := harness.Options{Parallel: *parallel, Runner: harness.NewRunner()}
+		local := coord.NewLocal(harness.Options{Parallel: *parallel})
 		err := coord.Serve(stdin, stdout, func(spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, workerOpts)
+			return local.Payload(ctx, spec, shard)
 		})
 		if err != nil {
 			return execFail(stderr, err)
@@ -546,12 +546,10 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 			return runFail(err)
 		}
 		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards via dpmrd", len(payloads)))
-	case a.journalDir != "" && a.coordFlags.Enabled():
-		return runCoordinatedJournaled(ctx, a)
 	case a.journalDir != "":
 		return runJournaled(ctx, a)
 	case a.coordFlags.Enabled():
-		payloads, err := coord.RunFleet(ctx, a.fleet())
+		payloads, err := coord.Run(ctx, a.fleet())
 		if err != nil {
 			return runFail(err)
 		}
@@ -610,9 +608,9 @@ func runCampaign(ctx context.Context, a campaignArgs) int {
 
 // fleet is the coordinator configuration the -coord arms share. Every
 // assignment carries the Spec, so spawned `dpmr-run -worker` processes
-// take only execution policy on argv, and in-process workers run
-// concurrently, each assignment on a fresh Runner.
-func (a campaignArgs) fleet() coord.FleetOptions {
+// take only execution policy on argv, and each in-process fleet slot
+// keeps a warm Runner of its own.
+func (a campaignArgs) fleet() coord.Config {
 	return a.coordFlags.Fleet(a.spec, a.opts, a.progress, a.stderr)
 }
 
@@ -637,31 +635,68 @@ func writeReport(dir string, res harness.Result, done, total int) error {
 
 // runJournaled executes the campaign against a -journal directory:
 // replayed coverage is skipped, each completed span is made durable
-// before the next starts, the progressive report re-renders after replay
-// and as spans land, and the final summary is byte-identical to a run
-// that was never interrupted.
+// before it counts, the progressive report re-renders after replay and
+// as spans land, and the final summary is byte-identical to a run that
+// was never interrupted. Under -coord the journal's gaps are cut into
+// adaptively sized spans and leased to the fleet.
 func runJournaled(ctx context.Context, a campaignArgs) int {
 	j, prior, err := harness.OpenJournal(a.journalDir, a.resume, a.spec)
 	if err != nil {
 		return usageFail(a.stderr, err)
 	}
 	defer j.Close()
-	var snapErr error
-	var total int
-	res, executed, err := a.opts.Apply().RunJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
-		func(snapshot harness.Result, done, planTotal int) {
-			total = planTotal
-			if werr := writeReport(a.journalDir, snapshot, done, planTotal); werr != nil && snapErr == nil {
-				snapErr = werr
+	var res harness.Result
+	var replayed, total int
+	how := ""
+	if a.coordFlags.Enabled() {
+		c, err := a.opts.Apply().Resume(a.spec, j, prior)
+		if err != nil {
+			return execFail(a.stderr, err)
+		}
+		replayed, total = c.Done(), c.Total
+		if err := writeReport(a.journalDir, c.Snapshot(), replayed, total); err != nil {
+			return execFail(a.stderr, err)
+		}
+		cfg := a.fleet()
+		cfg.Resume = c
+		// -coord-shards overrides the default span count; the cut itself
+		// stays a pure function of (journal, Spec, span count) — never of
+		// the worker count.
+		if a.coordFlags.Shards == 0 {
+			cfg.Shards = harness.DefaultResumeSpans
+		}
+		cfg.OnResult = func(harness.ShardSpec, []byte) error {
+			if c.Done() == replayed {
+				return nil // a replayed span: the report above shows it
 			}
-		})
-	if err != nil {
-		return execFail(a.stderr, err)
+			return writeReport(a.journalDir, c.Snapshot(), c.Done(), total)
+		}
+		if _, err := coord.Run(ctx, cfg); err != nil {
+			return execFail(a.stderr, err)
+		}
+		if res, err = c.Merge(); err != nil {
+			return execFail(a.stderr, err)
+		}
+		how = fmt.Sprintf(" via %d workers", a.coordFlags.Workers)
+	} else {
+		var snapErr error
+		var executed int
+		res, executed, err = a.opts.Apply().RunJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
+			func(snapshot harness.Result, done, planTotal int) {
+				total = planTotal
+				if werr := writeReport(a.journalDir, snapshot, done, planTotal); werr != nil && snapErr == nil {
+					snapErr = werr
+				}
+			})
+		if err != nil {
+			return execFail(a.stderr, err)
+		}
+		if snapErr != nil {
+			return execFail(a.stderr, snapErr)
+		}
+		replayed = total - executed
 	}
-	if snapErr != nil {
-		return execFail(a.stderr, snapErr)
-	}
-	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d\n", total-executed, executed)
+	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d%s\n", replayed, total-replayed, how)
 	warnDegraded(a.stderr, j)
 	writeJournaledSummary(a.stdout, res, total, total)
 	return 0
@@ -675,56 +710,4 @@ func warnDegraded(stderr io.Writer, j *journal.Journal) {
 	if derr := j.Degraded(); derr != nil {
 		fmt.Fprintf(stderr, "dpmr-run: WARNING: the campaign completed, but the journal degraded and cannot be resumed: %v\n", derr)
 	}
-}
-
-// runCoordinatedJournaled resumes the campaign under the coordinator:
-// the journal's gaps are cut into adaptively sized spans, leased to the
-// fleet, journaled as each shard's first result lands (before the shard
-// is marked done), and merged with the replayed coverage.
-func runCoordinatedJournaled(ctx context.Context, a campaignArgs) int {
-	j, prior, err := harness.OpenJournal(a.journalDir, a.resume, a.spec)
-	if err != nil {
-		return usageFail(a.stderr, err)
-	}
-	defer j.Close()
-	c, err := a.opts.Apply().Resume(a.spec, prior)
-	if err != nil {
-		return execFail(a.stderr, err)
-	}
-	// -coord-shards overrides the default span count; the cut itself
-	// stays a pure function of (journal, Spec, span count) — never of the
-	// worker count.
-	spanCount := harness.DefaultResumeSpans
-	if a.coordFlags.Shards > 0 {
-		spanCount = a.coordFlags.Shards
-	}
-	replayed := c.Done()
-	if err := writeReport(a.journalDir, c.Snapshot(), replayed, c.Total); err != nil {
-		return execFail(a.stderr, err)
-	}
-	executed := 0
-	if spans := c.Spans(spanCount); len(spans) > 0 {
-		fleet := a.fleet()
-		fleet.Spans = spans
-		fleet.OnResult = func(_ int, payload []byte) error {
-			n, err := c.Append(j, payload)
-			if err != nil {
-				return err
-			}
-			executed += n
-			return writeReport(a.journalDir, c.Snapshot(), c.Done(), c.Total)
-		}
-		if _, err := coord.RunFleet(ctx, fleet); err != nil {
-			return execFail(a.stderr, err)
-		}
-	}
-	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d via %d workers\n",
-		replayed, executed, a.coordFlags.Workers)
-	warnDegraded(a.stderr, j)
-	res, err := c.Merge()
-	if err != nil {
-		return execFail(a.stderr, err)
-	}
-	writeJournaledSummary(a.stdout, res, c.Total, c.Total)
-	return 0
 }

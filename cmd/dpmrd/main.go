@@ -112,6 +112,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *chaos < 0 {
 		return fail(stderr, fmt.Errorf("-chaos %d: negative sever count", *chaos))
 	}
+	if *parallel < 1 {
+		// Options reads 0 as its serial default; the flag has no default
+		// to fall back on, so a non-positive count is refused.
+		return fail(stderr, fmt.Errorf("-parallel %d: campaigns need at least 1 worker", *parallel))
+	}
 	if *failpoints != "" {
 		if err := failpt.Arm(*failpoints); err != nil {
 			return fail(stderr, err)

@@ -31,6 +31,8 @@ func TestFlagValidation(t *testing.T) {
 		{"zero lease", []string{"-listen", "127.0.0.1:0", "-lease", "0s"}, 2, "must be positive"},
 		{"negative keepalive", []string{"-listen", "127.0.0.1:0", "-keepalive", "-1s"}, 2, "negative interval"},
 		{"negative chaos", []string{"-listen", "127.0.0.1:0", "-chaos", "-2"}, 2, "negative sever count"},
+		{"zero parallel", []string{"-listen", "127.0.0.1:0", "-parallel", "0"}, 2, "-parallel 0: campaigns need at least 1 worker"},
+		{"negative parallel", []string{"-connect", "127.0.0.1:9", "-parallel", "-1"}, 2, "-parallel -1: campaigns need at least 1 worker"},
 		{"unknown flag", []string{"-nope"}, 2, ""},
 	}
 	for _, tc := range cases {

@@ -51,14 +51,10 @@ func TestCoordinatorConcurrentByteIdentical(t *testing.T) {
 		}
 		return payload, nil
 	})
-	co, err := coord.New(coord.Config{
+	payloads, err := coord.Run(context.Background(), coord.Config{
 		Spec: spec, Shards: 3, Workers: 2,
 		Spawn: func(int) (coord.Worker, error) { return fn, nil },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,23 @@
 // state, global consistency enforced at merge — follows the partial
 // replication coordination regime of Xiang & Vaidya (2016, 2017).
 //
-// Workers are either in-process (Func: a fleet of goroutines) or spawned
-// worker processes (Proc: `dpmr-exp -worker`, `dpmr-run -worker`)
-// speaking the JSON-lines Assignment/Completion protocol over stdio;
-// Serve is the worker side of that protocol.
+// Run is the one entry point: a Config names the Spec, the cut, the
+// fleet and, for a journaled run, the harness.Resume whose gaps are
+// leased and whose journal each first result lands in. The CLIs' -coord
+// flags build their Config through CLIFlags.Fleet, and dpmrd builds its
+// own over its shared worker pool.
+//
+// Workers are in-process (Local: a persistent Runner per fleet slot;
+// Func: any function) or spawned worker processes (Proc: `dpmr-exp
+// -worker`, `dpmr-run -worker`) speaking the JSON-lines
+// Assignment/Completion protocol over stdio; Serve is the worker side of
+// that protocol.
 package coord
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +80,7 @@ func (e *PoisonShardError) Unwrap() error { return e.LastFailure }
 // is safe — retry plus first-result-wins keeps the output identical.
 const chaosKillDelay = 25 * time.Millisecond
 
-// Worker executes shard assignments for a Coordinator.
+// Worker executes shard assignments for Run.
 type Worker interface {
 	// Run executes one shard of the Spec's canonical plan and returns
 	// the shard's serialized partial result. Run is called serially per
@@ -101,25 +106,26 @@ func (f Func) Run(ctx context.Context, spec harness.Spec, shard harness.ShardSpe
 // Close implements Worker; an in-process worker holds nothing.
 func (Func) Close() error { return nil }
 
-// Config parameterizes a Coordinator.
+// Config describes one fleet run: the Spec to schedule, how its plan is
+// cut, the fleet, and the retry policy.
 type Config struct {
 	// Spec is the declarative experiment description every assignment
 	// carries; workers recompute the identical plan (and fingerprint)
 	// from it rather than re-deriving state from their argv.
 	Spec harness.Spec
-	// Shards is M, the number of contiguous plan slices to schedule.
-	// More shards than workers (M ≥ Workers is enforced) keeps the fleet
-	// busy when shards finish unevenly and bounds the work lost to a
-	// crash or straggler at 1/M of the plan.
+	// Shards is M, the number of plan slices to schedule. More shards
+	// than workers (M ≥ Workers is enforced without Resume) keeps the
+	// fleet busy when shards finish unevenly and bounds the work lost to
+	// a crash or straggler at 1/M of the plan.
 	Shards int
-	// Spans, when non-nil, replaces the uniform Index/Count cut with an
-	// explicit span list: shard i executes trial range Spans[i]. This is
-	// how a journaled resume leases exactly its uncovered ranges, sized
-	// adaptively from the journal's observed per-shard wall-clock so the
-	// lease scheduler sees evener attempt durations. Shards must be 0 or
-	// len(Spans), and the M ≥ Workers rule is waived — a nearly complete
-	// journal can leave fewer gaps than the fleet has workers.
-	Spans []harness.ShardSpec
+	// Resume, when set, journals the run: Run leases Resume.Spans(Shards)
+	// — the journal's gaps, cut adaptively from its observed per-trial
+	// cost — instead of the uniform cut, and appends each shard's first
+	// result through Resume before marking the shard done. A complete
+	// journal leases nothing and spawns no worker. The M ≥ Workers rule is
+	// waived: a nearly complete journal can leave fewer gaps than the
+	// fleet has workers.
+	Resume *harness.Resume
 	// Workers is the fleet size.
 	Workers int
 	// Lease bounds how long one shard assignment may run before the
@@ -148,63 +154,42 @@ type Config struct {
 	Spawn func(id int) (Worker, error)
 	// Chaos is a fault drill for the retry path: this many workers are
 	// hard-killed (Worker.Close) shortly after their first assignment.
-	// Workers whose Close releases nothing (Func) are unaffected.
+	// Workers whose Close releases nothing (Func, Local) are unaffected.
 	Chaos int
-	// OnResult, when non-nil, observes each shard's first completed
-	// payload from inside the scheduling loop, before the shard is
-	// marked done — the journaling hook. Duplicate (speculative)
-	// completions are never delivered. An error aborts the run: a
-	// journaled resume must not race past a payload it failed to make
-	// durable.
-	OnResult func(shard int, payload []byte) error
+	// OnResult, when non-nil, sees every payload Run returns exactly
+	// once, with the shard it covers: a Resume's replayed payloads first,
+	// then each shard's first completed payload from inside the
+	// scheduling loop — after the Resume, if any, has journaled it and
+	// before the shard is marked done. Duplicate (speculative)
+	// completions are never delivered. An error aborts the run.
+	OnResult func(shard harness.ShardSpec, payload []byte) error
 	// Log, when non-nil, receives scheduling diagnostics (dispatches,
 	// retries, lease expiries, kills). Calls are serialized.
 	Log func(format string, args ...any)
 }
 
-// Coordinator schedules shards onto a worker fleet. Construct with New;
-// a Coordinator is single-use (one Run).
-type Coordinator struct {
-	cfg   Config
-	logMu sync.Mutex // serializes Log across the loop and worker goroutines
-}
-
-// New validates the configuration and returns a Coordinator.
-func New(cfg Config) (*Coordinator, error) {
+// validate checks the configuration and fills in its defaults.
+func (cfg *Config) validate() error {
 	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("coord: %d workers: the fleet needs at least 1", cfg.Workers)
-	}
-	if len(cfg.Spans) > 0 {
-		if cfg.Shards != 0 && cfg.Shards != len(cfg.Spans) {
-			return nil, fmt.Errorf("coord: %d shards but %d explicit spans", cfg.Shards, len(cfg.Spans))
-		}
-		cfg.Shards = len(cfg.Spans)
-		for i, s := range cfg.Spans {
-			if err := s.Validate(); err != nil {
-				return nil, fmt.Errorf("coord: span %d: %w", i, err)
-			}
-			if !s.Explicit() {
-				return nil, fmt.Errorf("coord: span %d (%s): explicit [lo,hi) trial spans only", i, s)
-			}
-		}
+		return fmt.Errorf("coord: %d workers: the fleet needs at least 1", cfg.Workers)
 	}
 	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("coord: %d shards: the plan needs at least 1 slice", cfg.Shards)
+		return fmt.Errorf("coord: %d shards: the plan needs at least 1 slice", cfg.Shards)
 	}
-	if cfg.Shards < cfg.Workers && cfg.Spans == nil {
-		return nil, fmt.Errorf("coord: %d shards for %d workers: cut the plan at least as fine as the fleet", cfg.Shards, cfg.Workers)
+	if cfg.Shards < cfg.Workers && cfg.Resume == nil {
+		return fmt.Errorf("coord: %d shards for %d workers: cut the plan at least as fine as the fleet", cfg.Shards, cfg.Workers)
 	}
 	if cfg.Lease < 0 {
-		return nil, fmt.Errorf("coord: negative lease %v", cfg.Lease)
+		return fmt.Errorf("coord: negative lease %v", cfg.Lease)
 	}
 	if cfg.MaxAttempts < 0 {
-		return nil, fmt.Errorf("coord: negative MaxAttempts %d", cfg.MaxAttempts)
+		return fmt.Errorf("coord: negative MaxAttempts %d", cfg.MaxAttempts)
 	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = 3
 	}
 	if cfg.PoisonK < 0 {
-		return nil, fmt.Errorf("coord: negative PoisonK %d", cfg.PoisonK)
+		return fmt.Errorf("coord: negative PoisonK %d", cfg.PoisonK)
 	}
 	if cfg.PoisonK == 0 {
 		cfg.PoisonK = 3
@@ -213,18 +198,9 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Quarantine = DefaultQuarantine
 	}
 	if cfg.Spawn == nil {
-		return nil, fmt.Errorf("coord: no Spawn factory")
+		return fmt.Errorf("coord: no Spawn factory")
 	}
-	return &Coordinator{cfg: cfg}, nil
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Log == nil {
-		return
-	}
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
-	c.cfg.Log(format, args...)
+	return nil
 }
 
 // completion is one attempt's outcome, posted by a worker goroutine.
@@ -235,85 +211,72 @@ type completion struct {
 	err     error
 }
 
-// FleetOptions is the CLI-shaped fleet description dpmr-exp and dpmr-run
-// share: the Spec to schedule, how many workers and shards, the
-// straggler lease, and whether workers are in-process or spawned
-// processes.
-type FleetOptions struct {
-	// Spec is the declarative experiment description carried by every
-	// shard assignment (see Config.Spec).
-	Spec harness.Spec
-	// Workers is the fleet size; Shards defaults to 2×Workers when 0.
-	Workers, Shards int
-	// Spans, when non-nil, leases these explicit trial spans instead of
-	// the uniform Shards-way cut (see Config.Spans); Shards is ignored.
-	Spans []harness.ShardSpec
-	// OnResult observes each shard's first completed payload before it
-	// is marked done (see Config.OnResult).
-	OnResult func(shard int, payload []byte) error
-	// Lease is the straggler lease (see Config.Lease).
-	Lease time.Duration
-	// SpawnArgv, when non-nil, runs workers as spawned processes of this
-	// executable re-invoked with these arguments; nil runs Local
-	// goroutine workers instead.
-	SpawnArgv []string
-	// Stderr receives spawned workers' diagnostics (nil = os.Stderr).
-	Stderr io.Writer
-	// Chaos is the fault drill (see Config.Chaos).
-	Chaos int
-	// Local is the in-process worker used when SpawnArgv is nil.
-	Local Func
-	// Log receives scheduling diagnostics (see Config.Log).
-	Log func(format string, args ...any)
-}
-
-// RunFleet is the one-call fleet path behind the CLIs' -coord flags:
-// build the Coordinator from CLI-shaped options, run it, and return the
-// payloads in shard order. Keeping the defaults (shard count, process
-// re-exec) here means the two binaries cannot drift apart.
-func RunFleet(ctx context.Context, o FleetOptions) ([][]byte, error) {
-	shards := o.Shards
-	if o.Spans != nil {
-		shards = len(o.Spans)
-	} else if shards == 0 {
-		shards = 2 * o.Workers
+// Run schedules the Spec's shards on the fleet until every shard has a
+// result and returns the payloads in trial order — the deterministic
+// merge order, independent of completion order; with Resume, the
+// replayed and fresh payloads together. It fails if a shard exhausts
+// MaxAttempts (its attempts all erroring, or — with a Lease set — all
+// outliving their leases, i.e. a wedged shard) or if the whole fleet
+// dies and cannot be respawned; duplicated work from speculative retries
+// is discarded (first completion wins), and the caller's merge layer
+// re-validates the tiling regardless.
+func Run(ctx context.Context, cfg Config) ([][]byte, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	var spawn func(id int) (Worker, error)
-	if o.SpawnArgv != nil {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("coord: resolving worker executable: %w", err)
+	if cfg.Resume == nil {
+		shards := make([]harness.ShardSpec, cfg.Shards)
+		for i := range shards {
+			shards[i] = harness.ShardSpec{Index: i, Count: cfg.Shards}
 		}
-		spawn = func(int) (Worker, error) { return NewProc(o.Stderr, exe, o.SpawnArgv...) }
-	} else {
-		if o.Local == nil {
-			return nil, fmt.Errorf("coord: RunFleet without SpawnArgv needs a Local worker")
-		}
-		spawn = func(int) (Worker, error) { return o.Local, nil }
+		return lease(ctx, cfg, shards)
 	}
-	co, err := New(Config{
-		Spec: o.Spec, Shards: shards, Workers: o.Workers, Lease: o.Lease,
-		Spans: o.Spans, OnResult: o.OnResult,
-		Spawn: spawn, Chaos: o.Chaos, Log: o.Log,
-	})
+	spans, replayed, err := cfg.Resume.Payloads()
 	if err != nil {
 		return nil, err
 	}
-	return co.Run(ctx)
+	if cfg.OnResult != nil {
+		for i, payload := range replayed {
+			if err := cfg.OnResult(spans[i], payload); err != nil {
+				return nil, fmt.Errorf("coord: replayed span %s result sink: %w", spans[i], err)
+			}
+		}
+	}
+	shards := cfg.Resume.Spans(cfg.Shards)
+	if len(shards) == 0 {
+		return replayed, nil
+	}
+	fresh, err := lease(ctx, cfg, shards)
+	if err != nil {
+		return nil, err
+	}
+	// Interleave the replayed coverage with the leased gaps: both lists
+	// ascend and never overlap.
+	out := make([][]byte, 0, len(replayed)+len(fresh))
+	i := 0
+	for k, s := range shards {
+		for ; i < len(spans) && spans[i].Lo < s.Lo; i++ {
+			out = append(out, replayed[i])
+		}
+		out = append(out, fresh[k])
+	}
+	return append(out, replayed[i:]...), nil
 }
 
-// Run executes the fleet until every shard has a result and returns the
-// payloads indexed by shard — the deterministic merge order, independent
-// of completion order. It fails if a shard exhausts MaxAttempts (its
-// attempts all erroring, or — with a Lease set — all outliving their
-// leases, i.e. a wedged shard) or if the whole fleet dies and cannot be
-// respawned; duplicated work from speculative retries is discarded
-// (first completion wins), and the caller's merge layer re-validates the
-// tiling regardless.
-func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
-	cfg := c.cfg
+// lease runs the fleet over shards and returns their payloads in shard
+// order.
+func lease(ctx context.Context, cfg Config, shards []harness.ShardSpec) ([][]byte, error) {
+	var logMu sync.Mutex // serializes Log across the loop and worker goroutines
+	logf := func(format string, args ...any) {
+		if cfg.Log == nil {
+			return
+		}
+		logMu.Lock()
+		defer logMu.Unlock()
+		cfg.Log(format, args...)
+	}
 	ctx, cancel := context.WithCancel(ctx)
-	m := cfg.Shards
+	m := len(shards)
 
 	assignCh := make(chan int)
 	events := make(chan completion)
@@ -359,15 +322,11 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 		first := true
 		for shard := range assignCh {
 			if first && atomic.AddInt64(&chaos, -1) >= 0 {
-				c.logf("worker %d: chaos kill armed", id)
+				logf("worker %d: chaos kill armed", id)
 				w := w
 				time.AfterFunc(chaosKillDelay, func() { _ = w.Close() })
 			}
 			first = false
-			assignment := harness.ShardSpec{Index: shard, Count: m}
-			if cfg.Spans != nil {
-				assignment = cfg.Spans[shard]
-			}
 			var payload []byte
 			var err error
 			if act := failpt.Eval(siteDispatch); act != nil {
@@ -375,7 +334,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 				err = act.Err()
 			}
 			if err == nil {
-				payload, err = w.Run(ctx, cfg.Spec, assignment)
+				payload, err = w.Run(ctx, cfg.Spec, shards[shard])
 			}
 			post(completion{shard: shard, worker: wid, payload: payload, err: err})
 			if err == nil {
@@ -399,7 +358,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 			// respawn — backoff with jitter instead of a hot respawn
 			// loop against a persistent fault.
 			if d := br.Fail(); d > 0 {
-				c.logf("worker %d: quarantined for %v (health %.2f)", id, d.Round(time.Millisecond), br.Score())
+				logf("worker %d: quarantined for %v (health %.2f)", id, d.Round(time.Millisecond), br.Score())
 				select {
 				case <-time.After(d):
 				case <-ctx.Done():
@@ -408,7 +367,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 			}
 			nw, serr := cfg.Spawn(id)
 			if serr != nil {
-				c.logf("worker %d: respawn failed, retiring slot: %v", id, serr)
+				logf("worker %d: respawn failed, retiring slot: %v", id, serr)
 				select {
 				case retired <- id:
 				case <-loopDone:
@@ -416,7 +375,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 				return
 			}
 			wid = int(atomic.AddInt64(&spawnSeq, 1))
-			c.logf("worker %d: respawned", id)
+			logf("worker %d: respawned", id)
 			w = nw
 		}
 	}
@@ -470,7 +429,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 			queued[next] = false
 			attempts[next]++
 			inflight[next]++
-			c.logf("shard %d/%d: attempt %d leased", next, m, attempts[next])
+			logf("shard %d/%d: attempt %d leased", next, m, attempts[next])
 			if cfg.Lease > 0 {
 				s := next
 				time.AfterFunc(cfg.Lease, func() {
@@ -486,7 +445,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 			}
 			expired[s]++
 			if !queued[s] && attempts[s] < cfg.MaxAttempts {
-				c.logf("shard %d/%d: lease expired after %v, reassigning straggler", s, m, cfg.Lease)
+				logf("shard %d/%d: lease expired after %v, reassigning straggler", s, m, cfg.Lease)
 				queue = append(queue, s)
 				queued[s] = true
 				break
@@ -508,7 +467,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 			// recover it or refuse by name.
 			if ev.err == nil && !done[ev.shard] {
 				if act := failpt.Eval(siteCompletion); act != nil && act.Kind == failpt.KindDrop {
-					c.logf("shard %d/%d: completion dropped (failpoint %s)", ev.shard, m, siteCompletion)
+					logf("shard %d/%d: completion dropped (failpoint %s)", ev.shard, m, siteCompletion)
 					ev.err = fmt.Errorf("coord: shard %d completion lost (failpoint %s)", ev.shard, siteCompletion)
 					ev.payload = nil
 				}
@@ -518,7 +477,7 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 				if done[ev.shard] {
 					break // a speculative sibling already finished it
 				}
-				c.logf("shard %d/%d: attempt failed: %v", ev.shard, m, ev.err)
+				logf("shard %d/%d: attempt failed: %v", ev.shard, m, ev.err)
 				if failedBy[ev.shard] == nil {
 					failedBy[ev.shard] = map[int]struct{}{}
 				}
@@ -541,21 +500,33 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 				queue = append(queue, ev.shard)
 				queued[ev.shard] = true
 			case done[ev.shard]:
-				c.logf("shard %d/%d: duplicate completion discarded (first result won)", ev.shard, m)
+				logf("shard %d/%d: duplicate completion discarded (first result won)", ev.shard, m)
 			default:
-				if cfg.OnResult != nil {
-					if err := cfg.OnResult(ev.shard, ev.payload); err != nil {
-						return nil, fmt.Errorf("coord: shard %d/%d result sink: %w", ev.shard, m, err)
-					}
+				if err := deliver(cfg, shards[ev.shard], ev.payload); err != nil {
+					return nil, fmt.Errorf("coord: shard %d/%d result sink: %w", ev.shard, m, err)
 				}
 				done[ev.shard] = true
 				results[ev.shard] = ev.payload
 				remaining--
-				c.logf("shard %d/%d: complete, %d remaining", ev.shard, m, remaining)
+				logf("shard %d/%d: complete, %d remaining", ev.shard, m, remaining)
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 	return results, nil
+}
+
+// deliver makes a shard's first result durable through the Resume, when
+// there is one, and then hands it to OnResult.
+func deliver(cfg Config, shard harness.ShardSpec, payload []byte) error {
+	if cfg.Resume != nil {
+		if err := cfg.Resume.Append(payload); err != nil {
+			return err
+		}
+	}
+	if cfg.OnResult != nil {
+		return cfg.OnResult(shard, payload)
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dpmr/internal/coord"
+	"dpmr/internal/faultinject"
 	"dpmr/internal/harness"
 )
 
@@ -31,11 +32,7 @@ func spawnFunc(f coord.Func) func(int) (coord.Worker, error) {
 // TestCoordinatorCollectsAllShards: M shards across a smaller fleet come
 // back complete and in shard order, regardless of completion order.
 func TestCoordinatorCollectsAllShards(t *testing.T) {
-	co, err := coord.New(coord.Config{Shards: 7, Workers: 3, Spawn: spawnFunc(okWorker)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
+	payloads, err := coord.Run(context.Background(), coord.Config{Shards: 7, Workers: 3, Spawn: spawnFunc(okWorker)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +75,9 @@ func TestCoordinatorRetriesCrashedWorker(t *testing.T) {
 	}
 	// Quarantine off: this test counts respawns, so it wants the
 	// pre-breaker immediate-respawn behavior.
-	co, err := coord.New(coord.Config{Shards: 6, Workers: 2, Quarantine: -1, Spawn: spawn})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	payloads, err := co.Run(ctx)
+	payloads, err := coord.Run(ctx, coord.Config{Shards: 6, Workers: 2, Quarantine: -1, Spawn: spawn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +108,13 @@ func TestCoordinatorReassignsStraggler(t *testing.T) {
 		}
 		return payload(s), nil
 	})
-	co, err := coord.New(coord.Config{
-		Shards: 4, Workers: 2, Lease: 25 * time.Millisecond, Spawn: spawnFunc(fn),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan struct{})
 	var payloads [][]byte
 	var runErr error
 	go func() {
-		payloads, runErr = co.Run(context.Background())
+		payloads, runErr = coord.Run(context.Background(), coord.Config{
+			Shards: 4, Workers: 2, Lease: 25 * time.Millisecond, Spawn: spawnFunc(fn),
+		})
 		close(done)
 	}()
 	select {
@@ -156,11 +145,7 @@ func TestCoordinatorFailsAfterMaxAttempts(t *testing.T) {
 		}
 		return payload(s), nil
 	})
-	co, err := coord.New(coord.Config{Shards: 4, Workers: 2, MaxAttempts: 2, Spawn: spawnFunc(fn)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = co.Run(context.Background())
+	_, err := coord.Run(context.Background(), coord.Config{Shards: 4, Workers: 2, MaxAttempts: 2, Spawn: spawnFunc(fn)})
 	if err == nil {
 		t.Fatal("coordinator succeeded with an always-failing shard")
 	}
@@ -180,16 +165,12 @@ func TestCoordinatorFailsWhenAllAttemptsWedge(t *testing.T) {
 		}
 		return payload(s), nil
 	})
-	co, err := coord.New(coord.Config{
-		Shards: 3, Workers: 3, Lease: 15 * time.Millisecond, MaxAttempts: 2, Spawn: spawnFunc(fn),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan struct{})
 	var runErr error
 	go func() {
-		_, runErr = co.Run(context.Background())
+		_, runErr = coord.Run(context.Background(), coord.Config{
+			Shards: 3, Workers: 3, Lease: 15 * time.Millisecond, MaxAttempts: 2, Spawn: spawnFunc(fn),
+		})
 		close(done)
 	}()
 	select {
@@ -209,21 +190,17 @@ func TestCoordinatorHonorsContextCancel(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	co, err := coord.New(coord.Config{Shards: 2, Workers: 2, Spawn: spawnFunc(fn)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := co.Run(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := coord.Run(ctx, coord.Config{Shards: 2, Workers: 2, Spawn: spawnFunc(fn)}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run = %v, want context.Canceled", err)
 	}
 }
 
-// TestCoordinatorConfigValidation covers New's rejection table.
+// TestCoordinatorConfigValidation covers Run's rejection table.
 func TestCoordinatorConfigValidation(t *testing.T) {
 	spawn := spawnFunc(okWorker)
 	cases := []struct {
@@ -240,8 +217,8 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := coord.New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("New(%+v) err = %v, want %q", tc.cfg, err, tc.wantErr)
+			if _, err := coord.Run(context.Background(), tc.cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Run(%+v) err = %v, want %q", tc.cfg, err, tc.wantErr)
 			}
 		})
 	}
@@ -296,14 +273,40 @@ func TestCoordinatorCarriesSpecToWorkers(t *testing.T) {
 		}
 		return payload(s), nil
 	})
-	co, err := coord.New(coord.Config{Spec: want, Shards: 4, Workers: 2, Spawn: spawnFunc(fn)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Run(context.Background()); err != nil {
+	if _, err := coord.Run(context.Background(), coord.Config{Spec: want, Shards: 4, Workers: 2, Spawn: spawnFunc(fn)}); err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt32(&mismatches) != 0 {
 		t.Errorf("%d assignments arrived with a different Spec", mismatches)
+	}
+}
+
+// TestCLIFleetShardFailureInBand: an in-process -coord slot reports a
+// failing shard in-band, as dpmrd's local slots and -coord-spawn
+// processes do, so the slot keeps its warm Runner (no respawn, no
+// quarantine) and the run ends with attempts exhausted on the
+// ShardError, not with a poison refusal.
+func TestCLIFleetShardFailureInBand(t *testing.T) {
+	spec := harness.CampaignSpec(faultinject.ImmediateFree, nil, nil)
+	spec.TimeoutFactor = harness.MaxTimeoutFactor + 1 // every shard fails to normalize
+	cf := coord.CLIFlags{Workers: 2, Shards: 2, Lease: time.Minute}
+	cfg := cf.Fleet(spec, harness.Options{}, false, nil)
+	var spawns int32
+	spawn := cfg.Spawn
+	cfg.Spawn = func(id int) (coord.Worker, error) {
+		atomic.AddInt32(&spawns, 1)
+		return spawn(id)
+	}
+	_, err := coord.Run(context.Background(), cfg)
+	var se *coord.ShardError
+	var pe *coord.PoisonShardError
+	if !errors.As(err, &se) || errors.As(err, &pe) || !strings.Contains(err.Error(), "failed after 3 attempts") {
+		t.Fatalf("failing shard ended the run with %v, want attempts exhausted on an in-band ShardError", err)
+	}
+	if !strings.Contains(se.Msg, harness.ErrTimeoutFactor.Error()) {
+		t.Errorf("ShardError %q does not carry the shard's cause", se.Msg)
+	}
+	if spawns != 2 {
+		t.Errorf("%d spawns for a 2-slot fleet: a slot was respawned after an in-band failure", spawns)
 	}
 }

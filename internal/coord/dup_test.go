@@ -62,7 +62,7 @@ func TestDuplicateCompletionSuppressed(t *testing.T) {
 
 	var mu sync.Mutex
 	var logs []string
-	co, err := coord.New(coord.Config{
+	payloads, err := coord.Run(ctx, coord.Config{
 		Shards:      4,
 		Workers:     4,
 		Lease:       250 * time.Millisecond,
@@ -82,10 +82,6 @@ func TestDuplicateCompletionSuppressed(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(ctx)
 	if err != nil {
 		t.Fatalf("run with a speculative duplicate failed: %v", err)
 	}

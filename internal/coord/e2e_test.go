@@ -32,11 +32,7 @@ func coordinate(t *testing.T, exp string, cfg coord.Config,
 	})
 	cfg.Spec = quickSpec(exp)
 	cfg.Spawn = func(int) (coord.Worker, error) { return fn, nil }
-	co, err := coord.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
+	payloads, err := coord.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +132,10 @@ func TestCancelledCoordinatorSurvivorsMerge(t *testing.T) {
 		}
 		return p, nil
 	})
-	co, err := coord.New(coord.Config{
+	if _, err := coord.Run(ctx, coord.Config{
 		Spec: quickSpec(exp), Shards: shards, Workers: 2,
 		Spawn: func(int) (coord.Worker, error) { return fn, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Run(ctx); !errors.Is(err, context.Canceled) {
+	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 	// Run returned, so every worker goroutine has exited: survived is

@@ -36,15 +36,11 @@ func TestPoisonShardNamedRefusal(t *testing.T) {
 		// slot respawns, so every attempt is a distinct incarnation.
 		return nil, fmt.Errorf("worker murdered by shard %d", s.Index)
 	})
-	co, err := coord.New(coord.Config{
+	_, err := coord.Run(context.Background(), coord.Config{
 		Shards: 1, Workers: 1, MaxAttempts: 10, PoisonK: 3,
 		Quarantine: -1, // no backoff: this test is about the refusal, not the pacing
 		Spawn:      spawnFunc(poison),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = co.Run(context.Background())
 	var pe *coord.PoisonShardError
 	if !errors.As(err, &pe) {
 		t.Fatalf("poison shard refused with %v, want PoisonShardError", err)
@@ -62,13 +58,9 @@ func TestPoisonShardNamedRefusal(t *testing.T) {
 // delivering) is retried and the run still produces every payload.
 func TestCompletionDropIsRecovered(t *testing.T) {
 	armCoord(t, "coord/completion=drop@1")
-	co, err := coord.New(coord.Config{
+	payloads, err := coord.Run(context.Background(), coord.Config{
 		Shards: 3, Workers: 2, Quarantine: -1, Spawn: spawnFunc(okWorker),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
 	if err != nil {
 		t.Fatalf("run did not recover from a dropped completion: %v", err)
 	}
@@ -90,7 +82,7 @@ func TestDispatchCrashQuarantinesWorker(t *testing.T) {
 	armCoord(t, "coord/dispatch=err(EIO)@1;coord/dispatch=err(EIO)@2")
 	var mu sync.Mutex
 	var logs []string
-	co, err := coord.New(coord.Config{
+	if _, err := coord.Run(context.Background(), coord.Config{
 		Shards: 2, Workers: 1, Quarantine: time.Millisecond,
 		Spawn: spawnFunc(okWorker),
 		Log: func(format string, args ...any) {
@@ -98,11 +90,7 @@ func TestDispatchCrashQuarantinesWorker(t *testing.T) {
 			logs = append(logs, fmt.Sprintf(format, args...))
 			mu.Unlock()
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Run(context.Background()); err != nil {
+	}); err != nil {
 		t.Fatalf("run did not survive an injected dispatch crash: %v", err)
 	}
 	mu.Lock()

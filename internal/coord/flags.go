@@ -1,16 +1,16 @@
 package coord
 
 // The -coord* flag family shared by the CLIs. Registering and validating
-// the flags here — next to FleetOptions — and building the fleet from
+// the flags here — next to Config — and building the fleet's Config from
 // them keeps the two binaries' coordinator surfaces from drifting apart:
 // a new fleet knob, a new dependency rule or a new worker flag lands in
 // one place.
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"time"
 
@@ -86,30 +86,38 @@ func (c *CLIFlags) Validate(fs *flag.FlagSet) error {
 // Enabled reports whether a coordinator run was requested.
 func (c *CLIFlags) Enabled() bool { return c.Workers != 0 }
 
-// Fleet is the FleetOptions a -coord run of spec uses: in-process
-// workers run each shard under opts, and spawned workers get workerArgv
-// of opts. Workers run quiet, since per-trial events from several of them
-// would interleave; with progress the scheduler's shard-level
-// diagnostics go to stderr.
-func (c *CLIFlags) Fleet(spec harness.Spec, opts harness.Options, progress bool, stderr io.Writer) FleetOptions {
+// Fleet is the Config a -coord run of spec uses: the flags' fleet size,
+// cut (2×workers unless -coord-shards is set), lease and chaos drill.
+// Each fleet slot is a Local running under opts, or with -coord-spawn a
+// spawned worker process given workerArgv of opts. Workers run quiet,
+// since per-trial events from several of them would interleave; with
+// progress the scheduler's shard-level diagnostics go to stderr, as do
+// spawned workers' own.
+func (c *CLIFlags) Fleet(spec harness.Spec, opts harness.Options, progress bool, stderr io.Writer) Config {
 	opts.Events = nil
-	fleet := FleetOptions{
-		Spec:    spec,
-		Workers: c.Workers, Shards: c.Shards, Lease: c.Lease,
-		Chaos: c.Chaos, Stderr: stderr,
-		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, opts)
-		},
+	cfg := Config{
+		Spec: spec, Workers: c.Workers, Shards: c.Shards, Lease: c.Lease, Chaos: c.Chaos,
+		Spawn: func(int) (Worker, error) { return NewLocal(opts), nil },
+	}
+	if cfg.Shards == 0 {
+		cfg.Shards = 2 * c.Workers
 	}
 	if c.Spawn {
-		fleet.SpawnArgv = workerArgv(opts)
+		argv := workerArgv(opts)
+		cfg.Spawn = func(int) (Worker, error) {
+			exe, err := os.Executable()
+			if err != nil {
+				return nil, fmt.Errorf("coord: resolving worker executable: %w", err)
+			}
+			return NewProc(stderr, exe, argv...)
+		}
 	}
 	if progress {
-		fleet.Log = func(format string, args ...any) {
+		cfg.Log = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "coord: "+format+"\n", args...)
 		}
 	}
-	return fleet
+	return cfg
 }
 
 // workerArgv is the flag line of a spawned -worker process: the

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,6 +215,43 @@ func TestMultiplexedClientsIsolated(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
+// TestOverheadExperimentShardRanges: the daemon's streamed shard events
+// for an experiment that runs only overhead measurements carry the same
+// trial ranges the client-side merge reports for the same payloads.
+func TestOverheadExperimentShardRanges(t *testing.T) {
+	spec := quickSpec("fig3.16")
+	before := runtime.NumGoroutine()
+	_, addr, shutdown := daemon(t, coordnet.ServerConfig{LocalWorkers: 1})
+
+	type span struct{ lo, hi, total int }
+	ranges := func(sink *[]span) func(harness.Event) {
+		return func(ev harness.Event) {
+			if m, ok := ev.(harness.ShardMerged); ok {
+				*sink = append(*sink, span{m.Lo, m.Hi, m.Total})
+			}
+		}
+	}
+	var streamed, merged []span
+	payloads, err := coordnet.Submit(context.Background(), addr, spec, ranges(&streamed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := make([]io.Reader, len(payloads))
+	for i, p := range payloads {
+		readers[i] = bytes.NewReader(p)
+	}
+	if err := harness.GenerateMerged(context.Background(), spec, io.Discard, readers, harness.Options{Events: ranges(&merged)}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(streamed, func(a, b int) bool { return streamed[a].lo < streamed[b].lo })
+	if len(merged) == 0 || !reflect.DeepEqual(streamed, merged) {
+		t.Errorf("daemon streamed shard ranges %v, client merge reports %v", streamed, merged)
+	}
+
+	shutdown()
+	checkGoroutines(t, before)
+}
+
 // TestClientDisconnectResume: a client that vanishes mid-run cancels
 // its submission (releasing the fleet to other tenants) but loses
 // nothing durable — the daemon journaled every completed span, so
@@ -305,7 +343,7 @@ func testDisconnectResume(t *testing.T, spec harness.Spec) {
 	if err != nil {
 		t.Fatalf("no journal survived the disconnect: %v", err)
 	}
-	c, err := harness.NewRunner().Resume(spec, rp)
+	c, err := harness.NewRunner().Resume(spec, nil, rp)
 	if err != nil {
 		t.Fatal(err)
 	}

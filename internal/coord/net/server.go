@@ -2,14 +2,12 @@ package coordnet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,40 +25,20 @@ const chaosSeverDelay = 25 * time.Millisecond
 
 // fleetWorker is what the daemon's pool holds: a coord.Worker the
 // keepalive sweep can health-check, remote (a joined socket) or local
-// (an in-process goroutine with its own warm Runner).
+// (an in-process slot with its own warm Runner).
 type fleetWorker interface {
 	coord.Worker
 	ping(timeout time.Duration) error
 	remote() bool
 }
 
-// localWorker is an in-process fleet slot: a persistent harness.Runner
-// executing shard assignments directly, so base modules and goldens stay
-// warm across assignments exactly like a -coord-spawn worker process.
-// The pool checks a worker out per shard, so Run is serial.
-type localWorker struct {
-	opts harness.Options
-}
+// localWorker is an in-process fleet slot. The pool checks a worker out
+// per shard, so Run is serial.
+type localWorker struct{ *coord.Local }
 
-func newLocalWorker(opts harness.Options) *localWorker {
-	opts.Runner = harness.NewRunner()
-	return &localWorker{opts: opts}
-}
-
-func (w *localWorker) Run(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-	payload, err := harness.ShardPayload(ctx, spec, shard, w.opts)
-	if err != nil {
-		// A local execution failure is in-band: the worker is healthy, the
-		// shard (or Spec) is the problem. Transport errors don't exist here.
-		return nil, &coord.ShardError{Shard: shard, Msg: err.Error()}
-	}
-	return payload, nil
-}
-
-func (w *localWorker) Close() error             { return nil }
-func (w *localWorker) ping(time.Duration) error { return nil }
-func (w *localWorker) remote() bool             { return false }
-func (w *RemoteWorker) remote() bool            { return true }
+func (localWorker) ping(time.Duration) error { return nil }
+func (localWorker) remote() bool             { return false }
+func (w *RemoteWorker) remote() bool         { return true }
 
 // pool is the daemon's shared worker fleet: a FIFO of idle workers that
 // submissions check out one shard at a time. Checkout granularity is the
@@ -169,7 +147,7 @@ func (p *pool) takeIdleRemotes() []fleetWorker {
 }
 
 // close drains the pool: idle workers are closed now (a remote worker's
-// JoinFleet loop sees the close as an orderly EOF), checked-out workers
+// WorkerLoop sees the close as an orderly EOF), checked-out workers
 // are closed as their shards return.
 func (p *pool) close() {
 	p.mu.Lock()
@@ -267,7 +245,7 @@ func NewServer(cfg ServerConfig) *Server {
 		claims:      make(map[string]bool),
 	}
 	for i := 0; i < cfg.LocalWorkers; i++ {
-		s.pool.add(newLocalWorker(cfg.WorkerOptions))
+		s.pool.add(localWorker{coord.NewLocal(cfg.WorkerOptions)})
 	}
 	return s
 }
@@ -443,41 +421,74 @@ func (s *Server) spawnProxy(int) (coord.Worker, error) {
 }
 
 // execute schedules one normalized Spec onto the fleet and returns its
-// shard payloads in ascending trial order.
+// shard payloads in ascending trial order. A campaign, overhead or
+// concurrent Spec runs through its per-fingerprint journal dir when the
+// daemon journals: spans already journaled (by an earlier submission the
+// client abandoned) replay instead of re-running, only the gaps are
+// leased, and every first-completed span is durable before the client
+// hears of it.
 func (s *Server) execute(ctx context.Context, spec harness.Spec, fp string, emit func(harness.Event)) ([][]byte, error) {
-	workers := s.pool.size()
-	if workers < 1 {
-		// No fleet yet: run one proxy slot anyway — it blocks in checkout
-		// until a worker joins, bounded by the lease/attempt limits.
-		workers = 1
+	// With no fleet yet one proxy slot runs anyway: it blocks in checkout
+	// until a worker joins, bounded by the lease/attempt limits.
+	workers := max(s.pool.size(), 1)
+	cfg := coord.Config{
+		Spec:    spec,
+		Shards:  2 * workers,
+		Workers: workers,
+		Lease:   s.cfg.Lease,
+		Spawn:   s.spawnProxy,
+		OnResult: func(shard harness.ShardSpec, payload []byte) error {
+			emit(harness.MergedEvent(shard, payload))
+			return nil
+		},
+		Log: s.logf,
 	}
 	if spec.Kind != harness.SpecExperiment && s.cfg.JournalRoot != "" {
 		if s.claimJournal(fp) {
 			defer s.releaseJournal(fp)
-			return s.executeJournaled(ctx, spec, fp, workers, emit)
+			j, c, err := s.resume(spec, fp)
+			if err != nil {
+				return nil, err
+			}
+			defer func() {
+				_ = j.Close()
+				// A journal that degraded mid-campaign (disk full, fsync
+				// failure) did not stop the run — results stream to the
+				// client regardless — but the lossy state must be named:
+				// the next submission of this Spec cannot resume from it.
+				if derr := j.Degraded(); derr != nil {
+					s.logf("dpmrd: spec %.12s: journal degraded, campaign completed but cannot be resumed: %v", fp, derr)
+				}
+			}()
+			cfg.Resume = c
+		} else {
+			// The same Spec is already running journaled (a concurrent
+			// duplicate submission); run this one plain rather than fight
+			// over the journal file.
+			s.logf("dpmrd: spec %.12s already journaling, running duplicate unjournaled", fp)
 		}
-		// The same Spec is already running journaled (a concurrent
-		// duplicate submission); run this one plain rather than fight
-		// over the journal file.
-		s.logf("dpmrd: spec %.12s already journaling, running duplicate unjournaled", fp)
 	}
-	shards := 2 * workers
-	co, err := coord.New(coord.Config{
-		Spec:    spec,
-		Shards:  shards,
-		Workers: workers,
-		Lease:   s.cfg.Lease,
-		Spawn:   s.spawnProxy,
-		OnResult: func(shard int, payload []byte) error {
-			emit(shardMergedEvent(payload, harness.ShardSpec{Index: shard, Count: shards}))
-			return nil
-		},
-		Log: s.logf,
-	})
+	return coord.Run(ctx, cfg)
+}
+
+// resume opens the Spec's journal under JournalRoot — resuming it when
+// an earlier submission left one — and diffs the plan against it.
+func (s *Server) resume(spec harness.Spec, fp string) (*journal.Journal, *harness.Resume, error) {
+	dir := filepath.Join(s.cfg.JournalRoot, fp[:16])
+	_, statErr := os.Stat(filepath.Join(dir, journal.FileName))
+	j, rp, err := harness.OpenJournal(dir, statErr == nil, spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return co.Run(ctx)
+	c, err := harness.NewRunner().Resume(spec, j, rp)
+	if err != nil {
+		_ = j.Close()
+		return nil, nil, err
+	}
+	if d := c.Done(); d > 0 {
+		s.logf("dpmrd: spec %.12s resumes with %d of %d trials journaled", fp, d, c.Total)
+	}
+	return j, c, nil
 }
 
 func (s *Server) claimJournal(fp string) bool {
@@ -494,125 +505,6 @@ func (s *Server) releaseJournal(fp string) {
 	s.claimMu.Lock()
 	defer s.claimMu.Unlock()
 	delete(s.claims, fp)
-}
-
-// executeJournaled runs a campaign, overhead or concurrent Spec through
-// its per-fingerprint journal dir: spans already journaled (by an
-// earlier submission the client abandoned) replay instead of re-running,
-// the remaining gaps are leased to the fleet as explicit spans, and
-// every first-completed span is made durable before the coordinator
-// moves past it. The final
-// payload set tiles the full plan, so the client-side fingerprint merge
-// validates it exactly like any sharded run.
-func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp string, workers int, emit func(harness.Event)) ([][]byte, error) {
-	dir := filepath.Join(s.cfg.JournalRoot, fp[:16])
-	resume := false
-	if _, err := os.Stat(filepath.Join(dir, journal.FileName)); err == nil {
-		resume = true
-	}
-	j, rp, err := harness.OpenJournal(dir, resume, spec)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_ = j.Close()
-		// A journal that degraded mid-campaign (disk full, fsync
-		// failure) did not stop the run — results stream to the client
-		// regardless — but the lossy state must be named: the next
-		// submission of this Spec cannot resume from it.
-		if derr := j.Degraded(); derr != nil {
-			s.logf("dpmrd: spec %.12s: journal degraded, campaign completed but cannot be resumed: %v", fp, derr)
-		}
-	}()
-
-	cr, err := harness.NewRunner().Resume(spec, rp)
-	if err != nil {
-		return nil, err
-	}
-	replayed, err := cr.Payloads()
-	if err != nil {
-		return nil, err
-	}
-
-	type loPayload struct {
-		lo      int
-		payload []byte
-	}
-	var out []loPayload
-	for _, payload := range replayed {
-		ev := shardMergedEvent(payload, harness.ShardSpec{})
-		ev.Shard = harness.SpanShard(ev.Lo, ev.Hi)
-		out = append(out, loPayload{ev.Lo, payload})
-		emit(ev)
-	}
-	if resume && len(replayed) > 0 {
-		s.logf("dpmrd: spec %.12s resumes with %d of %d trials journaled", fp, cr.Done(), cr.Total)
-	}
-
-	spans := cr.Spans(2 * workers)
-	if len(spans) > 0 {
-		co, err := coord.New(coord.Config{
-			Spec:    spec,
-			Spans:   spans,
-			Workers: workers,
-			Lease:   s.cfg.Lease,
-			Spawn:   s.spawnProxy,
-			OnResult: func(shard int, payload []byte) error {
-				if _, err := cr.Append(j, payload); err != nil {
-					return err
-				}
-				emit(shardMergedEvent(payload, spans[shard]))
-				return nil
-			},
-			Log: s.logf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		payloads, err := co.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for i, payload := range payloads {
-			out = append(out, loPayload{spans[i].Lo, payload})
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].lo < out[k].lo })
-	result := make([][]byte, len(out))
-	for i, lp := range out {
-		result[i] = lp.payload
-	}
-	return result, nil
-}
-
-// shardMergedEvent builds the client-facing shard event from a payload's
-// envelope. The decode is deliberately lenient: campaign and overhead
-// partials carry lo/hi/total at the top level, experiment partials don't
-// — their event still marks the shard done, just without a trial range.
-func shardMergedEvent(payload []byte, shard harness.ShardSpec) harness.ShardMerged {
-	type span struct {
-		Lo        int   `json:"lo"`
-		Hi        int   `json:"hi"`
-		Total     int   `json:"total"`
-		ElapsedMS int64 `json:"elapsedMS"`
-	}
-	var env struct {
-		span
-		// Experiment payloads nest one campaign partial per constituent
-		// campaign; their summed spans stand in for the whole shard.
-		Campaigns []span `json:"campaigns"`
-	}
-	_ = json.Unmarshal(payload, &env)
-	if env.Total == 0 {
-		for _, c := range env.Campaigns {
-			env.Lo += c.Lo
-			env.Hi += c.Hi
-			env.Total += c.Total
-			env.ElapsedMS += c.ElapsedMS
-		}
-	}
-	return harness.ShardMerged{Shard: shard, Lo: env.Lo, Hi: env.Hi, Total: env.Total,
-		Elapsed: time.Duration(env.ElapsedMS) * time.Millisecond}
 }
 
 // poolProxy is one coordinator fleet slot: each Run checks a physical
@@ -658,28 +550,17 @@ func (p *poolProxy) Run(ctx context.Context, spec harness.Spec, shard harness.Sh
 // Close implements coord.Worker; the proxy owns nothing between shards.
 func (p *poolProxy) Close() error { return nil }
 
-// workerPayloadRunner is the shard executor a fleet-joining worker
-// process uses: a persistent Runner — opts.Runner, or a fresh one — with
-// the process's execution policy, shared across every assignment the
-// daemon sends.
-func workerPayloadRunner(opts harness.Options) func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-	if opts.Runner == nil {
-		opts.Runner = harness.NewRunner()
-	}
-	return func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-		return harness.ShardPayload(ctx, spec, shard, opts)
-	}
-}
-
 // WorkerLoop joins the daemon's fleet at addr and serves assignments
 // until ctx ends, reconnecting with backoff when the socket drops (a
 // chaos sever, a daemon restart mid-lease). The first connection must
 // succeed — a bad address or version mismatch is a named setup error,
 // not a drop to ride out — while a failed *re*join after having served
 // means the daemon is gone for good (drained), which is an orderly
-// exit. onJoin, when non-nil, observes each successful (re)join.
+// exit. Every assignment runs on one coord.Local under opts, so the
+// worker's Runner stays warm across rejoins. onJoin, when non-nil,
+// observes each successful (re)join.
 func WorkerLoop(ctx context.Context, addr string, opts harness.Options, onJoin func(rejoin bool)) error {
-	run := workerPayloadRunner(opts)
+	local := coord.NewLocal(opts)
 	joined := false
 	backoff := 100 * time.Millisecond
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -695,7 +576,7 @@ func WorkerLoop(ctx context.Context, addr string, opts harness.Options, onJoin f
 			onJoin(joined)
 		}
 		joined = true
-		_ = serveFleetConn(ctx, conn, addr, run)
+		_ = serveFleetConn(ctx, conn, addr, local.Payload)
 		if ctx.Err() != nil {
 			return nil
 		}

@@ -152,19 +152,6 @@ func (w *RemoteWorker) Close() error {
 	return w.conn.Close()
 }
 
-// JoinFleet dials a dpmrd daemon at addr and serves shard assignments
-// with run until ctx is cancelled or the daemon closes the connection
-// (both return nil — an orderly exit). run is typically a closure over a
-// persistent harness.Runner, so base modules and goldens stay warm
-// across assignments, which is the entire point of a standing fleet.
-func JoinFleet(ctx context.Context, addr string, run func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error)) error {
-	conn, err := dialFleet(ctx, addr)
-	if err != nil {
-		return err
-	}
-	return serveFleetConn(ctx, conn, addr, run)
-}
-
 // dialFleet connects and completes the worker handshake.
 func dialFleet(ctx context.Context, addr string) (net.Conn, error) {
 	conn, err := dial(ctx, addr)

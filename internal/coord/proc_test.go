@@ -104,11 +104,7 @@ func TestProcWorkerCrashSurfacesAndRetries(t *testing.T) {
 		}
 		return coord.NewProc(nil, exe, "serve-worker")
 	}
-	co, err := coord.New(coord.Config{Shards: 4, Workers: 2, Spawn: spawn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
+	payloads, err := coord.Run(context.Background(), coord.Config{Shards: 4, Workers: 2, Spawn: spawn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +131,7 @@ func TestProcWorkerInBandErrorKeepsProcess(t *testing.T) {
 		spawns++
 		return coord.NewProc(nil, exe, "flaky-worker")
 	}
-	co, err := coord.New(coord.Config{Shards: 3, Workers: 1, Spawn: spawn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
+	payloads, err := coord.Run(context.Background(), coord.Config{Shards: 3, Workers: 1, Spawn: spawn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +156,10 @@ func TestProcWorkerChaosKill(t *testing.T) {
 	}
 	spawn := func(int) (coord.Worker, error) { return coord.NewProc(nil, exe, "serve-worker", "slow") }
 	var logs []string
-	co, err := coord.New(coord.Config{
+	payloads, err := coord.Run(context.Background(), coord.Config{
 		Shards: 4, Workers: 2, Chaos: 1, Spawn: spawn,
 		Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := co.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

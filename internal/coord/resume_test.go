@@ -3,12 +3,12 @@ package coord_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -29,29 +29,72 @@ func resumeCampaignSpec() harness.Spec {
 	return s
 }
 
-// journalPartial appends one completed campaign partial to the journal —
-// the CLI-side record shape the coordinator's OnResult hook writes.
-func journalPartial(t *testing.T, j *journal.Journal, planFP string, payload []byte) *harness.PartialResult {
+// interruptedJournal writes a journal holding the spans keep of a fresh
+// n-span cut of spec, as if the campaign died with only those done, and
+// returns its file bytes, the Spec fingerprint it is keyed by and the
+// number of trials it journaled.
+func interruptedJournal(t *testing.T, spec harness.Spec, n int, keep ...int) (snapshot []byte, fp string, trials int) {
 	t.Helper()
-	p, err := harness.DecodePartial(bytes.NewReader(payload))
+	dir := t.TempDir()
+	j, _, err := harness.OpenJournal(dir, false, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(journal.Record{
-		PlanFP: planFP, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-		ElapsedMS: p.ElapsedMS, Payload: payload,
-	}); err != nil {
+	c, err := harness.NewRunner().Resume(spec, j, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	spans := c.Spans(n)
+	for _, k := range keep {
+		payload, err := harness.ShardPayload(context.Background(), spec, spans[k], harness.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		trials += spans[k].Hi - spans[k].Lo
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snapshot, err = os.ReadFile(filepath.Join(dir, journal.FileName)); err != nil {
+		t.Fatal(err)
+	}
+	if fp, err = spec.Fingerprint(); err != nil {
+		t.Fatal(err)
+	}
+	return snapshot, fp, trials
 }
 
-// TestCoordinatedResumeJournalDeterministic is satellite 4's coordinator
-// leg: an interrupted journal resumed through the fleet — at 1 worker,
-// and at 2 workers with an attempt forcibly failed mid-shard — cuts the
-// identical adaptive span plan, journals every recovered span exactly
-// once through OnResult, and merges byte-identical to a direct
-// uninterrupted run.
+// resumeFrom copies a journal snapshot into a fresh dir and resumes spec
+// from it, journaling to the copy, which it returns open with its dir.
+func resumeFrom(t *testing.T, spec harness.Spec, snapshot []byte, fp string) (*harness.Resume, *journal.Journal, string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journal.FileName), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, rp, err := journal.Open(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = j.Close() })
+	c, err := harness.NewRunner().Resume(spec, j, rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, j, dir
+}
+
+// localSpawn spawns a fresh Local per fleet slot.
+func localSpawn(int) (coord.Worker, error) { return coord.NewLocal(harness.Options{}), nil }
+
+// TestCoordinatedResumeJournalDeterministic: an interrupted journal
+// resumed through Run with Config.Resume — at 1 worker, and at 2
+// workers with an attempt forcibly failed mid-shard — leases the
+// identical adaptive span cut, journals every recovered span exactly
+// once, and merges equal to a direct uninterrupted run.
 func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 	ctx := context.Background()
 	spec := resumeCampaignSpec()
@@ -59,46 +102,8 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := spec.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := n.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := n.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupt: journal the first 2 of 4 spans of a fresh cut, as if the
-	// campaign died halfway.
-	dir := t.TempDir()
-	j, err := journal.Create(dir, canon, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := harness.NewRunner().Resume(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interrupted := 0
-	for _, span := range fresh.Spans(4)[:2] {
-		payload, err := harness.ShardPayload(ctx, spec, span, harness.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := journalPartial(t, j, fresh.PlanFP, payload)
-		interrupted += p.Hi - p.Lo
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapshot, err := os.ReadFile(filepath.Join(dir, journal.FileName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Interrupt: journal the first 2 of 4 spans of a fresh cut.
+	snapshot, fp, interrupted := interruptedJournal(t, spec, 4, 0, 1)
 
 	type fleetCase struct {
 		name    string
@@ -108,42 +113,35 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 	var cutSpans [][]harness.ShardSpec
 	for _, fc := range []fleetCase{{"1-worker", 1, false}, {"2-workers-chaos", 2, true}} {
 		t.Run(fc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, journal.FileName), snapshot, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			j, rp, err := journal.Open(dir, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			c, err := harness.NewRunner().Resume(spec, rp)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c, j, dir := resumeFrom(t, spec, snapshot, fp)
 			if c.Done() != interrupted {
 				t.Fatalf("journal covers %d trials, interruption left %d", c.Done(), interrupted)
 			}
-			spans := c.Spans(4)
-			cutSpans = append(cutSpans, spans)
 
 			var failed int32
+			var mu sync.Mutex
+			var leased []harness.ShardSpec
+			worker := coord.Func(func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+				payload, err := harness.ShardPayload(ctx, spec, shard, harness.Options{})
+				if err != nil {
+					return nil, err
+				}
+				if fc.sabot && atomic.CompareAndSwapInt32(&failed, 0, 1) {
+					return nil, errors.New("worker forcibly failed mid-shard (injected)")
+				}
+				mu.Lock()
+				leased = append(leased, shard)
+				mu.Unlock()
+				return payload, nil
+			})
 			journaled := 0
-			payloads, err := coord.RunFleet(ctx, coord.FleetOptions{
-				Spec: spec, Workers: fc.workers, Spans: spans,
-				Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-					payload, err := harness.ShardPayload(ctx, spec, shard, harness.Options{})
-					if err != nil {
-						return nil, err
+			_, err := coord.Run(ctx, coord.Config{
+				Spec: spec, Shards: 4, Workers: fc.workers, Resume: c,
+				Spawn: func(int) (coord.Worker, error) { return worker, nil },
+				OnResult: func(shard harness.ShardSpec, _ []byte) error {
+					if shard.Lo >= interrupted {
+						journaled += shard.Hi - shard.Lo
 					}
-					if fc.sabot && atomic.CompareAndSwapInt32(&failed, 0, 1) {
-						return nil, errors.New("worker forcibly failed mid-shard (injected)")
-					}
-					return payload, nil
-				},
-				OnResult: func(shard int, payload []byte) error {
-					p := journalPartial(t, j, c.PlanFP, payload)
-					journaled += p.Hi - p.Lo
 					return nil
 				},
 			})
@@ -153,16 +151,14 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 			if fc.sabot && atomic.LoadInt32(&failed) != 1 {
 				t.Fatal("the fault was never injected")
 			}
-			if journaled+interrupted != c.Total {
-				t.Errorf("journaled %d + interrupted %d trials != plan total %d — a shard was dropped or double-journaled",
-					journaled, interrupted, c.Total)
+			if journaled+interrupted != c.Total || c.Done() != c.Total {
+				t.Errorf("journaled %d + interrupted %d trials (coverage %d) != plan total %d — a shard was dropped or double-journaled",
+					journaled, interrupted, c.Done(), c.Total)
 			}
+			sort.Slice(leased, func(a, b int) bool { return leased[a].Lo < leased[b].Lo })
+			cutSpans = append(cutSpans, leased)
 
-			replayed, err := c.Payloads()
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged, err := harness.NewRunner().MergePayloads(spec, append(replayed, payloads...))
+			merged, err := c.Merge()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +176,7 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j2.Close()
-			c2, err := harness.NewRunner().Resume(spec, rp2)
+			c2, err := harness.NewRunner().Resume(spec, nil, rp2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,88 +191,132 @@ func TestCoordinatedResumeJournalDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSpanValidation: explicit span configs are validated at
-// New — mismatched Shards counts and non-explicit spans are refused.
-func TestCoordinatorSpanValidation(t *testing.T) {
-	spawn := func(int) (coord.Worker, error) { return coord.Func(okWorker), nil }
-	cases := []struct {
-		name string
-		cfg  coord.Config
-		want string
-	}{
-		{"shards-vs-spans mismatch",
-			coord.Config{Workers: 1, Shards: 3, Spans: []harness.ShardSpec{harness.SpanShard(0, 5)}, Spawn: spawn},
-			"3 shards but 1 explicit spans"},
-		{"fractional span rejected",
-			coord.Config{Workers: 1, Spans: []harness.ShardSpec{{Index: 0, Count: 2}}, Spawn: spawn},
-			"explicit [lo,hi) trial spans only"},
-		{"invalid span rejected",
-			coord.Config{Workers: 1, Spans: []harness.ShardSpec{harness.SpanShard(5, 5)}, Spawn: spawn},
-			"invalid explicit trial span"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := coord.New(tc.cfg)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("New(%+v) err = %v, want mention of %q", tc.cfg, err, tc.want)
-			}
-		})
-	}
-
-	// Fewer spans than workers is legal (a nearly complete journal).
-	co, err := coord.New(coord.Config{Workers: 4,
-		Spans: []harness.ShardSpec{harness.SpanShard(2, 7)}, Spawn: spawn})
+// TestFleetLeasesExplicitSpans: with Config.Resume, Run leases exactly
+// Resume.Spans(Shards) — even fewer spans than workers — hands OnResult
+// each returned payload once (replayed ones first), and returns the
+// replayed and fresh payloads together in trial order.
+func TestFleetLeasesExplicitSpans(t *testing.T) {
+	spec := resumeCampaignSpec()
+	snapshot, fp, _ := interruptedJournal(t, spec, 4, 0, 2)
+	c, _, _ := resumeFrom(t, spec, snapshot, fp)
+	replayedSpans, _, err := c.Payloads()
 	if err != nil {
-		t.Fatalf("1 span for 4 workers must be legal on explicit spans: %v", err)
-	}
-	if _, err := co.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestFleetLeasesExplicitSpans: with Spans set, workers receive exactly
-// the configured spans (not fractional cuts) and payloads come back in
-// span order.
-func TestFleetLeasesExplicitSpans(t *testing.T) {
-	spans := []harness.ShardSpec{
-		harness.SpanShard(0, 3), harness.SpanShard(3, 4), harness.SpanShard(4, 9),
+	want := c.Spans(1) // one span per gap: 2 spans for 4 workers
+	const workers = 4
+	if len(want) != 2 {
+		t.Fatalf("a 1-span cut of two gaps gave %d spans", len(want))
 	}
-	var onResults int32
-	payloads, err := coord.RunFleet(context.Background(), coord.FleetOptions{
-		Workers: 2, Spans: spans,
-		Local: func(_ context.Context, _ harness.Spec, s harness.ShardSpec) ([]byte, error) {
-			if !s.Explicit() {
-				return nil, errors.New("fractional assignment under explicit spans")
-			}
-			return json.Marshal(s)
+	byLo := func(s []harness.ShardSpec) []harness.ShardSpec {
+		sort.Slice(s, func(a, b int) bool { return s[a].Lo < s[b].Lo })
+		return s
+	}
+
+	var mu sync.Mutex
+	var leased []harness.ShardSpec
+	var seen []harness.ShardSpec
+	payloads, err := coord.Run(context.Background(), coord.Config{
+		Spec: spec, Shards: 1, Workers: workers, Resume: c,
+		Spawn: func(id int) (coord.Worker, error) {
+			local := coord.NewLocal(harness.Options{})
+			return coord.Func(func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+				mu.Lock()
+				leased = append(leased, shard)
+				mu.Unlock()
+				return local.Run(ctx, spec, shard)
+			}), nil
 		},
-		OnResult: func(int, []byte) error { atomic.AddInt32(&onResults, 1); return nil },
+		OnResult: func(shard harness.ShardSpec, _ []byte) error {
+			seen = append(seen, shard)
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&onResults); got != int32(len(spans)) {
-		t.Errorf("OnResult fired %d times for %d spans", got, len(spans))
+	if !reflect.DeepEqual(byLo(leased), want) {
+		t.Errorf("leased %v, want the resume's spans %v verbatim", leased, want)
 	}
-	for i, p := range payloads {
-		var got harness.ShardSpec
-		if err := json.Unmarshal(p, &got); err != nil {
+	if len(seen) != len(replayedSpans)+len(want) || !reflect.DeepEqual(seen[:len(replayedSpans)], replayedSpans) ||
+		!reflect.DeepEqual(byLo(seen[len(replayedSpans):]), want) {
+		t.Errorf("OnResult saw %v, want the replayed spans %v, then the leased ones %v", seen, replayedSpans, want)
+	}
+	if len(payloads) != len(seen) {
+		t.Fatalf("%d payloads returned, OnResult saw %d", len(payloads), len(seen))
+	}
+	next := 0
+	for i, payload := range payloads {
+		p, err := harness.DecodePartial(bytes.NewReader(payload))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got != spans[i] {
-			t.Errorf("payload %d ran span %v, want %v", i, got, spans[i])
+		if p.Lo != next {
+			t.Fatalf("payload %d covers [%d, %d), want it to start at trial %d", i, p.Lo, p.Hi, next)
 		}
+		next = p.Hi
+	}
+	if next != c.Total {
+		t.Errorf("payloads cover [0, %d) of %d trials", next, c.Total)
 	}
 }
 
-// TestFleetOnResultErrorAborts: a failing OnResult sink (a journal that
-// cannot make the payload durable) aborts the run with its error.
+// TestRunCompleteJournalSpawnsNothing: resuming a complete journal leases
+// nothing and spawns no worker; Run returns the replayed payloads, each
+// seen once by OnResult.
+func TestRunCompleteJournalSpawnsNothing(t *testing.T) {
+	spec := resumeCampaignSpec()
+	snapshot, fp, _ := interruptedJournal(t, spec, 2, 0, 1)
+	c, _, _ := resumeFrom(t, spec, snapshot, fp)
+	var spawns, results int32
+	payloads, err := coord.Run(context.Background(), coord.Config{
+		Spec: spec, Shards: 8, Workers: 2, Resume: c,
+		Spawn: func(id int) (coord.Worker, error) {
+			atomic.AddInt32(&spawns, 1)
+			return localSpawn(id)
+		},
+		OnResult: func(harness.ShardSpec, []byte) error { atomic.AddInt32(&results, 1); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spawns != 0 {
+		t.Errorf("a complete journal spawned %d workers", spawns)
+	}
+	if len(payloads) != 2 || results != 2 {
+		t.Errorf("got %d payloads and %d OnResult calls, want the 2 replayed spans", len(payloads), results)
+	}
+	merged, err := harness.NewRunner().MergePayloads(spec, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := harness.NewRunner().RunCampaign(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct, merged.Campaign()) {
+		t.Error("replayed payloads merge to a different result than a direct run")
+	}
+}
+
+// TestFleetOnResultErrorAborts: a failing OnResult sink aborts the run
+// with its error.
 func TestFleetOnResultErrorAborts(t *testing.T) {
+	spec := resumeCampaignSpec()
+	dir := t.TempDir()
+	j, _, err := harness.OpenJournal(dir, false, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	c, err := harness.NewRunner().Resume(spec, j, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sinkErr := errors.New("disk full (injected)")
-	_, err := coord.RunFleet(context.Background(), coord.FleetOptions{
-		Workers: 1, Spans: []harness.ShardSpec{harness.SpanShard(0, 2)},
-		Local:    func(_ context.Context, _ harness.Spec, s harness.ShardSpec) ([]byte, error) { return json.Marshal(s) },
-		OnResult: func(int, []byte) error { return sinkErr },
+	_, err = coord.Run(context.Background(), coord.Config{
+		Spec: spec, Shards: 2, Workers: 1, Resume: c, Spawn: localSpawn,
+		OnResult: func(harness.ShardSpec, []byte) error { return sinkErr },
 	})
 	if !errors.Is(err, sinkErr) {
 		t.Errorf("fleet with failing result sink err = %v, want %v", err, sinkErr)

@@ -70,6 +70,42 @@ func Serve(r io.Reader, w io.Writer, run func(spec harness.Spec, shard harness.S
 	}
 }
 
+// Local is the in-process worker: a persistent harness.Runner that
+// executes every assignment under one execution policy, so each
+// workload's base module and goldens stay warm across assignments
+// exactly as in a spawned worker process. A Local runs one assignment
+// at a time; each fleet slot needs its own.
+type Local struct {
+	opts harness.Options
+}
+
+// NewLocal returns a Local that runs under opts on a Runner of its own
+// (opts.Runner is ignored).
+func NewLocal(opts harness.Options) *Local {
+	opts.Runner = harness.NewRunner()
+	return &Local{opts: opts}
+}
+
+// Payload executes one shard of the Spec's plan and returns its
+// serialized partial result.
+func (l *Local) Payload(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+	return harness.ShardPayload(ctx, spec, shard, l.opts)
+}
+
+// Run implements Worker. A failure is in-band (a ShardError): the
+// worker is healthy, the shard or its Spec is the problem, so the slot
+// keeps its warm Runner.
+func (l *Local) Run(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+	payload, err := l.Payload(ctx, spec, shard)
+	if err != nil {
+		return nil, &ShardError{Shard: shard, Msg: err.Error()}
+	}
+	return payload, nil
+}
+
+// Close implements Worker; a Local holds no process.
+func (*Local) Close() error { return nil }
+
 // ShardError reports a shard attempt that failed while its worker stayed
 // healthy — an in-band Completion.Error from a live process, as opposed
 // to a transport failure (dead process, closed pipe). The coordinator

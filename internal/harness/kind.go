@@ -98,6 +98,41 @@ func decodeChecked[P partial](r io.Reader, p P) (P, error) {
 	return p, nil
 }
 
+// MergedEvent is the ShardMerged event for one serialized partial of any
+// kind, read from its envelope alone: no row is decoded, and a payload
+// that is not a partial yields an event with an empty range. An
+// experiment partial's range is the sum of its sub-plans' ranges, read
+// from every list field of the ExperimentPartial, so a sub-plan kind
+// added there is counted without naming it here.
+func MergedEvent(shard ShardSpec, payload []byte) ShardMerged {
+	type span struct {
+		Lo        int   `json:"lo"`
+		Hi        int   `json:"hi"`
+		Total     int   `json:"total"`
+		ElapsedMS int64 `json:"elapsedMS"`
+	}
+	var env span
+	_ = json.Unmarshal(payload, &env)
+	if env.Total == 0 {
+		var fields map[string]json.RawMessage
+		_ = json.Unmarshal(payload, &fields)
+		for _, raw := range fields {
+			var subs []span
+			if json.Unmarshal(raw, &subs) != nil {
+				continue // exp, shard: not a sub-plan list
+			}
+			for _, s := range subs {
+				env.Lo += s.Lo
+				env.Hi += s.Hi
+				env.Total += s.Total
+				env.ElapsedMS += s.ElapsedMS
+			}
+		}
+	}
+	return ShardMerged{Shard: shard, Lo: env.Lo, Hi: env.Hi, Total: env.Total,
+		Elapsed: time.Duration(env.ElapsedMS) * time.Millisecond}
+}
+
 // widen returns a typed decode's partial as a partial — nil, not a nil
 // pointer in an interface, when err is set.
 func widen[P partial](p P, err error) (partial, error) {

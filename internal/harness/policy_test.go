@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"dpmr/internal/coord"
 	coordnet "dpmr/internal/coord/net"
 	"dpmr/internal/dpmr"
 	"dpmr/internal/faultinject"
@@ -18,8 +19,9 @@ import (
 // trials to the one execution-policy surface: given the same Options,
 // each runs every trial range on a Runner with exactly that policy —
 // sessions of either kind, the worker-side ShardPayload, the sharded and
-// journaled experiment generators, and the daemon's local and socket
-// workers.
+// journaled experiment generators, the CLIs' in-process -coord fleet,
+// and the daemon's local and socket workers. The -coord fleet keeps one
+// persistent Runner per slot, not one per assignment.
 func TestPolicyReachesEveryRunner(t *testing.T) {
 	ctx := context.Background()
 	want := harness.Options{Parallel: 3, Reference: true}
@@ -91,6 +93,11 @@ func TestPolicyReachesEveryRunner(t *testing.T) {
 			_, err = harness.GenerateJournaled(ctx, experiment, j, prior, harness.DefaultResumeSpans, io.Discard, opts, nil)
 			return err
 		}},
+		{"coord/in-process", func(_ *testing.T, opts harness.Options) error {
+			cf := coord.CLIFlags{Workers: 2, Shards: 4}
+			_, err := coord.Run(ctx, cf.Fleet(campaign, opts, false, io.Discard))
+			return err
+		}},
 		{"coordnet/local", func(t *testing.T, opts harness.Options) error {
 			return fleet(t, coordnet.ServerConfig{LocalWorkers: 1, WorkerOptions: opts}, false, opts)
 		}},
@@ -98,6 +105,8 @@ func TestPolicyReachesEveryRunner(t *testing.T) {
 			return fleet(t, coordnet.ServerConfig{}, true, opts)
 		}},
 	}
+	// The most distinct Runners a case may use: one per fleet slot.
+	maxRunners := map[string]int{"coord/in-process": 2}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
@@ -115,11 +124,16 @@ func TestPolicyReachesEveryRunner(t *testing.T) {
 			if len(seen) == 0 {
 				t.Fatal("no trial range ran")
 			}
+			runners := make(map[*harness.Runner]bool)
 			for _, got := range seen {
 				if got.Parallel != want.Parallel || got.Reference != want.Reference {
 					t.Fatalf("a trial range ran with Parallel %d, Reference %v; want %d, %v",
 						got.Parallel, got.Reference, want.Parallel, want.Reference)
 				}
+				runners[got.Runner] = true
+			}
+			if n := maxRunners[tc.name]; n > 0 && len(runners) > n {
+				t.Errorf("trial ranges ran on %d distinct Runners, want at most %d", len(runners), n)
 			}
 		})
 	}

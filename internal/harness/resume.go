@@ -8,8 +8,8 @@ package harness
 // per-trial cost in the journal (slow regions get smaller spans, so a
 // straggling span loses less work to the next interruption) — and the
 // cut is a pure function of (journal bytes, Spec), so a resumed plan is
-// reproducible; the journaled span loop (RunJournaled, and the
-// coordinator through Resume.Append) then executes the spans, appending
+// reproducible; the journaled span loop (RunJournaled, and coord.Run
+// through Resume.Append) then executes the spans, appending
 // each completed partial to the journal before moving on, and finishes
 // with the ordinary fingerprint-validated exact-tiling merge, which is
 // what guarantees a resumed run's report is byte-identical to an
@@ -48,6 +48,7 @@ const DefaultResumeSpans = 8
 type Resume struct {
 	r      *Runner
 	pl     *planned
+	j      *journal.Journal
 	parts  []partial   // covered ranges, replayed then appended
 	PlanFP string      // the plan fingerprint shard records are journaled under
 	Total  int         // the plan's trial count
@@ -60,8 +61,9 @@ type Resume struct {
 // range against the payload's — a mismatch means the journal was
 // tampered with past its checksums and is refused as corrupt);
 // everything the records do not cover becomes a gap. rp may be nil (a
-// fresh journal): every trial is then a gap.
-func (r *Runner) Resume(spec Spec, rp *journal.Replay) (*Resume, error) {
+// fresh journal): every trial is then a gap. Append journals to j, which
+// may be nil for a Resume that only plans.
+func (r *Runner) Resume(spec Spec, j *journal.Journal, rp *journal.Replay) (*Resume, error) {
 	if err := failpt.Err(siteResume); err != nil {
 		return nil, err
 	}
@@ -72,7 +74,7 @@ func (r *Runner) Resume(spec Spec, rp *journal.Replay) (*Resume, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Resume{r: r, pl: pl, PlanFP: pl.fingerprint, Total: pl.total}
+	c := &Resume{r: r, pl: pl, j: j, PlanFP: pl.fingerprint, Total: pl.total}
 	if rp != nil {
 		for _, rec := range rp.Plan(pl.fingerprint) {
 			p, err := pl.decodeRecord(rec)
@@ -160,18 +162,23 @@ func (c *Resume) Spans(n int) []ShardSpec {
 }
 
 // Append journals one serialized partial of the plan — a fleet shard's
-// payload — and adds it to the coverage; it returns its trial count.
-func (c *Resume) Append(j *journal.Journal, payload []byte) (int, error) {
+// payload — and adds it to the coverage.
+func (c *Resume) Append(payload []byte) error {
 	p, err := c.pl.decode(bytes.NewReader(payload))
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if err := appendRecord(j, p, payload); err != nil {
-		return 0, err
+	return c.add(p, payload)
+}
+
+// add journals one decoded partial with its serialized payload and adds
+// it to the coverage.
+func (c *Resume) add(p partial, payload []byte) error {
+	if err := appendRecord(c.j, p, payload); err != nil {
+		return err
 	}
 	c.parts = append(c.parts, p)
-	s := p.span()
-	return s.hi - s.lo, nil
+	return nil
 }
 
 // Snapshot aggregates the coverage over zero-valued stand-ins for the
@@ -182,18 +189,22 @@ func (c *Resume) Snapshot() Result { return c.pl.result(c.parts...) }
 // result (see MergeCampaign).
 func (c *Resume) Merge() (Result, error) { return c.pl.merge(c.r, c.parts, "Merge") }
 
-// Payloads returns the journal's replayed partials in their wire form
-// (encoding/json, no trailing newline), in ascending trial order.
-func (c *Resume) Payloads() ([][]byte, error) {
+// Payloads returns the coverage's partials in their wire form
+// (encoding/json, no trailing newline) with the trial span each covers,
+// in the order they were replayed and appended: ascending trial order
+// until the first Append.
+func (c *Resume) Payloads() ([]ShardSpec, [][]byte, error) {
+	spans := make([]ShardSpec, len(c.parts))
 	out := make([][]byte, len(c.parts))
 	for i, p := range c.parts {
 		payload, err := json.Marshal(p)
 		if err != nil {
-			return nil, fmt.Errorf("harness: encoding journaled partial: %w", err)
+			return nil, nil, fmt.Errorf("harness: encoding journaled partial: %w", err)
 		}
-		out[i] = payload
+		s := p.span()
+		spans[i], out[i] = SpanShard(s.lo, s.hi), payload
 	}
-	return out, nil
+	return spans, out, nil
 }
 
 // OpenJournal resolves the CLIs' -journal/-resume flag pair against the
@@ -226,10 +237,9 @@ func OpenJournal(dir string, resume bool, spec Spec) (*journal.Journal, *journal
 // AppendCampaignPayload journals one serialized campaign or concurrent
 // partial without a plan to check it against: the payload's own
 // fingerprint and range become the record envelope, so the journal's
-// overlap guard sees the true trial span. The coordinator's OnResult
-// hooks use Resume.Append, which decodes against the plan and serves
-// every kind; this is the plan-free form the perfbench journal replay
-// prices.
+// overlap guard sees the true trial span. coord.Run journals through
+// Resume.Append, which decodes against the plan and serves every kind;
+// this is the plan-free form the perfbench journal replay prices.
 func AppendCampaignPayload(j *journal.Journal, payload []byte) (*PartialResult, error) {
 	p, err := DecodePartial(bytes.NewReader(payload))
 	if err != nil {
@@ -435,15 +445,15 @@ func cutByCost(g ShardSpec, ng int, rates []float64) []ShardSpec {
 // is journaled before ctx's error returns.
 func (r *Runner) RunJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
 	snap func(res Result, done, total int)) (Result, int, error) {
-	c, err := r.Resume(spec, prior)
+	c, err := r.Resume(spec, j, prior)
 	if err != nil {
 		return Result{}, 0, err
 	}
-	return c.run(ctx, j, spans, snap)
+	return c.run(ctx, spans, snap)
 }
 
 // run is the journaled span loop behind RunJournaled.
-func (c *Resume) run(ctx context.Context, j *journal.Journal, spans int, snap func(res Result, done, total int)) (Result, int, error) {
+func (c *Resume) run(ctx context.Context, spans int, snap func(res Result, done, total int)) (Result, int, error) {
 	emit := func() {
 		if snap != nil {
 			snap(c.Snapshot(), c.Done(), c.Total)
@@ -466,11 +476,10 @@ func (c *Resume) run(ctx context.Context, j *journal.Journal, spans int, snap fu
 			if merr != nil {
 				return Result{}, executed, fmt.Errorf("harness: encoding journaled partial: %w", merr)
 			}
-			if aerr := appendRecord(j, p, payload); aerr != nil {
+			if aerr := c.add(p, payload); aerr != nil {
 				return Result{}, executed, aerr
 			}
 			executed += s.hi - s.lo
-			c.parts = append(c.parts, p)
 			emit()
 		}
 		if err != nil {
@@ -552,12 +561,12 @@ func GenerateJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior
 		}
 	}
 	opts.reroute = func(ctx context.Context, r *Runner, sub Spec) (Result, error) {
-		c, err := r.Resume(sub, prior)
+		c, err := r.Resume(sub, j, prior)
 		if err != nil {
 			return Result{}, err
 		}
 		st.plans[c.PlanFP] = c
-		res, executed, err := c.run(ctx, j, spans, emit)
+		res, executed, err := c.run(ctx, spans, emit)
 		st.executed += executed
 		return res, err
 	}

@@ -81,7 +81,7 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 			got.Builds, got.Resident, want.Builds, want.Resident)
 	}
 
-	c, err := NewRunner().Resume(spec, nil)
+	c, err := NewRunner().Resume(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 	spec := smallCampaign()
 	direct, _ := campaignAt(t, 1)
 	total := func() int {
-		c, err := NewRunner().Resume(spec, nil)
+		c, err := NewRunner().Resume(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 
 			j2, rp := reopenJournal(t, dir, fp)
 			defer j2.Close()
-			c, err := NewRunner().Resume(spec, rp)
+			c, err := NewRunner().Resume(spec, nil, rp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +345,7 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 		j, rp := reopenJournal(t, dir, fp)
 		r := NewRunner()
 		r.parallel = workers
-		c, err := r.Resume(spec, rp)
+		c, err := r.Resume(spec, nil, rp)
 		if err != nil {
 			t.Fatal(err)
 		}

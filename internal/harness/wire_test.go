@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -48,5 +49,42 @@ func TestEventWireRejectsMalformed(t *testing.T) {
 	type rogue struct{ Event }
 	if _, err := EncodeEvent(rogue{}); err == nil {
 		t.Error("unknown event type encoded without error")
+	}
+}
+
+// TestMergedEventSumsEverySubPlan: an experiment partial's ShardMerged
+// range sums every sub-plan list, and every list field of
+// ExperimentPartial is such a list — so the lenient envelope can read
+// them all without naming them.
+func TestMergedEventSumsEverySubPlan(t *testing.T) {
+	partialType := reflect.TypeOf((*partial)(nil)).Elem()
+	ept := reflect.TypeOf(ExperimentPartial{})
+	lists := 0
+	for i := 0; i < ept.NumField(); i++ {
+		if f := ept.Field(i); f.Type.Kind() == reflect.Slice {
+			if !f.Type.Elem().Implements(partialType) {
+				t.Errorf("ExperimentPartial.%s is a list of %s, not of a sub-plan partial", f.Name, f.Type.Elem())
+			}
+			lists++
+		}
+	}
+	if n := len((&ExperimentPartial{}).subPlans()); lists != n {
+		t.Errorf("ExperimentPartial has %d list fields for %d sub-plan kinds", lists, n)
+	}
+
+	ep := &ExperimentPartial{Exp: "x", Shard: SpanShard(0, 9),
+		Campaigns: []*PartialResult{{Lo: 1, Hi: 3, Total: 5, ElapsedMS: 2}},
+		Overheads: []*OverheadPartial{{Lo: 4, Hi: 6, Total: 8, ElapsedMS: 3}},
+	}
+	payload, err := json.Marshal(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ShardMerged{Shard: ep.Shard, Lo: 5, Hi: 9, Total: 13, Elapsed: 5 * time.Millisecond}
+	if got := MergedEvent(ep.Shard, payload); got != want {
+		t.Errorf("MergedEvent = %+v, want %+v", got, want)
+	}
+	if got := MergedEvent(ep.Shard, []byte("not a partial")); got != (ShardMerged{Shard: ep.Shard}) {
+		t.Errorf("MergedEvent of a non-partial = %+v, want an empty range", got)
 	}
 }

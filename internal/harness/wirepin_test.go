@@ -93,12 +93,12 @@ func TestWireBytesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkPinJournal(t, j, dir, tc.journal)
-			c, err := NewRunner().Resume(tc.spec, nil)
+			j, dir = openPinJournal(t, tc.spec)
+			c, err := NewRunner().Resume(tc.spec, j, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			j, dir = openPinJournal(t, tc.spec)
-			if _, err := c.Append(j, []byte(tc.partial)); err != nil {
+			if err := c.Append([]byte(tc.partial)); err != nil {
 				t.Fatal(err)
 			}
 			checkPinJournal(t, j, dir, tc.journal)
