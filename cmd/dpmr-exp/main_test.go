@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -429,5 +430,59 @@ func TestJournalEndToEnd(t *testing.T) {
 				t.Errorf("resume of a complete journal re-executed trials: %q", rerr.String())
 			}
 		})
+	}
+}
+
+// TestFleetProgressOneLinePerShard: under -progress every shard a fleet
+// runs prints exactly one "merged shard" line — from the daemon's stream
+// under -remote, from the fleet's results under -coord — and the
+// client-side merge of the payloads adds none.
+func TestFleetProgressOneLinePerShard(t *testing.T) {
+	srv := coordnet.NewServer(coordnet.ServerConfig{LocalWorkers: 2})
+	ln, err := coordnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	for _, mode := range [][]string{{"-remote", ln.Addr().String()}, {"-coord", "2"}} {
+		var stdout, stderr bytes.Buffer
+		if code := runCLI(append([]string{"-exp", "fig3.16", "-quick", "-progress"}, mode...), noStdin(), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v failed: %s", mode, stderr.String())
+		}
+		checkOneLinePerShard(t, mode[0], stderr.String())
+	}
+}
+
+// checkOneLinePerShard requires the "merged shard i/N" lines in stderr
+// to name every shard of the N-shard cut exactly once.
+func checkOneLinePerShard(t *testing.T, mode, stderr string) {
+	t.Helper()
+	seen := make(map[string]int)
+	count := 0
+	for _, line := range strings.Split(stderr, "\n") {
+		_, rest, ok := strings.Cut(line, "merged shard ")
+		if !ok {
+			continue
+		}
+		shard, _, _ := strings.Cut(rest, ":")
+		_, n, _ := strings.Cut(shard, "/")
+		seen[shard]++
+		count, _ = strconv.Atoi(n)
+	}
+	if count == 0 || len(seen) != count {
+		t.Fatalf("%s: want one merged-shard line for each shard, got %v:\n%s", mode, seen, stderr)
+	}
+	for shard, lines := range seen {
+		if lines != 1 {
+			t.Errorf("%s: shard %s printed %d lines, want 1:\n%s", mode, shard, lines, stderr)
+		}
 	}
 }

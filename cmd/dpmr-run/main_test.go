@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -74,6 +75,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"sched-seed on injection campaign", []string{"-workload", "art", "-campaign", "-inject", "immediate-free", "-sched-seed", "9"}, 2, "only applies to concurrent campaigns"},
 		{"zero workers", []string{"-campaign", "-inject", "immediate-free", "-parallel", "0"}, 1, "at least 1 worker"},
 		{"negative workers", []string{"-campaign", "-inject", "immediate-free", "-parallel", "-4"}, 1, "at least 1 worker"},
+		{"worker with zero workers", []string{"-worker", "-parallel", "0"}, 1, "at least 1 worker"},
+		{"worker with negative workers", []string{"-worker", "-parallel", "-1"}, 1, "at least 1 worker"},
 		{"bad cpuprofile path", []string{"-workload", "mcf", "-cpuprofile", "/no/such/dir/cpu.out"}, 1, "prof:"},
 	}
 	for _, tc := range cases {
@@ -581,5 +584,90 @@ func TestCampaignJournalCoordinatedEndToEnd(t *testing.T) {
 	}
 	if trimExecutionLocal(resumed.String()) != trimExecutionLocal(direct.String()) {
 		t.Errorf("post-coordination resume summary differs from direct")
+	}
+}
+
+// TestCampaignMergeDirectoryAndGlob: -merge takes a directory of
+// partials and a glob of them, and both merge to the bytes of the
+// file-list merge.
+func TestCampaignMergeDirectoryAndGlob(t *testing.T) {
+	base := []string{"-workload", "chash", "-campaign", "-runs", "2", "-threads", "2"}
+	dir := t.TempDir()
+	var files []string
+	var stderr bytes.Buffer
+	for i := 0; i < 2; i++ {
+		f := filepath.Join(dir, "conc"+string(rune('0'+i))+".json")
+		files = append(files, f)
+		if code := runCLI(append(append([]string{}, base...), "-shard", string(rune('0'+i))+"/2", "-out", f), noStdin(), &bytes.Buffer{}, &stderr); code != 0 {
+			t.Fatalf("shard %d failed: %s", i, stderr.String())
+		}
+	}
+	merge := func(args ...string) string {
+		var out, stderr bytes.Buffer
+		if code := runCLI(append(append(append([]string{}, base...), "-merge"), args...), noStdin(), &out, &stderr); code != 0 {
+			t.Fatalf("-merge %v failed: %s", args, stderr.String())
+		}
+		return out.String()
+	}
+	listed := merge(files...)
+	for _, arg := range []string{dir, filepath.Join(dir, "conc[01].json")} {
+		if got := merge(arg); got != listed {
+			t.Errorf("-merge %s differs from the file-list merge:\n--- files ---\n%s\n--- %s ---\n%s", arg, listed, arg, got)
+		}
+	}
+}
+
+// TestFleetProgressOneLinePerShard: under -progress every shard a fleet
+// runs prints exactly one "merged shard" line — from the daemon's stream
+// under -remote, from the fleet's results under -coord — and the
+// client-side merge of the payloads adds none.
+func TestFleetProgressOneLinePerShard(t *testing.T) {
+	srv := coordnet.NewServer(coordnet.ServerConfig{LocalWorkers: 2})
+	ln, err := coordnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	base := []string{"-workload", "art", "-campaign", "-inject", "immediate-free", "-runs", "1", "-progress"}
+	for _, mode := range [][]string{{"-remote", ln.Addr().String()}, {"-coord", "2"}} {
+		var stdout, stderr bytes.Buffer
+		if code := runCLI(append(append([]string{}, base...), mode...), noStdin(), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v failed: %s", mode, stderr.String())
+		}
+		checkOneLinePerShard(t, mode[0], stderr.String())
+	}
+}
+
+// checkOneLinePerShard requires the "merged shard i/N" lines in stderr
+// to name every shard of the N-shard cut exactly once.
+func checkOneLinePerShard(t *testing.T, mode, stderr string) {
+	t.Helper()
+	seen := make(map[string]int)
+	count := 0
+	for _, line := range strings.Split(stderr, "\n") {
+		_, rest, ok := strings.Cut(line, "merged shard ")
+		if !ok {
+			continue
+		}
+		shard, _, _ := strings.Cut(rest, ":")
+		_, n, _ := strings.Cut(shard, "/")
+		seen[shard]++
+		count, _ = strconv.Atoi(n)
+	}
+	if count == 0 || len(seen) != count {
+		t.Fatalf("%s: want one merged-shard line for each shard, got %v:\n%s", mode, seen, stderr)
+	}
+	for shard, lines := range seen {
+		if lines != 1 {
+			t.Errorf("%s: shard %s printed %d lines, want 1:\n%s", mode, shard, lines, stderr)
+		}
 	}
 }

@@ -1,10 +1,9 @@
 package coord
 
-// The -coord* flag family shared by the CLIs. Registering and validating
-// the flags here — next to Config — and building the fleet's Config from
-// them keeps the two binaries' coordinator surfaces from drifting apart:
-// a new fleet knob, a new dependency rule or a new worker flag lands in
-// one place.
+// The -coord* flag family of the CLIs' execution arm (internal/cli).
+// Registering and validating the flags here — next to Config — and
+// building the fleet's Config from them puts a new fleet knob, a new
+// dependency rule or a new worker flag in one place.
 
 import (
 	"flag"
@@ -30,12 +29,9 @@ type CLIFlags struct {
 	leaseSet bool
 }
 
-// Register declares the flag family on fs. what names the unit being
-// scheduled ("experiment", "campaign") in help text; workerHelp
-// describes the -worker mode for this binary.
-func (c *CLIFlags) Register(fs *flag.FlagSet, what, workerHelp string) {
-	fs.IntVar(&c.Workers, "coord", 0,
-		fmt.Sprintf("schedule the %s's shards on a coordinator with this many workers (0 = off)", what))
+// Register declares the flag family on fs.
+func (c *CLIFlags) Register(fs *flag.FlagSet) {
+	fs.IntVar(&c.Workers, "coord", 0, "schedule the Spec's shards on a coordinator with this many workers (0 = off)")
 	fs.IntVar(&c.Shards, "coord-shards", 0,
 		"shards to cut the plan into with -coord (default 2×workers; must be ≥ workers)")
 	fs.DurationVar(&c.Lease, "coord-lease", 5*time.Minute,
@@ -44,7 +40,8 @@ func (c *CLIFlags) Register(fs *flag.FlagSet, what, workerHelp string) {
 		"with -coord: workers are spawned '"+fs.Name()+" -worker' processes over JSON-lines stdio instead of in-process goroutines")
 	fs.IntVar(&c.Chaos, "coord-chaos", 0,
 		"with -coord-spawn: fault drill — kill this many workers after their first lease and rely on retry")
-	fs.BoolVar(&c.Worker, "worker", false, workerHelp)
+	fs.BoolVar(&c.Worker, "worker", false,
+		"worker mode: serve shard assignments from stdin (JSON lines carrying the spec; normally spawned by a coordinator)")
 }
 
 // Validate rejects inconsistent flag combinations after fs has parsed:
@@ -90,10 +87,12 @@ func (c *CLIFlags) Enabled() bool { return c.Workers != 0 }
 // cut (2×workers unless -coord-shards is set), lease and chaos drill.
 // Each fleet slot is a Local running under opts, or with -coord-spawn a
 // spawned worker process given workerArgv of opts. Workers run quiet,
-// since per-trial events from several of them would interleave; with
-// progress the scheduler's shard-level diagnostics go to stderr, as do
-// spawned workers' own.
+// since per-trial events from several of them would interleave: instead
+// opts.Events, when set, receives one ShardMerged per returned payload,
+// as a dpmrd client does. With progress the scheduler's diagnostics go
+// to stderr, as do spawned workers' own.
 func (c *CLIFlags) Fleet(spec harness.Spec, opts harness.Options, progress bool, stderr io.Writer) Config {
+	events := opts.Events
 	opts.Events = nil
 	cfg := Config{
 		Spec: spec, Workers: c.Workers, Shards: c.Shards, Lease: c.Lease, Chaos: c.Chaos,
@@ -110,6 +109,12 @@ func (c *CLIFlags) Fleet(spec harness.Spec, opts harness.Options, progress bool,
 				return nil, fmt.Errorf("coord: resolving worker executable: %w", err)
 			}
 			return NewProc(stderr, exe, argv...)
+		}
+	}
+	if events != nil {
+		cfg.OnResult = func(shard harness.ShardSpec, payload []byte) error {
+			events(harness.MergedEvent(shard, payload))
+			return nil
 		}
 	}
 	if progress {
