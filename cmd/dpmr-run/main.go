@@ -61,8 +61,8 @@
 // Naming a concurrent workload (chash, cpipe, csteal) runs a concurrent
 // campaign instead: -threads VMs share one address space under the
 // deterministic interleaving scheduler, run rn explores schedule
-// -sched-seed+rn, and every trial's memory trace passes through the
-// offline consistency checker — the ConsistViol report column. There is
+// -sched-seed+rn, and every trial's shared-memory accesses pass through
+// the streaming consistency check — the ConsistViol report column. There is
 // no injection axis; the schedule is the fault model. All campaign
 // machinery (-shard/-merge/-coord/-journal/-resume/-remote, -spec files)
 // applies unchanged:

@@ -140,6 +140,13 @@ type refEvent struct {
 	thread int
 }
 
+// refKey identifies a location in the reference: widths are part of the
+// key, as in the engine.
+type refKey struct {
+	addr  uint64
+	width uint8
+}
+
 // refLocState is a location's traced write history.
 type refLocState struct {
 	cur     uint64 // most recent write's value
@@ -160,10 +167,10 @@ func referenceCheck(threads [][]mem.TraceEvent) *Report {
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	locs := make(map[locKey]*refLocState)
+	locs := make(map[refKey]*refLocState)
 	for _, e := range all {
 		r.Events++
-		k := locKey{addr: e.Addr, width: e.Width}
+		k := refKey{addr: e.Addr, width: e.Width}
 		st := locs[k]
 		switch e.Op {
 		case mem.TraceStore:
@@ -258,9 +265,16 @@ func TestCheckEventsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWarmCheckerMatchesFresh: a checker whose table and lookup another
-// trace filled reports on the next trace exactly what a new checker
-// does, so no state leaks from one check into the next.
+// checkOn replays threads through t and reports its verdict.
+func checkOn(t *mem.TraceRec, threads [][]mem.TraceEvent) *Report {
+	replay(t, threads)
+	return Check(t)
+}
+
+// TestWarmCheckerMatchesFresh: a recorder recycled after another trace
+// filled its table, log and lookup reports on the next trace exactly
+// what a new recorder does, so no state leaks from one check into the
+// next.
 func TestWarmCheckerMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	trace := func() [][]mem.TraceEvent {
@@ -271,21 +285,26 @@ func TestWarmCheckerMatchesFresh(t *testing.T) {
 		}
 		return decodeTrace(data)
 	}
-	warm := new(checker)
+	pool := mem.NewPool(mem.Config{})
+	warm := func(threads [][]mem.TraceEvent) *Report {
+		rec := pool.GetTrace(len(threads), 0)
+		defer pool.PutTrace(rec)
+		return checkOn(rec, threads)
+	}
 	for iter := 0; iter < 2000; iter++ {
 		a, b := trace(), trace()
-		warm.check(a)
-		if got, want := warm.check(b), new(checker).check(b); !reflect.DeepEqual(got, want) {
+		warm(a)
+		if got, want := warm(b), checkOn(mem.NewTraceRec(len(b), 0), b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iteration %d: after trace %v, trace %v\nwarm:  %+v\nfresh: %+v", iter, a, b, got, want)
 		}
 	}
 	// Locations enough to grow the table several times must leave no
 	// stale slots behind either.
 	big := violationTrace(1 << 12)
-	warm.check(big)
+	warm(big)
 	for iter := 0; iter < 50; iter++ {
 		b := trace()
-		if got, want := warm.check(b), referenceCheck(b); !reflect.DeepEqual(got, want) {
+		if got, want := warm(b), referenceCheck(b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after a grown table, trace %v\nwarm:      %+v\nreference: %+v", b, got, want)
 		}
 	}
@@ -341,34 +360,124 @@ func FuzzCheckEvents(f *testing.F) {
 	})
 }
 
-// BenchmarkCheckEvents checks one recorded 4-thread cpipe trace per
-// iteration.
-func BenchmarkCheckEvents(b *testing.B) {
+// cpipeTrace runs a 4-thread cpipe group and returns every event its
+// recorder kept, per thread in program order, captured through a tap on
+// the pooled recorder the run draws, together with that recorder and the
+// pool. Replaying the capture reproduces the live recorder's event count
+// and digest, so the capture differs from the live stream in no event's
+// thread, sequence number, kind, address, width or value.
+func cpipeTrace(tb testing.TB) ([][]mem.TraceEvent, *mem.TraceRec, *mem.Pool) {
+	tb.Helper()
 	w, err := workloads.ConcurrentByName("cpipe")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := w.Build(4)
 	m.Freeze()
-	res := sched.Run(m, sched.Config{Threads: 4, Seed: 1, VM: interp.Config{Seed: 1}})
+	memCfg := mem.Config{}
+	pool := mem.NewPool(memCfg)
+	threads := make([][]mem.TraceEvent, 4)
+	rec := pool.GetTrace(4, 0)
+	rec.SetTap(func(tid int, e mem.TraceEvent) { threads[tid] = append(threads[tid], e) })
+	pool.PutTrace(rec)
+	res := sched.Run(m, sched.Config{Threads: 4, Seed: 1, VM: interp.Config{Seed: 1, Mem: memCfg, SpacePool: pool}})
 	if c := res.Combined; c.Kind != interp.ExitNormal || c.Code != 0 {
-		b.Fatalf("cpipe: %v code %d (%s)", c.Kind, c.Code, c.Reason)
+		tb.Fatalf("cpipe: %v code %d (%s)", c.Kind, c.Code, c.Reason)
 	}
-	threads := make([][]mem.TraceEvent, res.Trace.Threads())
-	for i := range threads {
-		threads[i] = res.Trace.Thread(i)
+	if res.Trace != rec {
+		tb.Fatal("cpipe did not draw the tapped recorder from its pool")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var r *Report
-	for i := 0; i < b.N; i++ {
-		r = CheckEvents(threads)
+	rec.SetTap(nil)
+	fresh := mem.NewTraceRec(4, 0)
+	if r := checkOn(fresh, threads); !r.Clean() || fresh.Len() != rec.Len() || fresh.Digest() != rec.Digest() {
+		tb.Fatalf("cpipe capture replays to %d events (digest %#x, %d violations), live recorder kept %d (digest %#x)",
+			fresh.Len(), fresh.Digest(), len(r.Violations), rec.Len(), rec.Digest())
 	}
-	b.StopTimer()
-	if !r.Clean() || r.Events != res.Trace.Len() {
-		b.Fatalf("cpipe trace: %d violations, %d of %d events", len(r.Violations), r.Events, res.Trace.Len())
+	return threads, rec, pool
+}
+
+// smallTrace is a short clean 2-thread trace over a handful of
+// locations: the kind of trial a recycled recorder mostly sees.
+func smallTrace() [][]mem.TraceEvent {
+	threads := make([][]mem.TraceEvent, 2)
+	var cells [8]uint64
+	for seq := uint64(0); seq < 64; seq++ {
+		c := seq % 8
+		if seq%3 == 0 {
+			cells[c] = seq
+			threads[seq%2] = append(threads[seq%2], st(seq, 0x1000+8*c, 8, seq))
+		} else {
+			threads[seq%2] = append(threads[seq%2], ld(seq, 0x1000+8*c, 8, cells[c]))
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Events), "ns/event")
+	return threads
+}
+
+// TestRecycledRecorderResetsWithoutAllocating: a recorder handed back
+// after a 4-thread cpipe trial is reset and refilled with that trial's
+// trace without allocating: its reset clears only the slots the trial
+// used, and the refill fits the table and log the trial left.
+func TestRecycledRecorderResetsWithoutAllocating(t *testing.T) {
+	threads, rec, pool := cpipeTrace(t)
+	digest := rec.Digest()
+	allocs := testing.AllocsPerRun(5, func() {
+		pool.PutTrace(rec)
+		rec = pool.GetTrace(4, 0)
+		replay(rec, threads)
+	})
+	if allocs != 0 {
+		t.Fatalf("reset and refill allocated %.1f times per run, want 0", allocs)
+	}
+	if rec.Digest() != digest {
+		t.Fatalf("refilled recorder digest %#x, live trial %#x", rec.Digest(), digest)
+	}
+	pool.PutTrace(rec)
+	rec = pool.GetTrace(2, 0)
+	small := smallTrace()
+	if got, want := checkOn(rec, small), referenceCheck(small); !got.Clean() || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recycled recorder on a small trace: %+v, reference %+v", got, want)
+	}
+}
+
+// BenchmarkCheckEvents replays traces through the checking engine, one
+// per iteration. cpipe4 is a recorded 4-thread cpipe trial's trace, on
+// CheckEvents' pooled recorders. small is a 64-event trace on a new
+// recorder; smallrecycled checks it on one recycled after the cpipe
+// trace, whose reset clears only the slots the last check used, so the
+// two rows read alike however large the earlier trace was.
+func BenchmarkCheckEvents(b *testing.B) {
+	threads, rec, pool := cpipeTrace(b)
+	b.Run("cpipe4", func(b *testing.B) {
+		b.ReportAllocs()
+		var r *Report
+		for i := 0; i < b.N; i++ {
+			r = CheckEvents(threads)
+		}
+		b.StopTimer()
+		if !r.Clean() || r.Events != rec.Len() {
+			b.Fatalf("cpipe trace: %d violations, %d of %d events", len(r.Violations), r.Events, rec.Len())
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Events), "ns/event")
+	})
+	small := smallTrace()
+	b.Run("small", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			checkOn(mem.NewTraceRec(2, 0), small)
+		}
+	})
+	b.Run("smallrecycled", func(b *testing.B) {
+		pool.PutTrace(rec)
+		rec := pool.GetTrace(4, 0)
+		replay(rec, threads)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.PutTrace(rec)
+			rec = pool.GetTrace(2, 0)
+			checkOn(rec, small)
+		}
+	})
 }
 
 // BenchmarkCheckViolations checks the violation-heavy trace of

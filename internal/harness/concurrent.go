@@ -1,8 +1,8 @@
 package harness
 
 // Concurrent campaigns: multi-VM workloads under the deterministic
-// interleaving scheduler (internal/sched), with the offline consistency
-// checker (internal/consist) as an extra detection axis. The canonical
+// interleaving scheduler (internal/sched), with the streaming consistency
+// check (internal/consist) as an extra detection axis. The canonical
 // flat trial plan — per concurrent workload, every variant, Runs runs,
 // run rn exploring schedule SchedSeed+rn — is a pure function of the
 // normalized concurrent Spec, exactly like campaign and overhead plans,

@@ -387,8 +387,8 @@ type TrialOutcome struct {
 	// T2DCycles: time to fault detection (total − time to first
 	// successful injection), valid when Detected() and SF.
 	T2DCycles uint64 `json:"t2dCycles,omitempty"`
-	// ConsistViol: the offline consistency checker flagged the trial's
-	// shared-memory trace (concurrent kind only). Independent of the
+	// ConsistViol: the consistency check flagged a shared-memory access
+	// of the trial (concurrent kind only). Independent of the
 	// §3.6 classes above — a violating trial can still be CO, which is
 	// exactly the silent failure the trace checker surfaces.
 	ConsistViol bool `json:"consistViol,omitempty"`

@@ -43,7 +43,7 @@ func (s *Space) Checkpoint(c *Checkpoint) {
 // Unchanged reports whether s is in the state c recorded and has been
 // written nowhere since: no store, no heap allocation or free. Only the
 // load count and the cache's hit and miss counters may have grown. A
-// traced space never reports unchanged, since its recorder logs every
+// traced space never reports unchanged, since its recorder checks every
 // access.
 func (s *Space) Unchanged(c *Checkpoint) bool {
 	if s.trace != nil || s.sp != c.sp || s.spLo != c.spLo || s.globalsCur != c.globalsCur ||

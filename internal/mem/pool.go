@@ -14,8 +14,8 @@ import "sync"
 // safe for concurrent use; at most one goroutine may use a given Space at
 // a time, as always.
 //
-// The pool also recycles the trace recorders traced runs on its spaces
-// fill (GetTrace/PutTrace). Recorders do not depend on the pool's Config.
+// The pool also recycles the trace recorders that check traced runs on
+// its spaces (GetTrace/PutTrace). Recorders do not depend on the pool's Config.
 type Pool struct {
 	cfg    Config
 	mu     sync.Mutex
@@ -82,8 +82,8 @@ func (p *Pool) Put(s *Space) {
 }
 
 // GetTrace returns a recorder in the state NewTraceRec(threads, limit)
-// gives: a recycled one, its buffers emptied but keeping their capacity,
-// when available, otherwise a new one.
+// gives: a recycled one, reset but keeping its table's size and its
+// log's capacity, when available, otherwise a new one.
 func (p *Pool) GetTrace(threads, limit int) *TraceRec {
 	p.mu.Lock()
 	n := len(p.traces)
@@ -100,7 +100,7 @@ func (p *Pool) GetTrace(threads, limit int) *TraceRec {
 }
 
 // PutTrace makes t available to future GetTrace calls. The caller must
-// not use t afterwards, nor any slice its Thread method returned.
+// not use t afterwards, nor any slice its Mismatches method returned.
 // PutTrace(nil) is a no-op.
 func (p *Pool) PutTrace(t *TraceRec) {
 	if t == nil {

@@ -16,14 +16,15 @@ import (
 // the degenerate single-VM group (every draw picks the yielding thread,
 // so no handovers — the walker baseline); interleavedN adds N-VM
 // cooperative scheduling with yields at every load/store/atomic; the
-// traced variant layers per-replica trace recording on top, and the
-// checked variant also runs consist.Check on each trace: a whole
-// concurrent-campaign trial. Traced rows hand each recorder back with
-// PutTrace, as the harness does, so a warm run reuses its buffers. The
-// serial/interleaved trials-per-second ratio is the scheduling cost,
-// interleaved/traced isolates the recorder's share, and traced/checked
-// the checker's. ns/switch divides the run's time by its scheduling
-// draws. The rows above tree-walk on the walker oracle, handoverRun; the
+// traced variant layers the recorder on top, which checks every shared
+// access as it runs, and the checked variant also reads each verdict
+// with consist.Check: a whole concurrent-campaign trial. Traced rows
+// hand each recorder back with PutTrace, as the harness does, so a warm
+// run reuses its table and store log; their B/op over interleaved3's is
+// the trace memory a warm trial allocates. The serial/interleaved
+// trials-per-second ratio is the scheduling cost, interleaved/traced
+// isolates the check's share, and traced/checked the verdict's.
+// ns/switch divides the run's time by its scheduling draws. The rows above tree-walk on the walker oracle, handoverRun; the
 // compiled rows run the same groups through Run, on a yielding program
 // (interp.CompileYielding) and one goroutine, as the harness runs them,
 // so compiled/plain is the engine's speedup under the scheduler.

@@ -52,11 +52,12 @@ type Config struct {
 	// PRNG seed (Config.VM.Seed): the same program can be explored under
 	// many schedules and vice versa.
 	Seed int64
-	// TraceLimit caps each thread's recorded shared-tier accesses
+	// TraceLimit caps each thread's checked shared-tier accesses
 	// (0 = mem.NewTraceRec's default). Overflow marks the trace
 	// truncated rather than failing the run.
 	TraceLimit int
-	// TraceDisabled skips trace recording entirely (benchmarks).
+	// TraceDisabled skips the trace recorder, and with it the
+	// consistency check, entirely (benchmarks).
 	TraceDisabled bool
 	// VM is the per-thread VM configuration. Mem sizes the one shared
 	// space; SpacePool, when set, supplies that space and receives it
@@ -88,7 +89,8 @@ type Result struct {
 	// FailedThread is the thread whose exit classified an abnormal
 	// Combined (-1 when the group exited normally).
 	FailedThread int
-	// Trace is the shared-tier access trace (nil when disabled). When
+	// Trace is the recorder that checked the run's shared-tier accesses
+	// (nil when disabled); consist.Check reads its verdict. When
 	// the run drew it from Config.VM.SpacePool, it is on loan: the caller
 	// may hand it back with PutTrace once done with it, and must not
 	// touch it afterwards.

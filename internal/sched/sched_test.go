@@ -62,8 +62,9 @@ func TestConcurrentWorkloadsRunClean(t *testing.T) {
 }
 
 // TestScheduleDeterminism: the whole group outcome — per-thread results,
-// combined result, trace stream, and switch count — must be a pure
-// function of (seed, module, config).
+// combined result, trace stream (its length, digest, metadata and
+// report), and switch count — must be a pure function of (seed, module,
+// config).
 func TestScheduleDeterminism(t *testing.T) {
 	w := workloads.Concurrent()[0]
 	m := w.Build(3)
@@ -81,13 +82,8 @@ func TestScheduleDeterminism(t *testing.T) {
 			t.Fatalf("thread %d results differ", tid)
 		}
 	}
-	if a.Trace.Len() != b.Trace.Len() {
-		t.Fatalf("trace lengths differ: %d vs %d", a.Trace.Len(), b.Trace.Len())
-	}
-	for tid := 0; tid < a.Trace.Threads(); tid++ {
-		if !reflect.DeepEqual(a.Trace.Thread(tid), b.Trace.Thread(tid)) {
-			t.Fatalf("thread %d traces differ", tid)
-		}
+	if ta, tb := summarizeTrace(a.Trace), summarizeTrace(b.Trace); !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("traces differ:\n%+v\n%+v", ta, tb)
 	}
 }
 
@@ -320,27 +316,60 @@ func TestYieldStallFailpoint(t *testing.T) {
 	}
 }
 
-// checkSeqs asserts the recorder precondition consist.CheckEvents relies
-// on: each thread's Seqs strictly ascend, and together they cover
-// 0..Len()-1 exactly once.
-func checkSeqs(t *testing.T, tr *mem.TraceRec) {
+// tappedRun runs m under cfg on a pool whose one recorder is tapped, and
+// returns the result with every event the run kept, per thread in
+// program order.
+func tappedRun(t *testing.T, m *ir.Module, cfg Config) (*Result, [][]mem.TraceEvent) {
 	t.Helper()
+	cfg.VM.SpacePool = mem.NewPool(cfg.VM.Mem)
+	threads := make([][]mem.TraceEvent, cfg.Threads)
+	rec := cfg.VM.SpacePool.GetTrace(cfg.Threads, cfg.TraceLimit)
+	rec.SetTap(func(tid int, e mem.TraceEvent) { threads[tid] = append(threads[tid], e) })
+	cfg.VM.SpacePool.PutTrace(rec)
+	res := Run(m, cfg)
+	if res.Trace != rec {
+		t.Fatal("the run did not draw the tapped recorder from its pool")
+	}
+	rec.SetTap(nil)
+	return res, threads
+}
+
+// checkSeqs asserts the recorder precondition consist.CheckEvents relies
+// on, over the events a tapped run kept: each thread's Seqs strictly
+// ascend, and together they cover 0..Len()-1 exactly once. Replaying
+// them in Seq order through a new recorder then reproduces the live
+// recorder's digest and report, so the stream the tap saw is the one the
+// run checked.
+func checkSeqs(t *testing.T, tr *mem.TraceRec, threads [][]mem.TraceEvent) {
+	t.Helper()
+	order := make([]mem.TraceEvent, tr.Len())
+	tids := make([]int, tr.Len())
 	seen := make([]bool, tr.Len())
-	for tid := 0; tid < tr.Threads(); tid++ {
-		for i, e := range tr.Thread(tid) {
-			if i > 0 && e.Seq <= tr.Thread(tid)[i-1].Seq {
-				t.Fatalf("thread %d event %d: seq %d after %d", tid, i, e.Seq, tr.Thread(tid)[i-1].Seq)
+	for tid, evs := range threads {
+		for i, e := range evs {
+			if i > 0 && e.Seq <= evs[i-1].Seq {
+				t.Fatalf("thread %d event %d: seq %d after %d", tid, i, e.Seq, evs[i-1].Seq)
 			}
 			if e.Seq >= tr.Len() || seen[e.Seq] {
 				t.Fatalf("thread %d event %d: seq %d outside 0..%d or repeated", tid, i, e.Seq, tr.Len()-1)
 			}
 			seen[e.Seq] = true
+			order[e.Seq], tids[e.Seq] = e, tid
 		}
 	}
 	for seq, ok := range seen {
 		if !ok {
 			t.Fatalf("seq %d of 0..%d missing from every thread", seq, tr.Len()-1)
 		}
+	}
+	replayed := mem.NewTraceRec(len(threads), 0)
+	for seq, e := range order {
+		replayed.Replay(tids[seq], e)
+	}
+	got, want := consist.Check(replayed), consist.Check(tr)
+	got.Truncated, got.Dropped = want.Truncated, want.Dropped // run metadata, not events
+	if replayed.Digest() != tr.Digest() || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed tap digest %#x, report %+v; live digest %#x, report %+v", replayed.Digest(), got, tr.Digest(), want)
 	}
 }
 
@@ -353,7 +382,11 @@ func TestTraceSeqsAscendingAndDense(t *testing.T) {
 			m.Freeze()
 			for _, seed := range []int64{1, 2, 77} {
 				t.Run(fmt.Sprintf("%s/%d/%d", w.Name, threads, seed), func(t *testing.T) {
-					checkSeqs(t, runClean(t, m, threads, seed).Trace)
+					res, evs := tappedRun(t, m, Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit, Seed: 7}})
+					if c := res.Combined; c.Kind != interp.ExitNormal || c.Code != 0 {
+						t.Fatalf("%v code %d (%s)", c.Kind, c.Code, c.Reason)
+					}
+					checkSeqs(t, res.Trace, evs)
 				})
 			}
 		}
@@ -369,11 +402,11 @@ func TestTraceSeqsDenseAfterDrops(t *testing.T) {
 	t.Cleanup(failpt.Disarm)
 	m := workloads.Concurrent()[1].Build(3)
 	m.Freeze()
-	res := Run(m, Config{Threads: 3, Seed: 4, VM: interp.Config{StepLimit: testStepLimit, Seed: 7}})
+	res, evs := tappedRun(t, m, Config{Threads: 3, Seed: 4, VM: interp.Config{StepLimit: testStepLimit, Seed: 7}})
 	if got := res.Trace.Dropped(); got != 2 {
 		t.Fatalf("dropped %d events, want 2", got)
 	}
-	checkSeqs(t, res.Trace)
+	checkSeqs(t, res.Trace, evs)
 }
 
 // TestPooledRunMatchesFresh: groups drawing their shared space from one
@@ -426,7 +459,7 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 			{"Combined", fresh.Combined, pooled.Combined},
 			{"Threads", fresh.Threads, pooled.Threads},
 			{"FailedThread", fresh.FailedThread, pooled.FailedThread},
-			{"Trace", fresh.Trace, pooled.Trace},
+			{"Trace", summarizeTrace(fresh.Trace), summarizeTrace(pooled.Trace)},
 			{"Switches", fresh.Switches, pooled.Switches},
 		} {
 			if !reflect.DeepEqual(f.fresh, f.pool) {
@@ -475,6 +508,7 @@ func TestRecycledTraceMatchesFresh(t *testing.T) {
 		})
 	}
 	sawTruncated, sawDropped := false, false
+	var recycled *mem.TraceRec
 	for i, st := range steps {
 		m := crashWorkerModule()
 		if st.workload != m.Name {
@@ -490,6 +524,11 @@ func TestRecycledTraceMatchesFresh(t *testing.T) {
 		if d := diffResults(got, want); d != "" {
 			t.Fatalf("step %d (%s/%d, limit %d, drops %q): %s", i, st.workload, st.threads, st.limit, st.drops, d)
 		}
+		if recycled == nil {
+			recycled = got.Trace
+		} else if got.Trace != recycled {
+			t.Fatalf("step %d drew a new recorder from a pool holding one", i)
+		}
 		sawTruncated = sawTruncated || got.Trace.Truncated()
 		sawDropped = sawDropped || got.Trace.Dropped() > 0
 		pool.PutTrace(got.Trace)
@@ -500,9 +539,9 @@ func TestRecycledTraceMatchesFresh(t *testing.T) {
 	// The sequence handed one recorder back and forth: a further run
 	// reuses it rather than building another.
 	tr := pool.GetTrace(2, 0)
-	if tr.Threads() != 2 || tr.Len() != 0 || cap(tr.Thread(0)) == 0 {
-		t.Fatalf("GetTrace after the sequence: %d threads, %d events, cap %d; want a reset recycled recorder",
-			tr.Threads(), tr.Len(), cap(tr.Thread(0)))
+	if tr != recycled || tr.Threads() != 2 || tr.Len() != 0 || tr.Digest() != 0 || len(tr.Mismatches()) != 0 {
+		t.Fatalf("GetTrace after the sequence: %d threads, %d events, digest %#x, %d mismatches, recycled %v; want a reset recycled recorder",
+			tr.Threads(), tr.Len(), tr.Digest(), len(tr.Mismatches()), tr == recycled)
 	}
 }
 
@@ -520,8 +559,28 @@ func TestPoolConfigMismatchRefused(t *testing.T) {
 	}
 }
 
+// traceSummary is what a recorder retains of one run: its shape, the
+// digest of every kept event, its metadata and its report. Two runs
+// whose recorders summarize alike kept the same events.
+type traceSummary struct {
+	Threads   int
+	Len       uint64
+	Digest    uint64
+	Dropped   uint64
+	Truncated bool
+	Report    *consist.Report
+}
+
+// summarizeTrace summarizes tr (nil for a run without one).
+func summarizeTrace(tr *mem.TraceRec) *traceSummary {
+	if tr == nil {
+		return nil
+	}
+	return &traceSummary{tr.Threads(), tr.Len(), tr.Digest(), tr.Dropped(), tr.Truncated(), consist.Check(tr)}
+}
+
 // diffResults names the first Result field where got and want differ
-// ("" when they are DeepEqual).
+// ("" when they are DeepEqual, comparing traces by summarizeTrace).
 func diffResults(got, want *Result) string {
 	for _, f := range []struct {
 		field     string
@@ -530,14 +589,16 @@ func diffResults(got, want *Result) string {
 		{"Combined", got.Combined, want.Combined},
 		{"Threads", got.Threads, want.Threads},
 		{"FailedThread", got.FailedThread, want.FailedThread},
-		{"Trace", got.Trace, want.Trace},
+		{"Trace", summarizeTrace(got.Trace), summarizeTrace(want.Trace)},
 		{"Switches", got.Switches, want.Switches},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			return fmt.Sprintf("%s differs:\ngot:  %+v\nwant: %+v", f.field, f.got, f.want)
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
+	g, w := *got, *want
+	g.Trace, w.Trace = nil, nil
+	if !reflect.DeepEqual(g, w) {
 		return "results differ outside the compared fields"
 	}
 	return ""
