@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"dpmr/internal/dpmr"
 	"dpmr/internal/extlib"
@@ -183,6 +184,10 @@ type Runner struct {
 	shard    ShardSpec
 	compile  bool
 
+	// clock reads the time a shard's ElapsedMS is measured on; nil is
+	// time.Now. A deterministic clock makes journal bytes reproducible.
+	clock func() time.Time
+
 	mu         sync.Mutex // guards golden
 	progressMu sync.Mutex // serializes Events callbacks
 	golden     map[string]*goldenInfo
@@ -193,6 +198,14 @@ type goldenInfo struct {
 	once sync.Once
 	res  *interp.Result
 	err  error
+}
+
+// now reads the Runner's clock.
+func (r *Runner) now() time.Time {
+	if r.clock != nil {
+		return r.clock()
+	}
+	return time.Now()
 }
 
 // NewRunner returns a Runner with the paper-matching defaults.

@@ -194,12 +194,12 @@ func (pl *planned) run(ctx context.Context, r *Runner, shard ShardSpec, live las
 		live = pl.lastUse(shard)
 	}
 	lo, hi := shard.shardRange(pl.total)
-	start := time.Now()
+	start := r.now()
 	p, err := pl.exec(ctx, r, lo, hi, live)
 	if err != nil && !cancelled(ctx, err) {
 		return nil, err
 	}
-	p.stamp(pl.fingerprint, shard, pl.total, time.Since(start).Milliseconds())
+	p.stamp(pl.fingerprint, shard, pl.total, r.now().Sub(start).Milliseconds())
 	return p, err
 }
 

@@ -11,7 +11,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dpmr/internal/journal"
 )
@@ -183,8 +185,19 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 	spec := smallCampaign()
 	direct, _ := campaignAt(t, 1)
 
+	// The subtests are named by byte offset, so the pristine journal
+	// must not depend on wall-clock time: its clock advances 2ms per
+	// finished trial, making every ElapsedMS a function of the span.
 	j, dir, fp := newTestJournal(t, spec)
-	if _, _, err := NewRunner().RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil); err != nil {
+	var trials atomic.Int64
+	r := NewRunner()
+	r.Events = func(ev Event) {
+		if _, ok := ev.(TrialDone); ok {
+			trials.Add(1)
+		}
+	}
+	r.clock = func() time.Time { return time.Unix(0, 0).Add(time.Duration(trials.Load()) * 2 * time.Millisecond) }
+	if _, _, err := r.RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
